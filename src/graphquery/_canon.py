@@ -1,116 +1,81 @@
-"""Canonical adjacency codes: the hot kernel behind isomorphism-free enumeration.
+"""Canonical adjacency codes: the kernel behind isomorphism-free enumeration.
 
 A graph's canonical code is the minimum, over all vertex orderings, of its
 upper-triangle adjacency bits packed row-major into an integer (most
 significant bit first). Two graphs are isomorphic iff their codes match.
 
-The scan over all n! orderings is the only numeric inner loop in this
-package that dominates a workload, so it gets a numba-jitted kernel with a
-pure-numpy fallback. Set GRAPHQUERY_NO_NUMBA=1 to force the numpy path;
-benchmarks/bench_canonical.py compares the two.
+The minimum is found by a search over ordered partitions instead of a scan
+of all n! orderings. A state is a tuple of cell bitmasks holding the
+vertices not yet placed; every ordering consistent with it lists the cells
+in order, and all vertices of a cell are adjacent to the same placed
+vertices. The next vertex v must come from the first cell. Its row holds
+its bits towards every later vertex, so within each cell the row is
+smallest when v's non-neighbours come before its neighbours, and that split
+is the only way to reach the smallest row. Splitting every cell that way
+gives the next state, in which the row is fixed.
+
+Rows are placed most significant first, so the minimum code starts with
+the smallest row any candidate v can reach; only the candidates that tie on
+it are searched further. The bits still open depend on the state alone, so
+each state's best tail is memoised. The result is exactly the scan's code.
 """
 
 from __future__ import annotations
 
-import os
-from itertools import permutations
-
 import numpy as np
 
-_WANT_NUMBA = os.environ.get("GRAPHQUERY_NO_NUMBA", "").strip() not in ("1", "true", "yes")
 
-if _WANT_NUMBA:
-    try:
-        from numba import njit
+def _code(nbrs: list[int]) -> int:
+    memo: dict[tuple[int, ...], int] = {}
 
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
+    def best(cells: tuple[int, ...], size: int) -> int:
+        # minimum code of the rows of the `size` vertices still open in this state
+        if size <= 1:
+            return 0
+        found = memo.get(cells)
+        if found is not None:
+            return found
+        first = cells[0]
+        low_row = -1
+        ties = []
+        pending = first
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            nbr = nbrs[bit.bit_length() - 1]
+            row = 0
+            split = []
+            for cell in (first ^ bit,) + cells[1:]:
+                ones = cell & nbr
+                zeros = cell ^ ones
+                width = ones.bit_count()
+                row = (row << cell.bit_count()) | ((1 << width) - 1)
+                if zeros:
+                    split.append(zeros)
+                if ones:
+                    split.append(ones)
+            if low_row < 0 or row < low_row:
+                low_row, ties = row, [split]
+            elif row == low_row:
+                ties.append(split)
+        left = size - 1
+        tail = min(best(tuple(split), left) for split in ties)
+        found = (low_row << left * (left - 1) // 2) | tail
+        memo[cells] = found
+        return found
 
-ACTIVE_BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
-def _perm_table(n: int) -> np.ndarray:
-    table = _PERM_CACHE.get(n)
-    if table is None:
-        table = np.array(list(permutations(range(n))), dtype=np.int64)
-        _PERM_CACHE[n] = table
-    return table
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _codes_kernel(adj, perms):  # pragma: no cover - exercised via dispatcher
-        batch = adj.shape[0]
-        n = adj.shape[1]
-        nperm = perms.shape[0]
-        out = np.empty(batch, dtype=np.int64)
-        for b in range(batch):
-            best = np.int64(0x7FFFFFFFFFFFFFFF)
-            for p in range(nperm):
-                code = np.int64(0)
-                for i in range(n - 1):
-                    pi = perms[p, i]
-                    for j in range(i + 1, n):
-                        code = (code << 1) | adj[b, pi, perms[p, j]]
-                if code < best:
-                    best = code
-            out[b] = best
-        return out
-
-    def _codes_numba(adj: np.ndarray) -> np.ndarray:
-        return _codes_kernel(np.ascontiguousarray(adj, dtype=np.uint8), _perm_table(adj.shape[1]))
-
-
-_COLS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _numpy_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _COLS_CACHE.get(n)
-    if cached is None:
-        perms = _perm_table(n)
-        pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-        # flat index of each permuted upper-triangle cell, one row per permutation
-        cols = np.empty((len(perms), len(pairs)), dtype=np.int64)
-        for row, perm in enumerate(perms):
-            cols[row] = [perm[i] * n + perm[j] for i, j in pairs]
-        nbits = len(pairs)
-        weights = (np.int64(1) << np.arange(nbits - 1, -1, -1, dtype=np.int64))
-        cached = (cols, weights)
-        _COLS_CACHE[n] = cached
-    return cached
-
-
-def _codes_numpy(adj: np.ndarray, chunk: int = 128) -> np.ndarray:
-    batch, n, _ = adj.shape
-    cols, weights = _numpy_tables(n)
-    flat = np.ascontiguousarray(adj, dtype=np.int64).reshape(batch, n * n)
-    out = np.empty(batch, dtype=np.int64)
-    for lo in range(0, batch, chunk):
-        hi = min(lo + chunk, batch)
-        gathered = flat[lo:hi][:, cols]  # (chunk, n!, bits)
-        codes = gathered @ weights  # (chunk, n!)
-        out[lo:hi] = codes.min(axis=1)
-    return out
+    return best(((1 << len(nbrs)) - 1,), len(nbrs))
 
 
 def canonical_codes(adj: np.ndarray) -> np.ndarray:
-    """Canonical codes for a batch of adjacency matrices, shape (B, n, n)."""
+    """Canonical codes for a batch of symmetric 0/1 adjacency matrices, shape (B, n, n)."""
     if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
         raise ValueError("expected a (batch, n, n) adjacency array")
-    if adj.shape[1] > 8:
-        raise ValueError("canonical scan supports n <= 8")
+    n = adj.shape[1]
+    if n > 8:
+        raise ValueError("canonical search supports n <= 8")
     if adj.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    if HAVE_NUMBA:
-        return _codes_numba(adj)
-    return _codes_numpy(adj)
-
-
-def code_bits(n: int) -> int:
-    return n * (n - 1) // 2
+    # one neighbour bitmask per vertex: bit j of masks[b, v] is adj[b, v, j]
+    masks = np.asarray(adj, dtype=np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    return np.array([_code(nbrs) for nbrs in masks.tolist()], dtype=np.int64)

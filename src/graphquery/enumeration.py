@@ -38,22 +38,19 @@ def canonical_code(g: Graph) -> int:
     return int(canonical_codes(_graph_to_adj(g)[None, :, :])[0])
 
 
-def enumerate_graphs(n: int, graph_budget: int = DEFAULT_GRAPH_BUDGET) -> list[Graph]:
-    """All graphs on exactly n vertices, one representative per isomorphism class.
+def _levels(n_max: int, graph_budget: int):
+    """Yield (n, codes) for n = 1..n_max: the sorted canonical codes of every
+    isomorphism class on exactly n vertices.
 
     Built level by level: every class on i+1 vertices arises from a class on
     i vertices by attaching one new vertex, so extending each representative
     with every neighbor subset and deduplicating by canonical code is
-    exhaustive. Representatives are returned in canonical-code order.
+    exhaustive.
     """
-    if not 1 <= n <= ENUMERATION_MAX_N:
-        raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
-    if n == 1:
-        return [Graph(1, frozenset())]
     level = [np.zeros((1, 1), dtype=np.uint8)]
-    level_codes = [0]
     produced = 1
-    for size in range(2, n + 1):
+    yield 1, [0]
+    for size in range(2, n_max + 1):
         children = []
         for adj in level:
             for mask in range(1 << (size - 1)):
@@ -77,8 +74,17 @@ def enumerate_graphs(n: int, graph_budget: int = DEFAULT_GRAPH_BUDGET) -> list[G
                 keep[code] = idx
         items = sorted(keep.items())
         level = [batch[idx] for _, idx in items]
-        level_codes = [code for code, _ in items]
-    return [_code_to_graph(code, n) for code in level_codes]
+        yield size, [code for code, _ in items]
+
+
+def enumerate_graphs(n: int, graph_budget: int = DEFAULT_GRAPH_BUDGET) -> list[Graph]:
+    """All graphs on exactly n vertices, one representative per isomorphism
+    class, in canonical-code order."""
+    if not 1 <= n <= ENUMERATION_MAX_N:
+        raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
+    for _, codes in _levels(n, graph_budget):
+        pass
+    return [_code_to_graph(code, n) for code in codes]
 
 
 @dataclass(frozen=True)
@@ -136,8 +142,8 @@ def verify_unique_colorable_edge_bound(
     if not 1 <= k <= EDGE_BOUND_MAX_K:
         raise ValueError(f"need 1 <= k <= {EDGE_BOUND_MAX_K}")
     rows = []
-    for n in range(1, n_max + 1):
-        reps = enumerate_graphs(n, graph_budget)
+    for n, codes in _levels(n_max, graph_budget):
+        reps = [_code_to_graph(code, n) for code in codes]
         bound = bounds.unique_coloring_edge_lower(n, k)
         unique_count = 0
         min_edges = None

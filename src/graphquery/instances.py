@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 from .graphs import Graph, clique_union_graph, complete_graph, empty_graph
 from .partitions import Partition, stirling_partition_count
@@ -23,18 +22,14 @@ def worst_case_graph(n: int, k: int) -> Graph:
     return clique_union_graph([clique], n)
 
 
-@lru_cache(maxsize=None)
-def _completions(remaining: int, open_blocks: int, k: int) -> int:
-    """Ways to place `remaining` labeled elements onto `open_blocks` existing
-    blocks so that exactly k blocks exist at the end."""
-    if remaining == 0:
-        return 1 if open_blocks == k else 0
-    total = 0
-    if open_blocks < k:
-        total += _completions(remaining - 1, open_blocks + 1, k)
-    if open_blocks > 0:
-        total += open_blocks * _completions(remaining - 1, open_blocks, k)
-    return total
+def _completions(n: int, k: int) -> list[list[int]]:
+    """table[r][o]: ways to place r labeled elements onto o existing blocks
+    so that exactly k blocks exist at the end, for r <= n and o <= k."""
+    table = [[int(o == k) for o in range(k + 1)]]
+    for _ in range(n):
+        prev = table[-1]
+        table.append([o * prev[o] + (prev[o + 1] if o < k else 0) for o in range(k + 1)])
+    return table
 
 
 def random_partition_exactly(n: int, k: int, rng: random.Random) -> Partition:
@@ -45,14 +40,15 @@ def random_partition_exactly(n: int, k: int, rng: random.Random) -> Partition:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    assert _completions(n, 0, k) == stirling_partition_count(n, k)
+    table = _completions(n, k)
+    assert table[n][0] == stirling_partition_count(n, k)
     blocks: list[list[int]] = []
     for v in range(n):
         remaining = n - v - 1
         weighted: list[tuple[int, int]] = []
         if len(blocks) < k:
-            weighted.append((-1, _completions(remaining, len(blocks) + 1, k)))
-        join = _completions(remaining, len(blocks), k)
+            weighted.append((-1, table[remaining][len(blocks) + 1]))
+        join = table[remaining][len(blocks)]
         weighted.extend((i, join) for i in range(len(blocks)))
         total = sum(w for _, w in weighted)
         draw = rng.randrange(total)

@@ -73,3 +73,13 @@ def test_worst_case_order_smallest_components_first():
     assert order == [0, 1, 2, 3, 4, 5]
     p = Partition.from_blocks([[0, 1, 2], [3], [4, 5]])
     assert worst_case_order(p) == [3, 4, 5, 0, 1, 2]
+
+
+def test_random_partition_at_large_n():
+    g = generate_instance("random-partition", 2000, k=5, seed=1)
+    assert connected_components(g).k == 5
+
+
+def test_random_partition_seeded_value_is_frozen():
+    p = random_partition_exactly(10, 3, random.Random(5))
+    assert p.blocks == ((0, 8, 9), (1, 2, 4, 6), (3, 5, 7))
