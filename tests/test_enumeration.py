@@ -136,15 +136,31 @@ def test_report_dict_round_trip():
     assert len(payload["rows"]) == 3
 
 
-def test_enumeration_runs_without_numba():
+def test_backend_is_declared():
+    import tomllib
+    from pathlib import Path
+
+    # numpy is the one batch backend, and the only runtime dependency
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == ["numpy"]
+    codes = canonical_codes(np.zeros((2, 3, 3), dtype=np.uint8))
+    assert isinstance(codes, np.ndarray) and codes.dtype == np.int64
+
+
+def test_no_numba_env_flag_selects_numpy():
+    import os
     import subprocess
     import sys
 
+    # the old flag is now ignored: a fresh interpreter runs the numpy path
+    # and never imports numba, whether or not the flag is set
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys\n"
          "from graphquery.enumeration import enumerate_graphs\n"
          "print(len(enumerate_graphs(5)), 'numba' in sys.modules)"],
         capture_output=True, text=True, check=True,
+        env={**os.environ, "GRAPHQUERY_NO_NUMBA": "1"},
     )
     assert out.stdout.split() == ["34", "False"]
