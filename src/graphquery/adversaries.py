@@ -1,28 +1,34 @@
 """Adaptive adversaries that answer membership queries while committing to nothing.
 
-Each adversary keeps an auxiliary simple graph whose edges record "different
-component" answers, plus a proper k-coloring whose color classes are, at
-every moment, a real partition consistent with everything said so far. A
-learner's final claim is audited by `declare`: the claim is *forced* only if
-no second consistent partition exists, and otherwise the audit hands back
-such a partition as a witness.
+The two search adversaries share one separability rule. It keeps an
+auxiliary simple graph whose edges record "different component" answers,
+plus a proper k-coloring chi whose color classes are, at every moment, a
+real partition consistent with everything said so far. A same-colored pair
+is answered "yes" only when no proper k-coloring of the auxiliary graph
+separates it; such pairs are recorded once as forced edges. The rule has
+two sibling variants, which differ only in what the learner knows and in
+where the coloring starts:
 
-Three strategies are implemented:
+- SeparabilityAdversary: the component count k is public, 2 <= k <= n, and
+  the coloring starts balanced.
+- UnknownCountAdversary: k is fixed at construction but hidden, 1 <= k <= n,
+  and every vertex starts with color 1. Its audit additionally requires the
+  claim to equal the components of the forced edges.
 
-- SeparabilityAdversary: the component count is public; answers "yes" only
-  on pairs that every proper k-coloring of the auxiliary graph forces
-  together (k-inseparable pairs).
-- UnknownCountAdversary: the component count is fixed at construction but
-  hidden from the learner; "yes" answers additionally accumulate in a second
-  certificate graph whose components the audit inspects.
-- ContractionAdversary: polynomial-time variant; instead of separability
-  searches it recolors low-degree endpoints and contracts high-degree ones.
+ContractionAdversary is the polynomial-time alternative: instead of
+separability searches it recolors low-degree endpoints and contracts
+high-degree ones.
+
+A learner's final claim is audited by `declare`, and all three audits end in
+one rule: the claim is *forced* only if it is the single consistent
+partition, and otherwise the audit hands back a consistent partition other
+than the claim as a witness.
 """
 
 from __future__ import annotations
 
 from .coloring import Coloring, find_k_coloring, proper_partitions
-from .graphs import ContractionMap, Graph, connected_components, normalize_edge
+from .graphs import ContractionMap, Edge, Graph, connected_components, normalize_edge
 from .ledger import QueryLedger
 from .oracles import AuditVerdict
 from .partitions import Partition
@@ -36,100 +42,55 @@ def _validated_pair(x: int, y: int, n: int) -> tuple[int, int]:
     return normalize_edge(x, y)
 
 
-def _balanced_colors(n: int, k: int) -> tuple[int, ...]:
-    return tuple(v % k + 1 for v in range(n))
+def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[Graph, Coloring]:
+    """Validated starting edges and proper coloring; the coloring defaults to balanced."""
+    graph = Graph.from_edges(n, initial_edges or ())
+    colors = tuple(initial_coloring) if initial_coloring else tuple(v % k + 1 for v in range(n))
+    if len(colors) != n:
+        raise ValueError(f"initial coloring has {len(colors)} entries for {n} vertices")
+    chi = Coloring(colors, k)
+    if not chi.is_proper(graph):
+        raise ValueError("initial coloring is not proper on the initial edges")
+    return graph, chi
 
 
-class SeparabilityAdversary:
-    """Answers for a hidden graph known to have exactly k components, 2 <= k <= n.
+def _audit(claimed: Partition, parts: list[Partition], unique_detail: str) -> AuditVerdict:
+    """Verdict on a claim given up to two consistent partitions (a limit-2 search).
+
+    Forced iff `parts` is the single consistent partition and equals the
+    claim; otherwise the witness is a consistent partition other than the
+    claim, or the single one when the claim differs from it.
+    """
+    if len(parts) == 1:
+        if claimed == parts[0]:
+            return AuditVerdict(True, None, unique_detail)
+        return AuditVerdict(False, parts[0], "claim differs from the single consistent partition")
+    witness = parts[0] if parts[0] != claimed else parts[1]
+    return AuditVerdict(False, witness, "a second consistent partition exists")
+
+
+class _SeparabilityRule:
+    """State and answer rule shared by the two search adversaries.
 
     Rules on a query (x, y):
       - different colors: record the edge, answer 0;
       - same color and the pair is k-separable in the auxiliary graph:
         record the edge, switch to a separating coloring, answer 0;
-      - same color and inseparable: leave the graph alone, answer 1.
+      - same color and inseparable: leave the auxiliary graph alone, record
+        the pair (once) as a forced edge, answer 1.
 
     Re-asking an edge answers 0 again and re-asking an inseparable pair
-    answers 1 again; duplicates still count in the ledger.
+    answers 1 again; duplicates still count in the ledger. The two variants
+    subclass this as siblings, so patching one variant's methods (as a
+    tracer does) never reaches the other.
     """
 
-    variant = "separability"
-
-    def __init__(self, n: int, k: int, initial_coloring=None, initial_edges=None):
-        if not 2 <= k <= n:
-            raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    def __init__(self, n: int, k: int, edges: frozenset[Edge], chi: Coloring):
         self.n = n
         self.k = k
-        self.edges: set[tuple[int, int]] = set()
-        if initial_edges:
-            self.edges = {normalize_edge(u, v) for u, v in initial_edges}
-        colors = tuple(initial_coloring) if initial_coloring else _balanced_colors(n, k)
-        self.chi = Coloring(colors, k)
-        if not self.chi.is_proper(self.graph_view()):
-            raise ValueError("initial coloring is not proper on the initial edges")
-        self.ledger = QueryLedger()
-
-    def graph_view(self) -> Graph:
-        return Graph(self.n, frozenset(self.edges))
-
-    def chi_partition(self) -> Partition:
-        return self.chi.classes()
-
-    def membership_query(self, x: int, y: int) -> int:
-        pair = _validated_pair(x, y, self.n)
-        if pair in self.edges or self.chi.color_of(x) != self.chi.color_of(y):
-            self.edges.add(pair)
-            answer = 0
-        else:
-            separating = find_k_coloring(self.graph_view().with_edge(*pair), self.k)
-            if separating is not None:
-                self.edges.add(pair)
-                self.chi = separating
-                answer = 0
-            else:
-                answer = 1
-        assert self.chi.is_proper(self.graph_view())
-        self.ledger.append("alpha", (x, y), answer)
-        return answer
-
-    def declare(self, claimed: Partition) -> AuditVerdict:
-        """Forced iff the auxiliary graph pins down a single consistent partition.
-
-        The consistent partitions are exactly the proper color-class
-        partitions of the auxiliary graph (pairs answered 1 are inseparable,
-        so every such partition keeps them together automatically).
-        """
-        if claimed.n != self.n:
-            raise ValueError("claimed partition is over the wrong vertex set")
-        parts = proper_partitions(self.graph_view(), self.k, limit=2)
-        if len(parts) == 1:
-            if claimed == parts[0]:
-                return AuditVerdict(True, None, "auxiliary graph has a unique consistent partition")
-            return AuditVerdict(False, parts[0], "claim differs from the single consistent partition")
-        witness = parts[0] if parts[0] != claimed else parts[1]
-        return AuditVerdict(False, witness, "a second consistent partition exists")
-
-
-class UnknownCountAdversary:
-    """Variant for learners that do not know the component count.
-
-    k is a construction parameter the learner never sees. Queries behave as
-    in SeparabilityAdversary on the auxiliary graph, except inseparable pairs
-    are answered 1 *and* recorded (once) in a certificate graph; the audit
-    additionally requires the certificate components to match the claim. The
-    coloring starts with every vertex colored 1.
-    """
-
-    variant = "unknown-count"
-
-    def __init__(self, n: int, k: int):
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        self.n = n
-        self.k = k
-        self.edges: set[tuple[int, int]] = set()
-        self.forced_edges: set[tuple[int, int]] = set()
-        self.chi = Coloring(tuple(1 for _ in range(n)), k)
+        self.edges: set[Edge] = set(edges)
+        self.forced_edges: set[Edge] = set()
+        self.chi = chi
         self.ledger = QueryLedger()
 
     def graph_view(self) -> Graph:
@@ -159,6 +120,50 @@ class UnknownCountAdversary:
         self.ledger.append("alpha", (x, y), answer)
         return answer
 
+
+class SeparabilityAdversary(_SeparabilityRule):
+    """Answers for a hidden graph known to have exactly k components, 2 <= k <= n.
+
+    The coloring starts balanced unless `initial_coloring` is given; it must
+    be proper on `initial_edges`.
+    """
+
+    variant = "separability"
+
+    def __init__(self, n: int, k: int, initial_coloring=None, initial_edges=None):
+        if not 2 <= k <= n:
+            raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+        graph, chi = _initial_state(n, k, initial_coloring, initial_edges)
+        super().__init__(n, k, graph.edges, chi)
+
+    def declare(self, claimed: Partition) -> AuditVerdict:
+        """Forced iff the auxiliary graph pins down a single consistent partition.
+
+        The consistent partitions are exactly the proper color-class
+        partitions of the auxiliary graph (pairs answered 1 are inseparable,
+        so every such partition keeps them together automatically).
+        """
+        if claimed.n != self.n:
+            raise ValueError("claimed partition is over the wrong vertex set")
+        parts = proper_partitions(self.graph_view(), self.k, limit=2)
+        return _audit(claimed, parts, "auxiliary graph has a unique consistent partition")
+
+
+class UnknownCountAdversary(_SeparabilityRule):
+    """Variant for learners that do not know the component count.
+
+    k is a construction parameter the learner never sees, 1 <= k <= n. The
+    coloring starts with every vertex colored 1, and the forced edges form
+    the certificate graph whose components the audit inspects.
+    """
+
+    variant = "unknown-count"
+
+    def __init__(self, n: int, k: int):
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        super().__init__(n, k, frozenset(), Coloring(tuple(1 for _ in range(n)), k))
+
     def declare(self, claimed: Partition) -> AuditVerdict:
         """Forced iff the claim is the only partition (of any block count) that fits.
 
@@ -174,12 +179,7 @@ class UnknownCountAdversary:
                 False, certificate, "certificate components form a consistent refinement"
             )
         parts = proper_partitions(self.graph_view(), self.k, limit=2)
-        if len(parts) >= 2:
-            witness = parts[0] if parts[0] != claimed else parts[1]
-            return AuditVerdict(False, witness, "a second consistent partition exists")
-        if parts[0] != claimed:
-            return AuditVerdict(False, parts[0], "claim differs from the single consistent partition")
-        return AuditVerdict(True, None, "certificate components and auxiliary graph agree")
+        return _audit(claimed, parts, "certificate components and auxiliary graph agree")
 
 
 class ContractionAdversary:
@@ -199,18 +199,10 @@ class ContractionAdversary:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
         self.n = n
         self.k = k
+        graph, chi = _initial_state(n, k, initial_coloring, initial_edges)
         self.contraction = ContractionMap(n)
-        self.adj: dict[int, set[int]] = {v: set() for v in range(n)}
-        if initial_edges:
-            for u, v in initial_edges:
-                a, b = normalize_edge(u, v)
-                self.adj[a].add(b)
-                self.adj[b].add(a)
-        colors = list(initial_coloring) if initial_coloring else list(_balanced_colors(n, k))
-        self.color: dict[int, int] = {v: colors[v] for v in range(n)}
-        for v, nbrs in self.adj.items():
-            if any(self.color[v] == self.color[u] for u in nbrs):
-                raise ValueError("initial coloring is not proper on the initial edges")
+        self.adj: dict[int, set[int]] = {v: set(graph.adjacency[v]) for v in range(n)}
+        self.color: dict[int, int] = dict(enumerate(chi.colors))
         self.ledger = QueryLedger()
 
     def _rep(self, v: int) -> int:
@@ -288,27 +280,11 @@ class ContractionAdversary:
     def declare(self, claimed: Partition) -> AuditVerdict:
         if claimed.n != self.n:
             raise ValueError("claimed partition is over the wrong vertex set")
-        reps = self.contraction.representatives()
-        quotient = self.quotient_view()
-        parts = proper_partitions(quotient, self.k, limit=2)
-
-        def lift(p: Partition) -> Partition:
-            blocks = []
-            for block in p.blocks:
-                members = []
-                for idx in block:
-                    rep = reps[idx]
-                    members.extend(
-                        v for v in range(self.n) if self._rep(v) == rep
-                    )
-                blocks.append(members)
-            return Partition.from_blocks(blocks)
-
-        if len(parts) == 1:
-            unique = lift(parts[0])
-            if claimed == unique:
-                return AuditVerdict(True, None, "contracted graph has a unique consistent partition")
-            return AuditVerdict(False, unique, "claim differs from the single consistent partition")
-        w0, w1 = lift(parts[0]), lift(parts[1])
-        witness = w0 if w0 != claimed else w1
-        return AuditVerdict(False, witness, "a second consistent partition exists")
+        parts = proper_partitions(self.quotient_view(), self.k, limit=2)
+        # quotient vertex i is the i-th class in ascending representative order
+        classes = self.contraction.classes()
+        lifted = [
+            Partition.from_blocks([v for i in block for v in classes[i]] for block in p.blocks)
+            for p in parts
+        ]
+        return _audit(claimed, lifted, "contracted graph has a unique consistent partition")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import bounds
@@ -18,7 +17,13 @@ from .learners import (
 from .oracles import HonestOracle
 
 LEARNER_IDS = ("reps-known", "reps-unknown", "all-pairs")
-ADVERSARY_IDS = ("separability", "unknown-count", "contraction")
+# adversary id -> (session class, the lower bound it forces on any learner)
+_ADVERSARIES = {
+    "separability": (SeparabilityAdversary, bounds.membership_known_count),
+    "unknown-count": (UnknownCountAdversary, bounds.membership_unknown_count),
+    "contraction": (ContractionAdversary, bounds.contraction_adversary_lower),
+}
+ADVERSARY_IDS = tuple(_ADVERSARIES)
 
 
 @dataclass(frozen=True)
@@ -69,14 +74,6 @@ class DuelReport:
 CSV_HEADER = ["algorithm", "n", "k", "m", "seed", "queries", "bound", "satisfied", "verdict"]
 
 
-def _make_adversary(opponent: str, n: int, k: int):
-    if opponent == "separability":
-        return SeparabilityAdversary(n, k)
-    if opponent == "unknown-count":
-        return UnknownCountAdversary(n, k)
-    return ContractionAdversary(n, k)
-
-
 def _run_learner(learner: str, session, n: int, k: int | None, order) -> LearnResult:
     if learner == "reps-known":
         if k is None:
@@ -87,14 +84,6 @@ def _run_learner(learner: str, session, n: int, k: int | None, order) -> LearnRe
     if learner == "all-pairs":
         return learn_partition_all_pairs(session, n)
     raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_IDS}")
-
-
-def _adversary_bound(opponent: str, n: int, k: int) -> float:
-    if opponent == "separability":
-        return bounds.membership_known_count(n, k)
-    if opponent == "unknown-count":
-        return bounds.membership_unknown_count(n, k)
-    return bounds.contraction_adversary_lower(n, k)
 
 
 def _honest_bound(learner: str, n: int, k: int) -> int:
@@ -128,10 +117,11 @@ def run_duel(
             raise ValueError(f"adversary {opponent!r} needs k")
         if order != "asc":
             raise ValueError("adversary duels fix no hidden instance; use order='asc'")
-        session = _make_adversary(opponent, n, k)
+        make, bound_fn = _ADVERSARIES[opponent]
+        session = make(n, k)
         result = _run_learner(learner, session, n, k, None)
         verdict = session.declare(result.answer)
-        bound = _adversary_bound(opponent, n, k)
+        bound = bound_fn(n, k)
         satisfied = bool(verdict) and result.queries_used >= bound
         return DuelReport(
             learner, opponent, n, k, m, seed, result.queries_used, bound, "lower",
@@ -167,13 +157,11 @@ def grid_duel(
     *,
     n_min: int = 2,
     seed: int | None = None,
-    max_workers: int = 4,
 ) -> tuple[list[DuelReport], dict]:
-    """Sweep an (n, k) rectangle of independent duels.
+    """Sweep an (n, k) rectangle of independent duels, in (n, k) order.
 
-    Cells run on a bounded worker pool (each owns its session; nothing is
-    shared), and the report list is merged single-writer in (n, k, seed)
-    order so output is deterministic regardless of scheduling.
+    Cells run one after another: a duel is pure Python that holds the GIL,
+    so threads would not run cells in parallel.
     """
     cells = []
     for n in range(n_min, n_max + 1):
@@ -181,12 +169,7 @@ def grid_duel(
         k_hi = min(n, k_max) if k_max is not None else n
         for k in range(k_lo, k_hi + 1):
             cells.append((n, k))
-    with ThreadPoolExecutor(max_workers=max(1, min(max_workers, len(cells) or 1))) as pool:
-        futures = [
-            pool.submit(run_duel, learner, opponent, n, k, seed=seed) for n, k in cells
-        ]
-        reports = [f.result() for f in futures]
-    reports.sort(key=lambda r: (r.n, r.k, -1 if r.seed is None else r.seed))
+    reports = [run_duel(learner, opponent, n, k, seed=seed) for n, k in cells]
     counts = [r.queries_used for r in reports]
     summary = {
         "cells": len(reports),

@@ -234,8 +234,3 @@ def format_edge_list(g: Graph) -> str:
 def read_graph(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
-
-
-def write_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from .graphs import ContractionMap
 from .partitions import Partition, all_partitions, partitions_with_at_most
 from . import bounds
 
@@ -50,9 +51,7 @@ def _pair_masks(cands: list[Partition], n: int) -> dict[tuple[int, int], int]:
 
 
 class _Game:
-    def __init__(self, n, cands, moves_fn, canonical_fn):
-        self.n = n
-        self.cands = cands
+    def __init__(self, moves_fn, canonical_fn):
         self.moves_fn = moves_fn
         self.canonical_fn = canonical_fn
         self.memo: dict[int, int] = {}
@@ -100,7 +99,7 @@ class _Game:
         return best
 
 
-def _alpha_moves(n, pair_masks):
+def _alpha_moves(pair_masks):
     masks = list(pair_masks.values())
 
     def moves(_mask):
@@ -109,59 +108,34 @@ def _alpha_moves(n, pair_masks):
     return moves
 
 
-def _known_same_classes(mask, n, pair_masks):
-    """Group vertices that every live candidate keeps together."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (u, v), pm in pair_masks.items():
-        if mask & ~pm == 0 and find(u) != find(v):
-            parent[find(u)] = find(v)
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(find(v), []).append(v)
-    return list(classes.values())
-
-
 def _alpha_m_moves(n, pair_masks, restrict_pools):
-    def pair(u, v):
-        return pair_masks[(u, v) if u < v else (v, u)]
+    def pools(vertices):
+        # every (v, S) with S a nonempty subset of the other vertices; each
+        # pool's mask extends the mask of S minus its lowest member
+        out = []
+        for v in vertices:
+            others = [u for u in vertices if u != v]
+            partial = {0: 0}
+            for choice in range(1, 1 << len(others)):
+                low = choice & -choice
+                u = others[low.bit_length() - 1]
+                pool = partial[choice ^ low] | pair_masks[(u, v) if u < v else (v, u)]
+                partial[choice] = pool
+                out.append(pool)
+        return out
 
     def restricted(mask):
         # One query vertex per known-together class, and pools built from one
         # representative per class: classmates answer identically on every
         # live candidate, so nothing else is informative.
-        classes = _known_same_classes(mask, n, pair_masks)
-        reps = [c[0] for c in classes]
-        out = []
-        for ci, v in enumerate(reps):
-            others = [r for j, r in enumerate(reps) if j != ci]
-            partial = {0: 0}
-            for choice in range(1, 1 << len(others)):
-                low = choice & -choice
-                u = others[low.bit_length() - 1]
-                pool = partial[choice ^ low] | pair(u, v)
-                partial[choice] = pool
-                out.append(pool)
-        return out
+        together = ContractionMap(n)
+        for (u, v), pm in pair_masks.items():
+            if mask & ~pm == 0 and not together.same(u, v):
+                together.union(u, v)
+        return pools(together.representatives())
 
-    def unrestricted(mask):
-        out = []
-        for v in range(n):
-            others = [u for u in range(n) if u != v]
-            partial = {0: 0}
-            for choice in range(1, 1 << len(others)):
-                low = choice & -choice
-                u = others[low.bit_length() - 1]
-                pool = partial[choice ^ low] | pair(u, v)
-                partial[choice] = pool
-                out.append(pool)
-        return out
+    def unrestricted(_mask):
+        return pools(range(n))
 
     return restricted if restrict_pools else unrestricted
 
@@ -228,11 +202,11 @@ def minimax_query_complexity(
     cands = _candidates(n, k)
     pair_masks = _pair_masks(cands, n)
     if oracle_kind == "alpha":
-        moves_fn = _alpha_moves(n, pair_masks)
+        moves_fn = _alpha_moves(pair_masks)
     else:
         moves_fn = _alpha_m_moves(n, pair_masks, restrict_pools)
     canonical_fn = _relabel_canonical_fn(cands, n) if canonicalize else (lambda m: m)
-    game = _Game(n, cands, moves_fn, canonical_fn)
+    game = _Game(moves_fn, canonical_fn)
     return game.value((1 << len(cands)) - 1)
 
 

@@ -358,3 +358,110 @@ def test_contraction_forced_run_and_audit():
     wrong = Partition.single_block(7)
     bad = adv.declare(wrong)
     assert not bad.forced and bad.witness is not None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SeparabilityAdversary(6, 3, initial_coloring=(1, 2)),
+        lambda: ContractionAdversary(6, 3, initial_coloring=(1, 2)),
+        lambda: ContractionAdversary(4, 3, initial_coloring=(1, 2, 3, 4)),
+        lambda: ContractionAdversary(4, 2, initial_edges=[(0, 9)]),
+    ],
+    ids=["short-coloring", "contraction-short-coloring", "color-outside-palette", "edge-outside-range"],
+)
+def test_initial_arguments_are_validated(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+ADVERSARY_CLASSES = {
+    "separability": SeparabilityAdversary,
+    "unknown-count": UnknownCountAdversary,
+    "contraction": ContractionAdversary,
+}
+# (variant, n, k, learner, shuffle seed) -> (answer bits, claim, detail of the
+# forced verdict, witness and detail for a wrong singletons claim)
+_SEP_UNIQUE = "auxiliary graph has a unique consistent partition"
+_UNK_UNIQUE = "certificate components and auxiliary graph agree"
+_CON_UNIQUE = "contracted graph has a unique consistent partition"
+_DIFFERS = "claim differs from the single consistent partition"
+_REFINES = "certificate components form a consistent refinement"
+_SECOND = "a second consistent partition exists"
+_N9 = ((0, 1, 2, 3, 4, 7, 8), (5,), (6,))
+_N11 = ((0, 1, 2, 4, 5, 6, 8, 9), (3,), (7,), (10,))
+_ALL9 = ((0,), (1,), (2, 3, 4, 5, 6, 7, 8))
+FROZEN_TRANSCRIPTS = {
+    ("separability", 9, 3, "reps", 1): ("0" * 15, _N9, _SEP_UNIQUE, _N9, _DIFFERS),
+    ("separability", 11, 4, "reps", 2): ("0" * 27, _N11, _SEP_UNIQUE, _N11, _DIFFERS),
+    ("separability", 9, 3, "all-pairs", None): ("0" * 15 + "1" * 6, _ALL9, _SEP_UNIQUE, _ALL9, _DIFFERS),
+    ("unknown-count", 9, 3, "reps", 1): ("000001001001001001001", _N9, _UNK_UNIQUE, _N9, _REFINES),
+    ("unknown-count", 11, 4, "reps", 2): (
+        "0000000001000100010001000100010001", _N11, _UNK_UNIQUE, _N11, _REFINES),
+    ("unknown-count", 9, 3, "all-pairs", None): ("0" * 15 + "1" * 6, _ALL9, _UNK_UNIQUE, _ALL9, _REFINES),
+    ("contraction", 9, 3, "reps", 1): ("0" * 15, _N9, _CON_UNIQUE, _N9, _DIFFERS),
+    ("contraction", 11, 4, "reps", 2): ("0" * 27, _N11, _CON_UNIQUE, _N11, _DIFFERS),
+    ("contraction", 9, 3, "all-pairs", None): ("0" * 15 + "1" * 6, _ALL9, _CON_UNIQUE, _ALL9, _DIFFERS),
+}
+
+
+@pytest.mark.parametrize("case", FROZEN_TRANSCRIPTS, ids=lambda case: "-".join(map(str, case)))
+def test_learner_transcripts_are_frozen(case):
+    # exact answers and audits on shuffled (non-ascending) vertex orders
+    variant, n, k, learner, seed = case
+    bits, claim, detail, wrong_witness, wrong_detail = FROZEN_TRANSCRIPTS[case]
+    adv = ADVERSARY_CLASSES[variant](n, k)
+    if learner == "reps":
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        k_known = None if variant == "unknown-count" else k
+        result = learn_partition_representatives(adv, n, k_known=k_known, order=order)
+    else:
+        result = learn_partition_all_pairs(adv, n)
+    assert "".join(str(e.answer) for e in adv.ledger) == bits
+    assert result.answer.blocks == claim
+    verdict = adv.declare(result.answer)
+    assert (verdict.forced, verdict.witness, verdict.detail) == (True, None, detail)
+    wrong = adv.declare(Partition.singletons(n))
+    assert (wrong.forced, wrong.witness.blocks, wrong.detail) == (False, wrong_witness, wrong_detail)
+
+
+# variant -> (answer bits, chi classes, witness and detail for the chi claim,
+# witness and detail for a wrong singletons claim)
+FROZEN_STREAMS = {
+    "separability": (
+        "0" * 14, ((0, 1, 2, 5), (3, 6, 7, 8), (4,)),
+        ((0, 1, 2, 5), (3, 6, 8), (4, 7)), _SECOND,
+        ((0, 1, 2, 5), (3, 6, 7, 8), (4,)), _SECOND,
+    ),
+    "unknown-count": (
+        "0" * 14, ((0, 1, 2, 5), (3, 6, 7, 8), (4,)),
+        tuple((v,) for v in range(9)), _REFINES,
+        ((0, 1, 2, 5), (3, 6, 7, 8), (4,)), _SECOND,
+    ),
+    "contraction": (
+        "00000000010000", ((0, 1, 4, 7), (2, 8), (3, 5, 6)),
+        ((0, 1, 4, 5, 7), (2, 6, 8), (3,)), _SECOND,
+        ((0, 1, 4, 5, 7), (2, 6, 8), (3,)), _SECOND,
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(FROZEN_STREAMS))
+def test_random_pair_stream_transcripts_are_frozen(variant):
+    # a short seeded stream leaves several consistent partitions, so both
+    # audits must hand back the same witness as before
+    bits, chi, witness, detail, wrong_witness, wrong_detail = FROZEN_STREAMS[variant]
+    adv = ADVERSARY_CLASSES[variant](9, 3)
+    rng = random.Random(4)
+    for _ in range(14):
+        x, y = rng.sample(range(9), 2)
+        if variant == "contraction" and adv.contraction.same(x, y):
+            continue
+        adv.membership_query(x, y)
+    assert "".join(str(e.answer) for e in adv.ledger) == bits
+    assert adv.chi_partition().blocks == chi
+    verdict = adv.declare(adv.chi_partition())
+    assert (verdict.forced, verdict.witness.blocks, verdict.detail) == (False, witness, detail)
+    wrong = adv.declare(Partition.singletons(9))
+    assert (wrong.forced, wrong.witness.blocks, wrong.detail) == (False, wrong_witness, wrong_detail)
