@@ -45,7 +45,10 @@ def _validated_pair(x: int, y: int, n: int) -> tuple[int, int]:
 def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[Graph, Coloring]:
     """Validated starting edges and proper coloring; the coloring defaults to balanced."""
     graph = Graph.from_edges(n, initial_edges or ())
-    colors = tuple(initial_coloring) if initial_coloring else tuple(v % k + 1 for v in range(n))
+    # built from a list, not a generator: CPython resizes a tuple it builds
+    # from a generator, and its per-length tuple free lists then keep one
+    # more block each time, so many adversaries in one process grow its memory
+    colors = tuple(initial_coloring) if initial_coloring else tuple([v % k + 1 for v in range(n)])
     if len(colors) != n:
         raise ValueError(f"initial coloring has {len(colors)} entries for {n} vertices")
     chi = Coloring(colors, k)
@@ -108,7 +111,7 @@ class _SeparabilityRule:
             self.edges.add(pair)
             answer = 0
         else:
-            separating = find_k_coloring(self.graph_view().with_edge(*pair), self.k)
+            separating = find_k_coloring(Graph(self.n, frozenset(self.edges | {pair})), self.k)
             if separating is not None:
                 self.edges.add(pair)
                 self.chi = separating
@@ -116,7 +119,8 @@ class _SeparabilityRule:
             else:
                 self.forced_edges.add(pair)
                 answer = 1
-        assert self.chi.is_proper(self.graph_view())
+        colors = self.chi.colors
+        assert all(colors[u] != colors[v] for u, v in self.edges)
         self.ledger.append("alpha", (x, y), answer)
         return answer
 
@@ -162,7 +166,7 @@ class UnknownCountAdversary(_SeparabilityRule):
     def __init__(self, n: int, k: int):
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        super().__init__(n, k, frozenset(), Coloring(tuple(1 for _ in range(n)), k))
+        super().__init__(n, k, frozenset(), Coloring((1,) * n, k))
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         """Forced iff the claim is the only partition (of any block count) that fits.

@@ -1,8 +1,18 @@
 """Deterministic proper k-coloring search, pair separability, and unique colorability.
 
-The searches here are exponential and intended for desk-scale inputs only;
+One backtracking search, `_search_colorings`, serves every entry point. It
+colors vertices in ascending label order and tries colors in ascending
+order, opening a new color only after all lower ones are in use, so it
+yields each proper color-class partition once and always in the same
+(lexicographic) order; callers rely on that order for their colorings,
+witnesses and verdicts. The search keeps, per color, the bitmask of
+vertices adjacent to that color, and cuts a branch as soon as some uncolored
+vertex has every color blocked (forward checking). The cut only drops
+subtrees without solutions, so it saves nodes but never changes the output.
+
+The searches are still exponential and intended for desk-scale inputs only;
 every entry point takes a node budget and aborts with BudgetExceededError
-when the backtracking tree outgrows it.
+when the search tree outgrows it.
 """
 
 from __future__ import annotations
@@ -61,32 +71,47 @@ class Coloring:
 
 
 def _search_colorings(g: Graph, k: int, forbidden_equal, limit, node_budget):
-    """Backtracking over color-class partitions.
+    """Backtracking over color-class partitions, with forward checking.
 
     Vertices are assigned in ascending label order and colors in ascending
     palette order; a vertex may introduce color c only when colors 1..c-1
     already appear. This visits each proper color-class partition exactly
     once, so outputs are deterministic and palette permutations are never
     enumerated. Yields solutions as color tuples until `limit` of them.
+
+    `near[c]` is the bitmask of vertices adjacent to some vertex colored c,
+    so v may take c iff bit v of near[c] is clear. After a color is placed,
+    a later vertex set in every near[1..k] has no color left, and the
+    branch is cut there. Such a subtree holds no solution, so the cut
+    changes neither the solutions nor their order, only the nodes spent.
+    A forbidden pair (i, j) is the constraint of an edge i-j, and is added
+    to the search's copy of the adjacency masks as one.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     SEARCH_STATS["invocations"] += 1
     n = g.n
+    masks = g.adjacency_masks()
     if forbidden_equal is not None:
         i, j = forbidden_equal
         if i == j:
             raise ValueError("forbidden pair must be two distinct vertices")
         if g.has_edge(i, j):
             raise ValueError("forbidden pair is already an edge")
-        forbid_at, forbid_other = max(i, j), min(i, j)
-    else:
-        forbid_at, forbid_other = -1, -1
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
 
-    masks = g.adjacency_masks()
     colors = [0] * n
+    near = [0] * (k + 1)
     found = 0
     budget = [node_budget]
+
+    def dead_after(v: int) -> int:
+        """Vertices after v with every color 1..k blocked."""
+        common = -1 << (v + 1)
+        for c in range(1, k + 1):
+            common &= near[c]
+        return common
 
     def rec(v: int, used: int):
         nonlocal found
@@ -94,16 +119,12 @@ def _search_colorings(g: Graph, k: int, forbidden_equal, limit, node_budget):
             found += 1
             yield tuple(colors)
             return
-        blocked = 0
+        bit = 1 << v
         mask = masks[v]
-        for u in range(v):
-            if (mask >> u) & 1:
-                blocked |= 1 << colors[u]
-        if v == forbid_at:
-            blocked |= 1 << colors[forbid_other]
         top = min(used + 1, k)
         for c in range(1, top + 1):
-            if (blocked >> c) & 1:
+            before = near[c]
+            if before & bit:
                 continue
             budget[0] -= 1
             SEARCH_STATS["nodes"] += 1
@@ -112,12 +133,22 @@ def _search_colorings(g: Graph, k: int, forbidden_equal, limit, node_budget):
                     f"coloring search exceeded {node_budget} node expansions"
                 )
             colors[v] = c
-            yield from rec(v + 1, max(used, c))
+            near[c] = before | mask
+            now_used = max(used, c)
+            # with fewer than k colors in use, near[k] is still empty
+            if now_used < k or not dead_after(v):
+                yield from rec(v + 1, now_used)
+            near[c] = before
             if limit is not None and found >= limit:
                 return
         colors[v] = 0
 
-    yield from rec(0, 0)
+    try:
+        yield from rec(0, 0)
+    finally:
+        # rec's closure refers to rec itself; breaking that cycle lets
+        # reference counting free the search state without the cyclic GC
+        rec = None
 
 
 def find_k_coloring(

@@ -51,7 +51,7 @@ class Graph:
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
+        return tuple([frozenset(s) for s in adj])  # from a list, see adversaries._initial_state
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor bitmasks (bit v set iff v adjacent)."""

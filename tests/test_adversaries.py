@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphquery.adversaries import (
     ContractionAdversary,
@@ -465,3 +466,43 @@ def test_random_pair_stream_transcripts_are_frozen(variant):
     assert (verdict.forced, verdict.witness.blocks, verdict.detail) == (False, witness, detail)
     wrong = adv.declare(Partition.singletons(9))
     assert (wrong.forced, wrong.witness.blocks, wrong.detail) == (False, wrong_witness, wrong_detail)
+
+
+def test_shuffled_order_contraction_audit_stays_small():
+    # the failure frontier of plain backtracking: this audit used to exhaust
+    # the default 5M-node budget, and forward checking ends it in ~262k nodes
+    order = list(range(21))
+    random.Random(1).shuffle(order)
+    reset_search_stats()
+    adv = ContractionAdversary(21, 3)
+    result = learn_partition_representatives(adv, 21, k_known=3, order=order)
+    assert adv.declare(result.answer).forced
+    assert result.queries_used >= bounds.contraction_adversary_lower(21, 3)
+    assert replay_matches_partition(adv.ledger.entries, result.answer)
+    assert SEARCH_STATS["nodes"] < 1_000_000
+
+
+@st.composite
+def _adversary_runs(draw):
+    variant = draw(st.sampled_from(sorted(ADVERSARY_CLASSES)))
+    n = draw(st.integers(2, 12))
+    low = 1 if variant == "unknown-count" else 2
+    k = draw(st.integers(low, min(4, n)))
+    return variant, n, k, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_adversary_runs())
+def test_representatives_forced_on_any_order(run):
+    variant, n, k, order = run
+    adv = ADVERSARY_CLASSES[variant](n, k)
+    k_known = None if variant == "unknown-count" else k
+    result = learn_partition_representatives(adv, n, k_known=k_known, order=order)
+    assert adv.declare(result.answer).forced
+    if variant == "separability":
+        assert result.queries_used == bounds.membership_known_count(n, k)
+    elif variant == "unknown-count":
+        assert result.queries_used == bounds.membership_unknown_count(n, k)
+    else:
+        assert result.queries_used >= bounds.contraction_adversary_lower(n, k)
+    assert replay_matches_partition(adv.ledger.entries, result.answer)

@@ -1,4 +1,6 @@
+import gc
 import random
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -155,6 +157,51 @@ def test_separability_brute_force_at_eight_vertices():
         assert (is_k_separable(g, i, j, k) is not None) == brute_force_separable(g, i, j, k)
 
 
+@lru_cache(maxsize=None)
+def _restricted_growth_tuples(n, k):
+    """Color tuples in lexicographic order where each vertex opens at most
+    the next unused color: one tuple per partition into at most k classes."""
+    out = []
+    for colors in product(range(1, k + 1), repeat=n):
+        top = 0
+        for c in colors:
+            if c > top + 1:
+                break
+            top = max(top, c)
+        else:
+            out.append(colors)
+    return tuple(out)
+
+
+def _reference_colorings(g, k, forbidden=None):
+    return [
+        colors
+        for colors in _restricted_growth_tuples(g.n, k)
+        if all(colors[u] != colors[v] for u, v in g.edges)
+        and (forbidden is None or colors[forbidden[0]] != colors[forbidden[1]])
+    ]
+
+
+def test_search_order_matches_lexicographic_reference():
+    # the search order is part of the contract: adversary colorings,
+    # witnesses and verdicts all take the first solutions it yields
+    rng = random.Random(1980)
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, 4)
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, frozenset(rng.sample(pairs, rng.randint(0, len(pairs)))))
+        expect = [Coloring(colors, k).classes() for colors in _reference_colorings(g, k)]
+        assert proper_partitions(g, k) == expect
+        assert proper_partitions(g, k, limit=1) == expect[:1]
+        assert proper_partitions(g, k, limit=2) == expect[:2]
+        for i, j in [p for p in pairs if p not in g.edges][:3]:
+            first = _reference_colorings(g, k, (i, j))[:1]
+            for pair in ((i, j), (j, i)):
+                got = find_k_coloring(g, k, forbidden_equal=pair)
+                assert ([got.colors] if got is not None else []) == first
+
+
 def test_budget_aborts_with_distinct_error():
     with pytest.raises(BudgetExceededError):
         find_k_coloring(empty_graph(12), 6, node_budget=10)
@@ -166,6 +213,22 @@ def test_search_stats_count_invocations():
     is_uniquely_k_colorable(path_graph(4), 2)
     assert SEARCH_STATS["invocations"] == 2
     assert SEARCH_STATS["nodes"] > 0
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # a finished or abandoned search is freed by reference counting alone,
+    # so long runs do not pile its state up for the cyclic collector
+    g = cycle_graph(7)
+    gc.collect()
+    gc.disable()
+    try:
+        find_k_coloring(g, 3)
+        find_k_coloring(g, 2)
+        proper_partitions(g, 3, limit=2)
+        is_k_separable(g, 0, 2, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_coloring_classes():
