@@ -34,62 +34,70 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--order", choices=("asc", "prop1"), default="asc")
+_FLAGS = {
+    "n": {"type": int, "default": None},
+    "k": {"type": int, "default": None},
+    "m": {"type": int, "default": None},
+    "seed": {"type": int, "default": None},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "out": {"default": None, "help": "write the report here instead of stdout"},
+    "order": {"choices": ("asc", "prop1"), "default": "asc"},
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Declare only the flags a subcommand reads, so any other is a usage error."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _add_instance_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", default=None, help="edge-list file with the hidden graph")
     p.add_argument("--kind", choices=INSTANCE_KINDS, default=None)
+    _add_flags(p, "n", "k", "m", "seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="graphquery")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[], help="generate a hidden-graph instance")
+    p = sub.add_parser("gen", help="generate a hidden-graph instance")
     p.add_argument("--kind", choices=INSTANCE_KINDS, required=True)
-    _add_shared(p)
+    _add_flags(p, "n", "k", "m", "seed", "out")
 
     p = sub.add_parser("learn-partition", help="learn the component partition")
     _add_instance_source(p)
     p.add_argument("--oracle", choices=("alpha", "alpha_m"), default="alpha")
     p.add_argument("--known", action="store_true",
                    help="tell the learner the true component count (alpha only)")
-    _add_shared(p)
+    _add_flags(p, "format", "out", "order")
 
     p = sub.add_parser("count-components", help="count components with pooled queries")
     _add_instance_source(p)
-    _add_shared(p)
+    _add_flags(p, "format", "out")
 
     p = sub.add_parser("learn-graph", help="reconstruct the hidden graph edge by edge")
     _add_instance_source(p)
-    _add_shared(p)
+    _add_flags(p, "format", "out")
 
     p = sub.add_parser("verify-graph", help="verify a candidate against the hidden graph")
     _add_instance_source(p)
     p.add_argument("--candidate", required=True, help="edge-list file with the candidate")
-    _add_shared(p)
+    _add_flags(p, "format", "out")
 
     p = sub.add_parser("duel", help="run a learner against an adversary or honest instance")
     p.add_argument("--learner", choices=LEARNER_IDS, required=True)
     p.add_argument("--adversary", choices=ADVERSARY_IDS, default=None)
     p.add_argument("--kind", choices=INSTANCE_KINDS, default=None)
     p.add_argument("--grid", action="store_true", help="sweep all (n', k') up to --n/--k")
-    _add_shared(p)
+    _add_flags(p, "n", "k", "m", "seed", "format", "out", "order")
 
     p = sub.add_parser("minimax", help="exact optimal worst-case query count")
     p.add_argument("--oracle", choices=("alpha", "alpha_m"), default="alpha")
-    _add_shared(p)
+    _add_flags(p, "n", "k", "format", "out")
 
     p = sub.add_parser("enumerate-ukc", help="check the unique-coloring edge bound exhaustively")
-    _add_shared(p)
+    _add_flags(p, "n", "k", "format", "out")
 
     return parser
 
@@ -245,6 +253,11 @@ def _cmd_duel(args) -> int:
     if args.n is None:
         raise ValueError("duel needs --n")
     if args.grid:
+        # grid_duel runs every cell without m and in ascending order
+        if args.m is not None:
+            raise ValueError("duel --grid takes no --m")
+        if args.order != "asc":
+            raise ValueError("duel --grid takes no --order prop1")
         reports, summary = grid_duel(args.learner, opponent, args.n, args.k, seed=args.seed)
         payload = {"summary": summary, "reports": [r.to_dict() for r in reports]}
         rows = [r.csv_row() for r in reports]

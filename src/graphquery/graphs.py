@@ -70,9 +70,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def with_edge(self, u: int, v: int) -> Graph:
-        return Graph(self.n, self.edges | {normalize_edge(u, v)})
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

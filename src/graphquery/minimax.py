@@ -5,6 +5,15 @@ keeps at least one candidate partition alive, and the learner stops once a
 single candidate remains. The value is computed by exhaustive search with
 memoization on candidate sets encoded as bitmasks.
 
+The memo is keyed by the live-candidate mask itself, with no symmetry
+reduction. Mapping each mask to its minimum over all n! vertex relabelings
+made every alpha and alpha_m game up to n=6 whose solve takes over a
+millisecond 9x-316x slower (alpha n=6, k=3: 1.98 s against 0.035 s; n=6,
+k unknown: 20.0 s against 1.52 s), and at n=7, k=3 building its tables
+alone took 27 s against a 0.61 s solve (2-vCPU Xeon VM, Python 3.11.7).
+Each lookup remapped its mask n! times, which cost more than the repeated
+solves it saved.
+
 With a known block count k the candidate universe is every partition into
 at most k blocks. (k pairwise-separated vertices pin the count to exactly
 k, so the learner's deductions with public k are unchanged, and the
@@ -12,8 +21,6 @@ universe stays meaningful at k = n.) With k unknown it is every partition.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 from .graphs import ContractionMap
 from .partitions import Partition, all_partitions, partitions_with_at_most
@@ -51,9 +58,8 @@ def _pair_masks(cands: list[Partition], n: int) -> dict[tuple[int, int], int]:
 
 
 class _Game:
-    def __init__(self, moves_fn, canonical_fn):
+    def __init__(self, moves_fn):
         self.moves_fn = moves_fn
-        self.canonical_fn = canonical_fn
         self.memo: dict[int, int] = {}
 
     def value(self, mask: int) -> int:
@@ -63,8 +69,7 @@ class _Game:
         if count == 2:
             # any two distinct partitions are split by some query
             return 1
-        key = self.canonical_fn(mask)
-        hit = self.memo.get(key)
+        hit = self.memo.get(mask)
         if hit is not None:
             return hit
         splits = set()
@@ -95,7 +100,7 @@ class _Game:
                 best = worst
                 if best == 1:
                     break
-        self.memo[key] = best
+        self.memo[mask] = best
         return best
 
 
@@ -140,33 +145,6 @@ def _alpha_m_moves(n, pair_masks, restrict_pools):
     return restricted if restrict_pools else unrestricted
 
 
-def _relabel_canonical_fn(cands, n):
-    """Map a candidate mask to the minimum over all vertex relabelings."""
-    index = {p: i for i, p in enumerate(cands)}
-    tables = []
-    for perm in permutations(range(n)):
-        table = []
-        for p in cands:
-            moved = Partition.from_blocks([[perm[v] for v in b] for b in p.blocks])
-            table.append(index[moved])
-        tables.append(table)
-
-    def canonical(mask):
-        best = mask
-        for table in tables:
-            remapped = 0
-            m = mask
-            while m:
-                low = m & -m
-                remapped |= 1 << table[low.bit_length() - 1]
-                m ^= low
-            if remapped < best:
-                best = remapped
-        return best
-
-    return canonical
-
-
 def minimax_query_complexity(
     n: int,
     k: int | None = None,
@@ -182,6 +160,11 @@ def minimax_query_complexity(
     classes the live candidates already force together; this loses nothing
     because any pool answers identically to its class closure. Set
     restrict_pools=False (tiny n only) to search raw pools and check that.
+
+    canonicalize changes nothing: every value is computed on raw candidate
+    masks. The keyword is kept only because the benchmark's minimax-games
+    workload still passes canonicalize=True and its tracer reads the
+    argument; it goes once that workload stops passing it.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -205,8 +188,7 @@ def minimax_query_complexity(
         moves_fn = _alpha_moves(pair_masks)
     else:
         moves_fn = _alpha_m_moves(n, pair_masks, restrict_pools)
-    canonical_fn = _relabel_canonical_fn(cands, n) if canonicalize else (lambda m: m)
-    game = _Game(moves_fn, canonical_fn)
+    game = _Game(moves_fn)
     return game.value((1 << len(cands)) - 1)
 
 

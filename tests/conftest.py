@@ -61,6 +61,48 @@ def brute_force_components(g: Graph) -> Partition:
     return Partition.from_blocks(blocks)
 
 
+def brute_force_minimax(n: int, k: int | None, kind: str) -> int:
+    """Minimax queries to identify a partition of 0..n-1 into at most k
+    blocks (any number if k is None), by plain exhaustive game search.
+
+    kind "alpha" queries every pair; "alpha_m" every raw pool (v, S) with S
+    a nonempty set of other vertices, answered 1 iff v shares a block with
+    some member of S. The value of a live set is the minimum over queries
+    that split it of 1 + the larger value of the two halves, memoised on
+    the frozenset of live candidates.
+    """
+    labelings = [
+        labels for labels in product(range(n), repeat=n)
+        if all(labels[v] <= max(labels[:v], default=-1) + 1 for v in range(n))
+        and (k is None or max(labels, default=-1) < k)
+    ]
+    if kind == "alpha":
+        queries = [(v, (u,)) for v, u in combinations(range(n), 2)]
+    else:
+        queries = [(v, pool) for v in range(n) for size in range(1, n)
+                   for pool in combinations([u for u in range(n) if u != v], size)]
+    yes_sets = [
+        frozenset(c for c in labelings if any(c[v] == c[u] for u in pool))
+        for v, pool in queries
+    ]
+    memo: dict[frozenset, int] = {}
+
+    def value(live: frozenset) -> int:
+        if len(live) == 1:
+            return 0
+        if live not in memo:
+            best = None
+            for yes_set in yes_sets:
+                yes = live & yes_set
+                if yes and yes != live:
+                    worst = 1 + max(value(yes), value(live - yes))
+                    best = worst if best is None else min(best, worst)
+            memo[live] = best
+        return memo[live]
+
+    return value(frozenset(labelings))
+
+
 @pytest.fixture
 def figure_partition_graph():
     """Cliques on {0,1,2}, {3,4}, {5}: the walkthrough's hidden partition."""

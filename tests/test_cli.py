@@ -143,6 +143,38 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1  # neither adversary nor kind
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "edgeless", "--n", "4", "--format", "csv"],
+    ["gen", "--kind", "edgeless", "--n", "4", "--order", "prop1"],
+    ["count-components", "--kind", "edgeless", "--n", "4", "--order", "prop1"],
+    ["learn-graph", "--kind", "edgeless", "--n", "4", "--order", "prop1"],
+    ["verify-graph", "--kind", "edgeless", "--n", "4", "--candidate", "c.txt",
+     "--order", "prop1"],
+    ["minimax", "--n", "4", "--m", "2"],
+    ["minimax", "--n", "4", "--seed", "1"],
+    ["minimax", "--n", "4", "--order", "prop1"],
+    ["enumerate-ukc", "--n", "4", "--k", "2", "--m", "2"],
+    ["enumerate-ukc", "--n", "4", "--k", "2", "--seed", "1"],
+    ["enumerate-ukc", "--n", "4", "--k", "2", "--order", "prop1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flags_a_subcommand_ignores_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--m", "2", "--seed", "1"], "--m"),
+    (["--order", "prop1"], "--order prop1"),
+], ids=["m", "order-prop1"])
+def test_duel_grid_rejects_flags_it_would_drop(capsys, extra, flag):
+    code, out, err = run_cli(capsys, "duel", "--learner", "all-pairs",
+                             "--kind", "random-graph", "--n", "4", "--grid", *extra)
+    assert code == 1 and out == ""
+    assert f"duel --grid takes no {flag}" in err
+
+
 def test_reports_are_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "duel", "--learner", "reps-known",
                           "--adversary", "separability", "--n", "6", "--k", "3")

@@ -153,14 +153,19 @@ def test_no_numba_env_flag_selects_numpy():
     import subprocess
     import sys
 
+    import graphquery
+
     # the old flag is now ignored: a fresh interpreter runs the numpy path
-    # and never imports numba, whether or not the flag is set
+    # and never imports numba, whether or not the flag is set; the child
+    # imports graphquery from where this interpreter found it
+    src = os.path.dirname(os.path.dirname(graphquery.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys\n"
          "from graphquery.enumeration import enumerate_graphs\n"
          "print(len(enumerate_graphs(5)), 'numba' in sys.modules)"],
         capture_output=True, text=True, check=True,
-        env={**os.environ, "GRAPHQUERY_NO_NUMBA": "1"},
+        env={**os.environ, "GRAPHQUERY_NO_NUMBA": "1", "PYTHONPATH": path},
     )
     assert out.stdout.split() == ["34", "False"]

@@ -7,6 +7,8 @@ from graphquery.minimax import (
     minimax_query_complexity,
 )
 
+from conftest import brute_force_minimax
+
 
 def test_alpha_spot_values():
     assert minimax_query_complexity(3, 2) == 2
@@ -61,6 +63,7 @@ def test_restricted_pools_match_unrestricted():
 
 
 def test_relabel_canonicalization_preserves_values():
+    # canonicalize=True is still accepted and changes no value
     for n in range(2, 6):
         for k in (2, 3, None):
             if k is not None and k > n:
@@ -68,6 +71,22 @@ def test_relabel_canonicalization_preserves_values():
             plain = minimax_query_complexity(n, k)
             canon = minimax_query_complexity(n, k, canonicalize=True)
             assert plain == canon, (n, k)
+
+
+@pytest.mark.parametrize("kind, n_max", [("alpha", 5), ("alpha_m", 4)])
+def test_pruned_solver_matches_brute_force(kind, n_max):
+    # the balanced ordering, the floor cut and the pool restriction change
+    # no value against a plain search over every raw query
+    for n in range(1, n_max + 1):
+        for k in [*range(1, n + 1), None]:
+            expected = brute_force_minimax(n, k, kind)
+            assert minimax_query_complexity(n, k, kind) == expected, (kind, n, k)
+
+
+def test_alpha_m_values_at_five_are_frozen():
+    # brute_force_minimax gives these too, but takes about a minute at n=5
+    values = [minimax_query_complexity(5, k, "alpha_m") for k in (1, 2, 3, 4, 5, None)]
+    assert values == [0, 4, 6, 6, 6, 6]
 
 
 def test_pooled_queries_beat_pairwise_information():
