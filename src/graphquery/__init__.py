@@ -10,7 +10,6 @@ from .graphs import (
     ContractionMap,
     Graph,
     connected_components,
-    contract,
     format_edge_list,
     parse_edge_list,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "SeparabilityAdversary",
     "UnknownCountAdversary",
     "connected_components",
-    "contract",
     "count_components_multi",
     "enumerate_graphs",
     "find_k_coloring",

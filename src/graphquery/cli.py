@@ -1,7 +1,7 @@
 """Command-line interface: generators, learners, duels, minimax, and enumeration.
 
-Exit codes: 0 when every checked bound is satisfied, 2 when a bound is
-violated or a declaration refuted, 1 on usage errors.
+Exit codes: 0 when every checked answer and bound holds, 2 when an answer is
+wrong, a bound violated or a declaration refuted, 1 on usage errors.
 """
 
 from __future__ import annotations
@@ -13,19 +13,11 @@ import json
 import sys
 
 from . import bounds
-from .duel import ADVERSARY_IDS, CSV_HEADER, LEARNER_IDS, grid_duel, run_duel
+from .duel import ADVERSARY_IDS, CSV_HEADER, LEARNER_IDS, ORDERS, grid_duel, run_duel, run_honest
 from .enumeration import verify_unique_colorable_edge_bound
-from .graphs import Graph, connected_components, format_edge_list, read_graph
-from .instances import KINDS as INSTANCE_KINDS, generate_instance, worst_case_order
-from .learners import (
-    count_components_multi,
-    learn_components_multi,
-    learn_graph_neighborhood,
-    learn_partition_representatives,
-    verify_graph_neighborhood,
-)
+from .graphs import Graph, format_edge_list, read_graph
+from .instances import KINDS as INSTANCE_KINDS, generate_instance
 from .minimax import minimax_query_complexity
-from .oracles import HonestOracle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,7 +33,7 @@ _FLAGS = {
     "seed": {"type": int, "default": None},
     "format": {"choices": ("json", "csv"), "default": "json"},
     "out": {"default": None, "help": "write the report here instead of stdout"},
-    "order": {"choices": ("asc", "prop1"), "default": "asc"},
+    "order": {"choices": ORDERS, "default": "asc"},
 }
 
 
@@ -112,138 +104,55 @@ def _load_instance(args) -> Graph:
     raise ValueError("provide --graph FILE or --kind KIND")
 
 
-def _emit(payload: dict, rows, header, args) -> None:
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        if rows is None:
-            keys = sorted(payload)
-            writer.writerow(keys)
-            writer.writerow([json.dumps(payload[key]) if isinstance(payload[key], (list, dict))
-                             else payload[key] for key in keys])
-        else:
-            writer.writerow(header)
-            writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, args, ok: bool, reports: list | None = None) -> int:
+    """Write payload as JSON, or as CSV: one row per report, or else one row
+    of payload. Returns the exit status, 0 if ok and 2 if not."""
+    if args.format == "json":
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    else:
+        if reports is not None:
+            rows = [CSV_HEADER] + [r.csv_row() for r in reports]
+        else:
+            keys = sorted(payload)
+            rows = [keys, [json.dumps(payload[key]) if isinstance(payload[key], (list, dict))
+                           else payload[key] for key in keys]]
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        text = buf.getvalue()
+    _write(text, args)
+    return 0 if ok else 2
 
 
 def _cmd_gen(args) -> int:
     if args.n is None:
         raise ValueError("gen needs --n")
     graph = generate_instance(args.kind, args.n, k=args.k, m=args.m, seed=args.seed)
-    text = format_edge_list(graph)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(format_edge_list(graph), args)
     return 0
 
 
+def _run_honest(args, learner: str) -> int:
+    hidden = _load_instance(args)
+    candidate = read_graph(args.candidate) if learner == "neighborhood-verify" else None
+    report = run_honest(learner, hidden, args.graph or args.kind, seed=args.seed,
+                        order=getattr(args, "order", "asc"), candidate=candidate)
+    return _emit(report.to_dict(), args, report.satisfied, [report])
+
+
 def _cmd_learn_partition(args) -> int:
-    hidden = _load_instance(args)
-    truth = connected_components(hidden)
-    n, true_k = hidden.n, truth.k
-    session = HonestOracle(hidden)
-    order = worst_case_order(truth) if args.order == "prop1" else None
-    if args.oracle == "alpha":
-        k_known = true_k if args.known else None
-        result = learn_partition_representatives(session, n, k_known=k_known, order=order)
-        algorithm = "reps-known" if args.known else "reps-unknown"
-        bound = (bounds.membership_known_count(n, true_k) if args.known
-                 else bounds.membership_unknown_count(n, true_k))
-    else:
-        result = learn_components_multi(session, n)
-        algorithm = "pooled-components"
-        bound = bounds.learn_components_ceiling(n, true_k)
-    correct = result.answer == truth
-    satisfied = correct and result.queries_used <= bound
-    payload = {
-        "algorithm": algorithm,
-        "instance-ref": args.graph or args.kind,
-        "parameters": {"n": n, "k": true_k, "order": args.order, "seed": args.seed},
-        "queries_used": result.queries_used,
-        "answer": [list(b) for b in result.answer.blocks],
-        "bound": bound,
-        "bound_satisfied": satisfied,
-    }
-    _emit(payload, None, None, args)
-    return 0 if satisfied else 2
-
-
-def _cmd_count_components(args) -> int:
-    hidden = _load_instance(args)
-    truth = connected_components(hidden)
-    session = HonestOracle(hidden)
-    result = count_components_multi(session, hidden.n)
-    satisfied = result.answer == truth.k and result.queries_used == bounds.count_components_queries(hidden.n)
-    payload = {
-        "algorithm": "pooled-count",
-        "instance-ref": args.graph or args.kind,
-        "parameters": {"n": hidden.n, "seed": args.seed},
-        "queries_used": result.queries_used,
-        "answer": result.answer,
-        "bound": bounds.count_components_queries(hidden.n),
-        "bound_satisfied": satisfied,
-    }
-    _emit(payload, None, None, args)
-    return 0 if satisfied else 2
-
-
-def _cmd_learn_graph(args) -> int:
-    hidden = _load_instance(args)
-    n = hidden.n
-    session = HonestOracle(hidden)
-    result = learn_graph_neighborhood(session, n)
-    ceiling = sum(
-        bounds.find_neighbors_ceiling(hidden.degree(v), n - 1) for v in range(n)
-    ) if n > 1 else 0
-    exact = result.answer == hidden
-    satisfied = exact and result.queries_used <= ceiling
-    payload = {
-        "algorithm": "neighborhood-learn",
-        "instance-ref": args.graph or args.kind,
-        "parameters": {"n": n, "m": hidden.m, "seed": args.seed},
-        "queries_used": result.queries_used,
-        "answer": [list(e) for e in result.answer.sorted_edges()],
-        "bound": ceiling,
-        "bound_satisfied": satisfied,
-    }
-    _emit(payload, None, None, args)
-    return 0 if satisfied else 2
-
-
-def _cmd_verify_graph(args) -> int:
-    hidden = _load_instance(args)
-    candidate = read_graph(args.candidate)
-    if candidate.n != hidden.n:
-        raise ValueError("candidate and hidden graphs have different vertex counts")
-    session = HonestOracle(hidden)
-    result = verify_graph_neighborhood(session, candidate)
-    scanned = sum(
-        1 for v in range(candidate.n)
-        if len(candidate.neighbors(v)) < candidate.n - 1
-    )
-    expected = bounds.verify_accept_queries(candidate.m, scanned)
-    satisfied = (result.queries_used == expected) if result.answer else True
-    payload = {
-        "algorithm": "neighborhood-verify",
-        "instance-ref": args.graph or args.kind,
-        "parameters": {"n": hidden.n, "m": candidate.m},
-        "queries_used": result.queries_used,
-        "answer": bool(result.answer),
-        "bound": expected,
-        "bound_satisfied": satisfied,
-    }
-    _emit(payload, None, None, args)
-    return 0 if satisfied else 2
+    if args.oracle == "alpha_m":
+        if args.known:
+            raise ValueError("learn-partition --oracle alpha_m ignores --known")
+        return _run_honest(args, "pooled-components")
+    return _run_honest(args, "reps-known" if args.known else "reps-unknown")
 
 
 def _cmd_duel(args) -> int:
@@ -252,21 +161,18 @@ def _cmd_duel(args) -> int:
         raise ValueError("provide --adversary or --kind")
     if args.n is None:
         raise ValueError("duel needs --n")
-    if args.grid:
-        # grid_duel runs every cell without m and in ascending order
-        if args.m is not None:
-            raise ValueError("duel --grid takes no --m")
-        if args.order != "asc":
-            raise ValueError("duel --grid takes no --order prop1")
-        reports, summary = grid_duel(args.learner, opponent, args.n, args.k, seed=args.seed)
-        payload = {"summary": summary, "reports": [r.to_dict() for r in reports]}
-        rows = [r.csv_row() for r in reports]
-        _emit(payload, rows, CSV_HEADER, args)
-        return 0 if summary["all_satisfied"] else 2
-    report = run_duel(args.learner, opponent, args.n, args.k,
-                      m=args.m, seed=args.seed, order=args.order)
-    _emit(report.to_dict(), [report.csv_row()], CSV_HEADER, args)
-    return 0 if report.satisfied else 2
+    if not args.grid:
+        report = run_duel(args.learner, opponent, args.n, args.k,
+                          m=args.m, seed=args.seed, order=args.order)
+        return _emit(report.to_dict(), args, report.satisfied, [report])
+    # grid_duel runs every cell without m and in ascending order
+    if args.m is not None:
+        raise ValueError("duel --grid takes no --m")
+    if args.order != "asc":
+        raise ValueError("duel --grid takes no --order prop1")
+    reports, summary = grid_duel(args.learner, opponent, args.n, args.k, seed=args.seed)
+    payload = {"summary": summary, "reports": [r.to_dict() for r in reports]}
+    return _emit(payload, args, summary["all_satisfied"], reports)
 
 
 def _cmd_minimax(args) -> int:
@@ -288,24 +194,22 @@ def _cmd_minimax(args) -> int:
         "formula": formula,
         "match": match,
     }
-    _emit(payload, None, None, args)
-    return 0 if match else 2
+    return _emit(payload, args, match)
 
 
 def _cmd_enumerate_ukc(args) -> int:
     if args.n is None or args.k is None:
         raise ValueError("enumerate-ukc needs --n and --k")
     report = verify_unique_colorable_edge_bound(args.n, args.k)
-    _emit(report.to_dict(), None, None, args)
-    return 0 if report.ok else 2
+    return _emit(report.to_dict(), args, report.ok)
 
 
 _COMMANDS = {
     "gen": _cmd_gen,
     "learn-partition": _cmd_learn_partition,
-    "count-components": _cmd_count_components,
-    "learn-graph": _cmd_learn_graph,
-    "verify-graph": _cmd_verify_graph,
+    "count-components": lambda args: _run_honest(args, "pooled-count"),
+    "learn-graph": lambda args: _run_honest(args, "neighborhood-learn"),
+    "verify-graph": lambda args: _run_honest(args, "neighborhood-verify"),
     "duel": _cmd_duel,
     "minimax": _cmd_minimax,
     "enumerate-ukc": _cmd_enumerate_ukc,

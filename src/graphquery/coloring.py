@@ -70,7 +70,7 @@ class Coloring:
         return all(self.colors[u] != self.colors[v] for u, v in g.edges)
 
 
-def _search_colorings(g: Graph, k: int, forbidden_equal, limit, node_budget):
+def _search_colorings(g: Graph, k: int, limit, node_budget):
     """Backtracking over color-class partitions, with forward checking.
 
     Vertices are assigned in ascending label order and colors in ascending
@@ -84,22 +84,12 @@ def _search_colorings(g: Graph, k: int, forbidden_equal, limit, node_budget):
     a later vertex set in every near[1..k] has no color left, and the
     branch is cut there. Such a subtree holds no solution, so the cut
     changes neither the solutions nor their order, only the nodes spent.
-    A forbidden pair (i, j) is the constraint of an edge i-j, and is added
-    to the search's copy of the adjacency masks as one.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     SEARCH_STATS["invocations"] += 1
     n = g.n
     masks = g.adjacency_masks()
-    if forbidden_equal is not None:
-        i, j = forbidden_equal
-        if i == j:
-            raise ValueError("forbidden pair must be two distinct vertices")
-        if g.has_edge(i, j):
-            raise ValueError("forbidden pair is already an edge")
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
 
     colors = [0] * n
     near = [0] * (k + 1)
@@ -151,18 +141,9 @@ def _search_colorings(g: Graph, k: int, forbidden_equal, limit, node_budget):
         rec = None
 
 
-def find_k_coloring(
-    g: Graph,
-    k: int,
-    forbidden_equal: tuple[int, int] | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Coloring | None:
-    """First proper k-coloring of g in the fixed search order, or None.
-
-    When forbidden_equal=(i, j) is given, the returned coloring assigns i and
-    j distinct colors; the pair must be nonadjacent.
-    """
-    for colors in _search_colorings(g, k, forbidden_equal, limit=1, node_budget=node_budget):
+def find_k_coloring(g: Graph, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Coloring | None:
+    """First proper k-coloring of g in the fixed search order, or None."""
+    for colors in _search_colorings(g, k, limit=1, node_budget=node_budget):
         return Coloring(colors, k)
     return None
 
@@ -178,7 +159,7 @@ def proper_partitions(
     With `limit` set, stops as soon as that many have been found.
     """
     out = []
-    for colors in _search_colorings(g, k, None, limit=limit, node_budget=node_budget):
+    for colors in _search_colorings(g, k, limit=limit, node_budget=node_budget):
         out.append(Coloring(colors, k).classes())
     return out
 
@@ -199,9 +180,14 @@ def is_k_separable(
     k: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Coloring | None:
-    """A k-coloring separating the nonadjacent pair {i, j}, or None if inseparable."""
+    """A k-coloring separating the nonadjacent pair {i, j}, or None if inseparable.
+
+    Separating i and j is the constraint of an edge i-j, so this colors g
+    with that edge added.
+    """
     if i == j:
         raise ValueError("separability needs two distinct vertices")
-    if normalize_edge(i, j) in g.edges:
+    pair = normalize_edge(i, j)
+    if pair in g.edges:
         raise ValueError(f"pair ({i}, {j}) is an edge; separability is undefined")
-    return find_k_coloring(g, k, forbidden_equal=(i, j), node_budget=node_budget)
+    return find_k_coloring(Graph(g.n, g.edges | {pair}), k, node_budget=node_budget)

@@ -1,22 +1,34 @@
-"""Learner-vs-oracle duels with audited declarations and bound checks."""
+"""Learner runs against adversaries or honest instances, all reported as one DuelReport."""
 
 from __future__ import annotations
 
+import json
+import operator
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import bounds
 from .adversaries import ContractionAdversary, SeparabilityAdversary, UnknownCountAdversary
-from .graphs import connected_components
+from .graphs import Graph
 from .instances import generate_instance, worst_case_order, KINDS as INSTANCE_KINDS
 from .learners import (
     LearnResult,
+    count_components_multi,
+    learn_components_multi,
+    learn_graph_neighborhood,
     learn_partition_all_pairs,
     learn_partition_representatives,
+    verify_graph_neighborhood,
 )
 from .oracles import HonestOracle
+from .partitions import Partition
 
+# learners that answer with a partition from membership queries alone, so an
+# adversary can face them too
 LEARNER_IDS = ("reps-known", "reps-unknown", "all-pairs")
+HONEST_LEARNER_IDS = LEARNER_IDS + ("pooled-components", "pooled-count",
+                                    "neighborhood-learn", "neighborhood-verify")
+ORDERS = ("asc", "prop1")
 # adversary id -> (session class, the lower bound it forces on any learner)
 _ADVERSARIES = {
     "separability": (SeparabilityAdversary, bounds.membership_known_count),
@@ -24,74 +36,126 @@ _ADVERSARIES = {
     "contraction": (ContractionAdversary, bounds.contraction_adversary_lower),
 }
 ADVERSARY_IDS = tuple(_ADVERSARIES)
+# partition learner id -> its worst-case queries on an honest n-vertex, k-component graph
+_PARTITION_CEILINGS = {
+    "reps-known": bounds.membership_known_count,
+    "reps-unknown": bounds.membership_unknown_count,
+    "all-pairs": lambda n, _k: n * (n - 1) // 2,
+}
+# how queries_used must compare with the bound for each bound_kind
+_BOUND_HOLDS = {"lower": operator.ge, "upper": operator.le, "exact": operator.eq}
 
 
 @dataclass(frozen=True)
 class DuelReport:
+    """One learner run, checked against the truth (or an audit) and a bound.
+
+    n, k and m describe the instance the bound was evaluated at: an
+    adversary's parameters (m and seed None), or the hidden graph's vertex,
+    component and edge counts. `bound_kind` says whether queries_used must
+    be at least ("lower"), at most ("upper") or exactly ("exact") the bound.
+    """
+
     algorithm: str
-    opponent: str
     n: int
-    k: int | None
+    k: int
     m: int | None
     seed: int | None
     queries_used: int
     bound: float
-    bound_kind: str  # "lower" for adversaries, "upper" for honest worst cases
     satisfied: bool
     verdict: str
-    answer: list[list[int]]
+    opponent: str
+    order: str
+    bound_kind: str
+    answer: list | int | bool
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "opponent": self.opponent,
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "seed": self.seed,
-            "queries_used": self.queries_used,
-            "bound_formula_value": self.bound,
-            "bound_kind": self.bound_kind,
-            "satisfied": self.satisfied,
-            "audit_verdict": self.verdict,
-            "answer": self.answer,
-        }
+        return asdict(self)
 
     def csv_row(self) -> list:
-        return [
-            self.algorithm,
-            self.n,
-            "" if self.k is None else self.k,
-            "" if self.m is None else self.m,
-            "" if self.seed is None else self.seed,
-            self.queries_used,
-            self.bound,
-            self.satisfied,
-            self.verdict,
-        ]
+        """Values in CSV_HEADER order, `answer` last as JSON; csv writes None as ""."""
+        return [getattr(self, name) for name in CSV_HEADER[:-1]] + [json.dumps(self.answer)]
 
 
-CSV_HEADER = ["algorithm", "n", "k", "m", "seed", "queries", "bound", "satisfied", "verdict"]
+CSV_HEADER = [f.name for f in fields(DuelReport)]
 
 
-def _run_learner(learner: str, session, n: int, k: int | None, order) -> LearnResult:
-    if learner == "reps-known":
-        if k is None:
-            raise ValueError("reps-known needs k")
-        return learn_partition_representatives(session, n, k_known=k, order=order)
-    if learner == "reps-unknown":
-        return learn_partition_representatives(session, n, k_known=None, order=order)
+def _plain(answer) -> list | int | bool:
+    if isinstance(answer, Partition):
+        return [list(b) for b in answer.blocks]
+    if isinstance(answer, Graph):
+        return [list(e) for e in answer.sorted_edges()]
+    return answer
+
+
+def _run_learner(learner: str, session, n: int, k: int, order) -> LearnResult:
     if learner == "all-pairs":
         return learn_partition_all_pairs(session, n)
-    raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_IDS}")
+    k_known = k if learner == "reps-known" else None
+    return learn_partition_representatives(session, n, k_known=k_known, order=order)
 
 
-def _honest_bound(learner: str, n: int, k: int) -> int:
-    if learner == "reps-known":
-        return bounds.membership_known_count(n, k)
-    if learner == "reps-unknown":
-        return bounds.membership_unknown_count(n, k)
-    return n * (n - 1) // 2
+def run_honest(
+    learner: str,
+    hidden: Graph,
+    opponent: str,
+    *,
+    seed: int | None = None,
+    order: str = "asc",
+    candidate: Graph | None = None,
+) -> DuelReport:
+    """Run one learner against an honest oracle on `hidden` and check it.
+
+    The answer must be the truth (for neighborhood-verify: accept iff
+    `candidate` equals `hidden`) and queries_used must keep the learner's
+    bound. `opponent` and `seed` name where `hidden` came from and are only
+    reported. order="prop1" feeds the representative learners the
+    smallest-components-first vertex order; the other learners have none.
+    """
+    if learner not in HONEST_LEARNER_IDS:
+        raise ValueError(f"unknown learner {learner!r}; choose from {HONEST_LEARNER_IDS}")
+    if order not in ORDERS:
+        raise ValueError(f"order must be one of {ORDERS}")
+    if order != "asc" and learner not in ("reps-known", "reps-unknown"):
+        raise ValueError(f"{learner} has no vertex order, so it ignores order={order!r}")
+    if (candidate is not None) != (learner == "neighborhood-verify"):
+        raise ValueError("a candidate graph goes with neighborhood-verify, and only with it")
+    n = hidden.n
+    session = HonestOracle(hidden)
+    truth = session.hidden_partition
+    expected, kind = truth, "upper"
+    if learner in LEARNER_IDS:
+        vertex_order = worst_case_order(truth) if order == "prop1" else None
+        result = _run_learner(learner, session, n, truth.k, vertex_order)
+        bound = _PARTITION_CEILINGS[learner](n, truth.k)
+    elif learner == "pooled-components":
+        result = learn_components_multi(session, n)
+        bound = bounds.learn_components_ceiling(n, truth.k)
+    elif learner == "pooled-count":
+        result = count_components_multi(session, n)
+        bound, expected, kind = bounds.count_components_queries(n), truth.k, "exact"
+    elif learner == "neighborhood-learn":
+        result = learn_graph_neighborhood(session, n)
+        bound = sum(
+            bounds.find_neighbors_ceiling(hidden.degree(v), n - 1) for v in range(n)
+        ) if n > 1 else 0
+        expected = hidden
+    else:
+        if candidate.n != n:
+            raise ValueError("candidate and hidden graphs have different vertex counts")
+        result = verify_graph_neighborhood(session, candidate)
+        scanned = sum(1 for v in range(n) if len(candidate.neighbors(v)) < n - 1)
+        bound = bounds.verify_accept_queries(candidate.m, scanned)
+        expected = candidate == hidden
+        # acceptance costs exactly the bound; a rejection stops early
+        kind = "exact" if result.answer else "upper"
+    correct = result.answer == expected
+    return DuelReport(
+        learner, n, truth.k, hidden.m, seed, result.queries_used, bound,
+        correct and _BOUND_HOLDS[kind](result.queries_used, bound),
+        "correct" if correct else "incorrect", opponent, order, kind, _plain(result.answer),
+    )
 
 
 def run_duel(
@@ -107,45 +171,35 @@ def run_duel(
     """Run one partition-learning session and audit the final declaration.
 
     `opponent` is an adversary id (the learner must force its claim and meet
-    the adversary's lower bound) or an instance kind (the claim must be
-    correct and stay within the learner's worst-case ceiling).
+    the adversary's lower bound) or an instance kind, generated from k, m
+    and seed and handed to `run_honest`.
     """
-    if order not in ("asc", "prop1"):
-        raise ValueError("order must be 'asc' or 'prop1'")
-    if opponent in ADVERSARY_IDS:
-        if k is None:
-            raise ValueError(f"adversary {opponent!r} needs k")
-        if order != "asc":
-            raise ValueError("adversary duels fix no hidden instance; use order='asc'")
-        make, bound_fn = _ADVERSARIES[opponent]
-        session = make(n, k)
-        result = _run_learner(learner, session, n, k, None)
-        verdict = session.declare(result.answer)
-        bound = bound_fn(n, k)
-        satisfied = bool(verdict) and result.queries_used >= bound
-        return DuelReport(
-            learner, opponent, n, k, m, seed, result.queries_used, bound, "lower",
-            satisfied, "forced" if verdict else "refuted",
-            [list(b) for b in result.answer.blocks],
-        )
+    if learner not in LEARNER_IDS:
+        raise ValueError(f"unknown learner {learner!r}; choose from {LEARNER_IDS}")
     if opponent in INSTANCE_KINDS:
         hidden = generate_instance(opponent, n, k=k, m=m, seed=seed)
-        truth = connected_components(hidden)
-        true_k = truth.k
-        session = HonestOracle(hidden)
-        vertex_order = worst_case_order(truth) if order == "prop1" else None
-        result = _run_learner(learner, session, n, true_k if learner == "reps-known" else k, vertex_order)
-        correct = result.answer == truth
-        bound = _honest_bound(learner, n, true_k)
-        satisfied = correct and result.queries_used <= bound
-        return DuelReport(
-            learner, opponent, n, k, m, seed, result.queries_used, bound, "upper",
-            satisfied, "correct" if correct else "incorrect",
-            [list(b) for b in result.answer.blocks],
+        return run_honest(learner, hidden, opponent, seed=seed, order=order)
+    if opponent not in ADVERSARY_IDS:
+        raise ValueError(
+            f"unknown opponent {opponent!r}; choose an adversary {ADVERSARY_IDS} "
+            f"or an instance kind {INSTANCE_KINDS}"
         )
-    raise ValueError(
-        f"unknown opponent {opponent!r}; choose an adversary {ADVERSARY_IDS} "
-        f"or an instance kind {INSTANCE_KINDS}"
+    if k is None:
+        raise ValueError(f"adversary {opponent!r} needs k")
+    ignored = ", ".join(f"{name}={value!r}" for name, value, default in
+                        (("m", m, None), ("seed", seed, None), ("order", order, "asc"))
+                        if value != default)
+    if ignored:
+        raise ValueError(f"adversary {opponent!r} builds no hidden graph, so it ignores {ignored}")
+    make, bound_fn = _ADVERSARIES[opponent]
+    session = make(n, k)
+    result = _run_learner(learner, session, n, k, None)
+    verdict = session.declare(result.answer)
+    bound = bound_fn(n, k)
+    return DuelReport(
+        learner, n, k, None, None, result.queries_used, bound,
+        bool(verdict) and result.queries_used >= bound,
+        "forced" if verdict else "refuted", opponent, order, "lower", _plain(result.answer),
     )
 
 
@@ -163,6 +217,8 @@ def grid_duel(
     Cells run one after another: a duel is pure Python that holds the GIL,
     so threads would not run cells in parallel.
     """
+    if opponent == "random-graph":
+        raise ValueError("the duel grid cannot sweep random-graph: its cells have no edge count m")
     cells = []
     for n in range(n_min, n_max + 1):
         k_lo = 1 if opponent == "unknown-count" else 2

@@ -162,32 +162,6 @@ class ContractionMap:
         return [sorted(vs) for _, vs in sorted(by_rep.items())]
 
 
-def contract(g: Graph, cmap: ContractionMap, x: int, y: int) -> Graph:
-    """Merge the classes of x and y and return the simple quotient graph.
-
-    Quotient vertices are the contraction classes relabeled densely by their
-    smallest representative; parallel edges collapse and loops are dropped.
-    """
-    if cmap.n != g.n:
-        raise ValueError("contraction map and graph sizes differ")
-    if cmap.find(x) == cmap.find(y):
-        raise ValueError(f"{x} and {y} are already identified")
-    cmap.union(x, y)
-    return quotient_graph(g, cmap)
-
-
-def quotient_graph(g: Graph, cmap: ContractionMap) -> Graph:
-    """Simple quotient of g by the contraction classes of cmap."""
-    reps = cmap.representatives()
-    index = {rep: i for i, rep in enumerate(reps)}
-    edges = set()
-    for u, v in g.edges:
-        iu, iv = index[cmap.find(u)], index[cmap.find(v)]
-        if iu != iv:
-            edges.add((min(iu, iv), max(iu, iv)))
-    return Graph(len(reps), frozenset(edges))
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 

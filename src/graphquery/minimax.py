@@ -29,7 +29,6 @@ from . import bounds
 ALPHA_KNOWN_MAX_N = 7
 ALPHA_UNKNOWN_MAX_N = 6
 ALPHA_M_MAX_N = 5
-UNRESTRICTED_POOL_MAX_N = 4
 
 
 class InstanceTooLargeError(ValueError):
@@ -113,10 +112,18 @@ def _alpha_moves(pair_masks):
     return moves
 
 
-def _alpha_m_moves(n, pair_masks, restrict_pools):
-    def pools(vertices):
-        # every (v, S) with S a nonempty subset of the other vertices; each
-        # pool's mask extends the mask of S minus its lowest member
+def _alpha_m_moves(n, pair_masks):
+    def moves(mask):
+        # One query vertex per known-together class, and pools built from one
+        # representative per class: classmates answer identically on every
+        # live candidate, so nothing else is informative.
+        together = ContractionMap(n)
+        for (u, v), pm in pair_masks.items():
+            if mask & ~pm == 0 and not together.same(u, v):
+                together.union(u, v)
+        vertices = together.representatives()
+        # every (v, S) with S a nonempty subset of the other representatives;
+        # each pool's mask extends the mask of S minus its lowest member
         out = []
         for v in vertices:
             others = [u for u in vertices if u != v]
@@ -129,20 +136,7 @@ def _alpha_m_moves(n, pair_masks, restrict_pools):
                 out.append(pool)
         return out
 
-    def restricted(mask):
-        # One query vertex per known-together class, and pools built from one
-        # representative per class: classmates answer identically on every
-        # live candidate, so nothing else is informative.
-        together = ContractionMap(n)
-        for (u, v), pm in pair_masks.items():
-            if mask & ~pm == 0 and not together.same(u, v):
-                together.union(u, v)
-        return pools(together.representatives())
-
-    def unrestricted(_mask):
-        return pools(range(n))
-
-    return restricted if restrict_pools else unrestricted
+    return moves
 
 
 def minimax_query_complexity(
@@ -150,7 +144,6 @@ def minimax_query_complexity(
     k: int | None = None,
     oracle_kind: str = "alpha",
     *,
-    restrict_pools: bool = True,
     canonicalize: bool = False,
 ) -> int:
     """Optimal worst-case queries to identify the hidden partition.
@@ -158,8 +151,8 @@ def minimax_query_complexity(
     oracle_kind "alpha" plays pairwise membership queries; "alpha_m" plays
     pooled queries (v, S). For alpha_m, pools are restricted to unions of
     classes the live candidates already force together; this loses nothing
-    because any pool answers identically to its class closure. Set
-    restrict_pools=False (tiny n only) to search raw pools and check that.
+    because any pool answers identically to its class closure (the tests
+    check it against a plain search over raw pools).
 
     canonicalize changes nothing: every value is computed on raw candidate
     masks. The keyword is kept only because the benchmark's minimax-games
@@ -178,16 +171,12 @@ def minimax_query_complexity(
         raise InstanceTooLargeError(
             f"{oracle_kind} game with n={n} exceeds the guard n <= {guard}"
         )
-    if not restrict_pools and n > UNRESTRICTED_POOL_MAX_N:
-        raise InstanceTooLargeError(
-            f"unrestricted pools allowed only for n <= {UNRESTRICTED_POOL_MAX_N}"
-        )
     cands = _candidates(n, k)
     pair_masks = _pair_masks(cands, n)
     if oracle_kind == "alpha":
         moves_fn = _alpha_moves(pair_masks)
     else:
-        moves_fn = _alpha_m_moves(n, pair_masks, restrict_pools)
+        moves_fn = _alpha_m_moves(n, pair_masks)
     game = _Game(moves_fn)
     return game.value((1 << len(cands)) - 1)
 

@@ -1,12 +1,19 @@
+import argparse
 import csv
 import io
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from graphquery.cli import main
-from graphquery.graphs import format_edge_list, parse_edge_list
-from graphquery.instances import worst_case_graph
+from graphquery import duel
+from graphquery.cli import build_parser, main
+from graphquery.duel import CSV_HEADER, DuelReport
+from graphquery.graphs import connected_components, format_edge_list, parse_edge_list
+from graphquery.instances import generate_instance, worst_case_graph
+from graphquery.learners import LearnResult
 
 
 def run_cli(capsys, *argv):
@@ -36,7 +43,7 @@ def test_learn_partition_known_exact_count(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["queries_used"] == 9
-    assert payload["bound_satisfied"] is True
+    assert payload["satisfied"] is True
 
 
 def test_learn_partition_pooled(capsys):
@@ -61,7 +68,7 @@ def test_learn_graph(capsys):
                            "--n", "9", "--m", "10", "--seed", "4")
     assert code == 0
     payload = json.loads(out)
-    assert payload["bound_satisfied"] is True
+    assert payload["satisfied"] is True
     assert len(payload["answer"]) == 10
 
 
@@ -82,8 +89,22 @@ def test_verify_graph_rejects_swapped(capsys, tmp_path):
     candidate.write_text("4 2\n0 1\n1 2\n")
     code, out, _ = run_cli(capsys, "verify-graph", "--graph", str(hidden),
                            "--candidate", str(candidate))
-    assert code == 0  # a correct rejection satisfies the contract
+    assert code == 0  # rejecting a candidate that differs from the hidden graph is right
     assert json.loads(out)["answer"] is False
+
+
+def test_verify_graph_wrong_rejection_exits_two(capsys, tmp_path, monkeypatch):
+    # a verifier that rejects the true graph gives a wrong verdict, which no
+    # query count can make up for
+    monkeypatch.setattr(duel, "verify_graph_neighborhood",
+                        lambda session, candidate: LearnResult(False, 0))
+    hidden = tmp_path / "h.txt"
+    hidden.write_text("4 3\n0 1\n0 2\n0 3\n")
+    code, out, _ = run_cli(capsys, "verify-graph", "--graph", str(hidden),
+                           "--candidate", str(hidden))
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["verdict"] == "incorrect" and payload["satisfied"] is False
 
 
 def test_duel_exit_codes_and_csv(capsys):
@@ -92,8 +113,8 @@ def test_duel_exit_codes_and_csv(capsys):
                            "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["algorithm", "n", "k", "m", "seed", "queries", "bound",
-                       "satisfied", "verdict"]
+    assert rows[0][:9] == ["algorithm", "n", "k", "m", "seed", "queries_used", "bound",
+                           "satisfied", "verdict"]
     assert rows[1][0] == "reps-known" and rows[1][8] == "forced"
 
 
@@ -175,9 +196,89 @@ def test_duel_grid_rejects_flags_it_would_drop(capsys, extra, flag):
     assert f"duel --grid takes no {flag}" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["learn-partition", "--kind", "edgeless", "--n", "4", "--oracle", "alpha_m", "--known"],
+     "ignores --known"),
+    (["learn-partition", "--kind", "edgeless", "--n", "4", "--oracle", "alpha_m",
+      "--order", "prop1"], "ignores order='prop1'"),
+    (["duel", "--learner", "all-pairs", "--kind", "edgeless", "--n", "4", "--order", "prop1"],
+     "ignores order='prop1'"),
+    (["duel", "--learner", "reps-known", "--adversary", "separability", "--n", "5",
+      "--k", "2", "--m", "7"], "ignores m=7"),
+    (["duel", "--learner", "reps-known", "--adversary", "separability", "--n", "5",
+      "--k", "2", "--seed", "9"], "ignores seed=9"),
+    (["duel", "--learner", "reps-known", "--adversary", "separability", "--n", "4",
+      "--grid", "--seed", "9"], "ignores seed=9"),
+], ids=["alpha_m-known", "alpha_m-prop1", "all-pairs-prop1", "adversary-m",
+        "adversary-seed", "adversary-grid-seed"])
+def test_settings_a_run_would_ignore_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_duel_grid_rejects_random_graph(capsys):
+    # the grid has no edge count per cell, so random-graph can never run there
+    code, out, err = run_cli(capsys, "duel", "--learner", "all-pairs",
+                             "--kind", "random-graph", "--n", "4", "--seed", "1", "--grid")
+    assert code == 1 and out == ""
+    assert "random-graph" in err and "grid" in err
+
+
 def test_reports_are_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "duel", "--learner", "reps-known",
                           "--adversary", "separability", "--n", "6", "--k", "3")
     _, second, _ = run_cli(capsys, "duel", "--learner", "reps-known",
                            "--adversary", "separability", "--n", "6", "--k", "3")
     assert first == second
+
+
+def test_every_run_reports_one_schema(capsys, tmp_path):
+    names = [f.name for f in fields(DuelReport)]
+    assert CSV_HEADER == names
+    graph = tmp_path / "g.txt"
+    graph.write_text("5 2\n0 1\n2 3\n")
+    source = ["--graph", str(graph)]
+    runs = [
+        ["learn-partition", *source],
+        ["learn-partition", *source, "--oracle", "alpha_m"],
+        ["count-components", *source],
+        ["learn-graph", *source],
+        ["verify-graph", *source, "--candidate", str(graph)],
+        ["duel", "--learner", "reps-known", "--adversary", "separability", "--n", "5", "--k", "2"],
+        ["duel", "--learner", "reps-unknown", "--kind", "random-graph",
+         "--n", "8", "--m", "4", "--seed", "3"],
+        ["duel", "--learner", "all-pairs", "--adversary", "contraction", "--n", "4", "--grid"],
+    ]
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        payload = json.loads(out)
+        for report in payload.get("reports", [payload]):
+            assert sorted(report) == sorted(names), argv
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0 and next(csv.reader(io.StringIO(out))) == CSV_HEADER, argv
+    # an honest run reports the k its bound was evaluated at: the hidden graph's
+    # component count, even when no k was given
+    hidden = generate_instance("random-graph", 8, m=4, seed=3)
+    _, out, _ = run_cli(capsys, *runs[6])
+    assert json.loads(out)["k"] == connected_components(hidden).k
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    start = lines.index("| subcommand | flags |") + 2  # skip the header and its rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        commands, flags = (c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1])
+        for name in re.findall(r"`([\w-]+)`", commands):
+            table[name] = set(re.findall(r"--[\w-]+", flags))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    assert table == declared

@@ -40,7 +40,8 @@ def test_triangle_needs_three_colors():
 
 def test_forbidden_pair_in_near_clique():
     # the nonadjacent pair of a (k+1)-clique minus one edge cannot separate
-    assert find_k_coloring(k4_minus_edge(), 3, forbidden_equal=(0, 1)) is None
+    assert is_k_separable(k4_minus_edge(), 0, 1, 3) is None
+    assert is_k_separable(k4_minus_edge(), 1, 0, 3) is None
     assert find_k_coloring(k4_minus_edge(), 3) is not None
 
 
@@ -50,7 +51,8 @@ def test_forbidden_pair_in_four_cycle():
     for assign in product((1, 2), repeat=4):
         if all(assign[u] != assign[v] for u, v in c4.edges):
             assert assign[0] == assign[2]
-    assert find_k_coloring(c4, 2, forbidden_equal=(0, 2)) is None
+    assert is_k_separable(c4, 0, 2, 2) is None
+    assert is_k_separable(c4, 2, 0, 2) is None
 
 
 def test_find_coloring_output_is_proper_and_deterministic():
@@ -65,9 +67,9 @@ def test_find_coloring_rejects_bad_inputs():
     with pytest.raises(ValueError):
         find_k_coloring(path_graph(3), 0)
     with pytest.raises(ValueError):
-        find_k_coloring(path_graph(3), 2, forbidden_equal=(0, 1))  # an edge
+        is_k_separable(path_graph(3), 0, 1, 2)  # an edge
     with pytest.raises(ValueError):
-        find_k_coloring(path_graph(3), 2, forbidden_equal=(1, 1))
+        is_k_separable(path_graph(3), 1, 1, 2)
 
 
 def test_separable_edgeless_pair():
@@ -205,7 +207,7 @@ def test_search_order_matches_lexicographic_reference():
         for i, j in [p for p in pairs if p not in g.edges][:3]:
             first = _reference_colorings(g, k, (i, j))[:1]
             for pair in ((i, j), (j, i)):
-                got = find_k_coloring(g, k, forbidden_equal=pair)
+                got = is_k_separable(g, *pair, k)
                 assert ([got.colors] if got is not None else []) == first
 
 

@@ -5,7 +5,6 @@ from graphquery.graphs import (
     ContractionMap,
     Graph,
     connected_components,
-    contract,
     format_edge_list,
     parse_edge_list,
     path_graph,
@@ -63,40 +62,6 @@ def test_contraction_map_invariants():
     assert cm.find(rep) == rep
     with pytest.raises(ValueError):
         cm.union(0, 3)
-
-
-def test_contract_path_ends():
-    g = path_graph(3)
-    cm = ContractionMap(3)
-    q = contract(g, cm, 0, 2)
-    assert q.n == 2
-    assert q.edges == frozenset({(0, 1)})
-    assert cm.same(0, 2)
-
-
-def test_contract_merged_pair_keeps_neighbors():
-    # merging two adjacent stars: the merged vertex inherits both neighborhoods
-    g = Graph.from_edges(6, [(0, 3), (0, 5), (1, 5), (1, 4), (2, 3), (1, 2)])
-    cm = ContractionMap(6)
-    q = contract(g, cm, 0, 1)
-    merged = 0  # class {0,1} has the smallest representative
-    assert q.n == 5
-    assert q.neighbors(merged) == frozenset({1, 2, 3, 4})  # old labels 2,3,4,5
-
-
-def test_contract_edgeless_pair():
-    g = Graph(2, frozenset())
-    cm = ContractionMap(2)
-    q = contract(g, cm, 0, 1)
-    assert q.n == 1 and q.m == 0
-
-
-def test_contract_rejects_identified_vertices():
-    g = path_graph(3)
-    cm = ContractionMap(3)
-    contract(g, cm, 0, 1)
-    with pytest.raises(ValueError):
-        contract(g, cm, 0, 1)
 
 
 def test_edge_list_round_trip():

@@ -45,21 +45,10 @@ def test_guards():
         minimax_query_complexity(7)
     with pytest.raises(InstanceTooLargeError):
         minimax_query_complexity(6, 3, "alpha_m")
-    with pytest.raises(InstanceTooLargeError):
-        minimax_query_complexity(5, 3, "alpha_m", restrict_pools=False)
     with pytest.raises(ValueError):
         minimax_query_complexity(4, 2, "gamma")
     with pytest.raises(ValueError):
         minimax_query_complexity(4, 5)
-
-
-def test_restricted_pools_match_unrestricted():
-    # pooling whole known-together classes loses nothing; check exhaustively
-    for n in range(2, 5):
-        for k in list(range(1, n + 1)) + [None]:
-            fast = minimax_query_complexity(n, k, "alpha_m")
-            slow = minimax_query_complexity(n, k, "alpha_m", restrict_pools=False)
-            assert fast == slow, (n, k)
 
 
 def test_relabel_canonicalization_preserves_values():
