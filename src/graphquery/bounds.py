@@ -76,3 +76,9 @@ def information_lower(n: int, k: int) -> int:
     if count < 1:
         return 0
     return ceil_log2(count)
+
+
+def information_lower_unknown(n: int) -> int:
+    """ceil(log2) of the Bell number B(n): the partitions of an n-set with
+    any number of blocks."""
+    return ceil_log2(sum(stirling_partition_count(n, k) for k in range(n + 1)))

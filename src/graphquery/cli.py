@@ -96,6 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_instance(args) -> Graph:
     if args.graph:
+        given = [f"--{name}" for name in ("k", "m", "seed") if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--graph FILE is the hidden graph, so it takes no {', '.join(given)}")
         return read_graph(args.graph)
     if args.kind:
         if args.n is None:
@@ -184,8 +187,9 @@ def _cmd_minimax(args) -> int:
                    else bounds.minimax_unknown_formula(args.n))
         match = value == formula
     else:
-        formula = bounds.information_lower(args.n, args.k) if args.k is not None else None
-        match = formula is None or value >= formula
+        formula = (bounds.information_lower(args.n, args.k) if args.k is not None
+                   else bounds.information_lower_unknown(args.n))
+        match = value >= formula
     payload = {
         "n": args.n,
         "k": args.k,

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, fields
 from . import bounds
 from .adversaries import ContractionAdversary, SeparabilityAdversary, UnknownCountAdversary
 from .graphs import Graph
-from .instances import generate_instance, worst_case_order, KINDS as INSTANCE_KINDS
+from .instances import KIND_SETTINGS, generate_instance, worst_case_order, KINDS as INSTANCE_KINDS
 from .learners import (
     LearnResult,
     count_components_multi,
@@ -214,17 +214,22 @@ def grid_duel(
 ) -> tuple[list[DuelReport], dict]:
     """Sweep an (n, k) rectangle of independent duels, in (n, k) order.
 
+    Edgeless and clique instances take no k, so over them the grid is one
+    cell per n, with k None.
+
     Cells run one after another: a duel is pure Python that holds the GIL,
     so threads would not run cells in parallel.
     """
     if opponent == "random-graph":
         raise ValueError("the duel grid cannot sweep random-graph: its cells have no edge count m")
-    cells = []
-    for n in range(n_min, n_max + 1):
+    if opponent in INSTANCE_KINDS and "k" not in KIND_SETTINGS[opponent]:
+        if k_max is not None:
+            raise ValueError(f"the duel grid over {opponent} has no k to sweep, so it takes no k_max")
+        cells = [(n, None) for n in range(n_min, n_max + 1)]
+    else:
         k_lo = 1 if opponent == "unknown-count" else 2
-        k_hi = min(n, k_max) if k_max is not None else n
-        for k in range(k_lo, k_hi + 1):
-            cells.append((n, k))
+        cells = [(n, k) for n in range(n_min, n_max + 1)
+                 for k in range(k_lo, (n if k_max is None else min(n, k_max)) + 1)]
     reports = [run_duel(learner, opponent, n, k, seed=seed) for n, k in cells]
     counts = [r.queries_used for r in reports]
     summary = {

@@ -7,7 +7,16 @@ import random
 from .graphs import Graph, clique_union_graph, complete_graph, empty_graph
 from .partitions import Partition, stirling_partition_count
 
-KINDS = ("worst-case-prop1", "random-partition", "random-graph", "edgeless", "clique")
+# kind -> the settings it reads; generate_instance needs each of them and
+# rejects any other, which it would otherwise ignore
+KIND_SETTINGS = {
+    "worst-case-prop1": ("k",),
+    "random-partition": ("k", "seed"),
+    "random-graph": ("m", "seed"),
+    "edgeless": (),
+    "clique": (),
+}
+KINDS = tuple(KIND_SETTINGS)
 
 
 def worst_case_graph(n: int, k: int) -> Graph:
@@ -85,17 +94,17 @@ def generate_instance(kind: str, n: int, k: int | None = None, m: int | None = N
     """Build a hidden graph of the given kind; seeds make output deterministic."""
     if kind not in KINDS:
         raise ValueError(f"unknown instance kind {kind!r}; choose from {KINDS}")
+    given = {"k": k, "m": m, "seed": seed}
+    ignored = [name for name, value in given.items() if value is not None and name not in KIND_SETTINGS[kind]]
+    if ignored:
+        raise ValueError(f"{kind} takes no {', '.join(ignored)}")
+    if any(given[name] is None for name in KIND_SETTINGS[kind]):
+        raise ValueError(f"{kind} needs {' and '.join(KIND_SETTINGS[kind])}")
     if kind == "worst-case-prop1":
-        if k is None:
-            raise ValueError("worst-case-prop1 needs k")
         return worst_case_graph(n, k)
     if kind == "random-partition":
-        if k is None or seed is None:
-            raise ValueError("random-partition needs k and seed")
         return random_partition_graph(n, k, seed)
     if kind == "random-graph":
-        if m is None or seed is None:
-            raise ValueError("random-graph needs m and seed")
         return random_edge_graph(n, m, seed)
     if kind == "edgeless":
         return empty_graph(n)

@@ -5,14 +5,36 @@ keeps at least one candidate partition alive, and the learner stops once a
 single candidate remains. The value is computed by exhaustive search with
 memoization on candidate sets encoded as bitmasks.
 
-The memo is keyed by the live-candidate mask itself, with no symmetry
-reduction. Mapping each mask to its minimum over all n! vertex relabelings
-made every alpha and alpha_m game up to n=6 whose solve takes over a
-millisecond 9x-316x slower (alpha n=6, k=3: 1.98 s against 0.035 s; n=6,
-k unknown: 20.0 s against 1.52 s), and at n=7, k=3 building its tables
-alone took 27 s against a 0.61 s solve (2-vCPU Xeon VM, Python 3.11.7).
-Each lookup remapped its mask n! times, which cost more than the repeated
-solves it saved.
+The search is windowed (alpha-beta; Knuth & Moore, "An analysis of
+alpha-beta pruning", 1975). `_Game.value(mask, beta)` returns the exact
+value when it is below `beta`, and otherwise a lower bound that is at least
+`beta`. A move is worth trying only if both of its answers cost less than
+`best - 1`, so each child is searched with that window, the larger half
+first, and a child that fails high cuts the move without its exact value.
+Two memos keep what the search proved: `exact` holds exact values only,
+and `lower` holds the lower bounds that failing high proved. A fail-high
+result must never enter `exact`. A set's floor is the larger of
+ceil(log2 count) and its stored lower bound; a call whose floor reaches its
+window returns at once, and the move loop stops once `best` reaches it. The
+root is searched with no window, so the value it returns is exact. Alpha
+(6, k unknown) went from 0.80 s to 0.31 s, and alpha (7, 3) from 0.32 s to
+0.037 s (2-vCPU Xeon VM, Python 3.11.7).
+
+Sets of at most 3 candidates return count - 1 without a search. That holds
+for this learning game only: any two distinct partitions are split by some
+query, and a stop needs one live candidate, so 3 candidates cost
+ceil(log2 3) = 2. A game that stops earlier, such as one that only has to
+learn the block count, must search such sets itself.
+
+Both memos belong to one `_Game`, which one `minimax_query_complexity`
+call builds and drops, so no solver state outlives a call. They are keyed
+by the live-candidate mask itself, with no symmetry reduction. Mapping each
+mask to its minimum over all n! vertex relabelings made every alpha and
+alpha_m game up to n=6 whose solve takes over a millisecond 9x-316x slower
+(alpha n=6, k=3: 1.98 s against 0.035 s; n=6, k unknown: 20.0 s against
+1.52 s), and at n=7, k=3 building its tables alone took 27 s against a
+0.61 s solve (2-vCPU Xeon VM, Python 3.11.7). Each lookup remapped its mask
+n! times, which cost more than the repeated solves it saved.
 
 With a known block count k the candidate universe is every partition into
 at most k blocks. (k pairwise-separated vertices pin the count to exactly
@@ -21,6 +43,9 @@ universe stays meaningful at k = n.) With k unknown it is every partition.
 """
 
 from __future__ import annotations
+
+import math
+from operator import itemgetter
 
 from .graphs import ContractionMap
 from .partitions import Partition, all_partitions, partitions_with_at_most
@@ -59,48 +84,61 @@ def _pair_masks(cands: list[Partition], n: int) -> dict[tuple[int, int], int]:
 class _Game:
     def __init__(self, moves_fn):
         self.moves_fn = moves_fn
-        self.memo: dict[int, int] = {}
+        self.exact: dict[int, int] = {}
+        self.lower: dict[int, int] = {}
 
-    def value(self, mask: int) -> int:
+    def value(self, mask: int, beta: float = math.inf) -> int:
+        """The game value of `mask` if it is below `beta`, else a lower
+        bound on it that is at least `beta`."""
         count = mask.bit_count()
-        if count == 1:
-            return 0
-        if count == 2:
-            # any two distinct partitions are split by some query
-            return 1
-        hit = self.memo.get(mask)
+        if count <= 3:
+            # 1 candidate: done; 2: any query splitting them; 3: any
+            # splitting query leaves 1 or 2, and ceil(log2 3) = 2
+            return count - 1
+        hit = self.exact.get(mask)
         if hit is not None:
             return hit
-        splits = set()
+        floor = max((count - 1).bit_length(), self.lower.get(mask, 0))
+        if floor >= beta:
+            return floor
+        # each split keyed by its larger half; the other half is mask ^ large
+        splits: dict[int, int] = {}
         for move_mask in self.moves_fn(mask):
             one = mask & move_mask
-            zero = mask & ~move_mask
-            if one == 0 or zero == 0:
+            if one == 0 or one == mask:
                 continue
-            splits.add((one, zero) if one < zero else (zero, one))
+            zero = mask ^ one
+            ones = one.bit_count()
+            if ones * 2 > count or (ones * 2 == count and one > zero):
+                splits[one] = ones
+            else:
+                splits[zero] = count - ones
         if not splits:
             raise AssertionError("no informative query splits a multi-candidate set")
-        # balanced splits first: they bound the answer quickly and let the
-        # adversary-max short-circuit prune the rest
-        ordered = sorted(splits, key=lambda s: abs(s[0].bit_count() - s[1].bit_count()))
-        best = None
-        for small, large in ordered:
-            if best is not None:
-                # one answer leaves `large` alive and binary answers can at
-                # best halve it, so this move costs at least the floor below
-                floor = 1 + (max(large.bit_count(), small.bit_count()) - 1).bit_length()
-                if floor >= best:
-                    continue
-            first = self.value(small)
-            if best is not None and first + 1 >= best:
+        # balanced splits first: they bound the answer quickly, and the
+        # window best - 1 then cuts the rest
+        best = beta
+        for large, size in sorted(splits.items(), key=itemgetter(1)):
+            # the answer leaving `large` alive still needs ceil(log2 size)
+            # queries, and later splits have larger halves still
+            if 1 + (size - 1).bit_length() >= best:
+                break
+            first = self.value(large, best - 1)
+            if first + 1 >= best:
                 continue
-            worst = 1 + max(first, self.value(large))
-            if best is None or worst < best:
-                best = worst
-                if best == 1:
-                    break
-        self.memo[mask] = best
-        return best
+            second = self.value(mask ^ large, best - 1)
+            if second + 1 >= best:
+                continue
+            best = 1 + max(first, second)
+            if best <= floor:
+                break
+        if best < beta:
+            self.exact[mask] = best
+            self.lower.pop(mask, None)
+            return best
+        # every move costs at least beta: a lower bound, never an exact value
+        self.lower[mask] = beta
+        return beta
 
 
 def _alpha_moves(pair_masks):
@@ -171,14 +209,19 @@ def minimax_query_complexity(
         raise InstanceTooLargeError(
             f"{oracle_kind} game with n={n} exceeds the guard n <= {guard}"
         )
+    cands, game = _new_game(n, k, oracle_kind)
+    return game.value((1 << len(cands)) - 1)
+
+
+def _new_game(n: int, k: int | None, oracle_kind: str) -> tuple[list[Partition], _Game]:
+    """The candidate universe, in bit order, and a fresh game over it."""
     cands = _candidates(n, k)
     pair_masks = _pair_masks(cands, n)
     if oracle_kind == "alpha":
         moves_fn = _alpha_moves(pair_masks)
     else:
         moves_fn = _alpha_m_moves(n, pair_masks)
-    game = _Game(moves_fn)
-    return game.value((1 << len(cands)) - 1)
+    return cands, _Game(moves_fn)
 
 
 def information_bound_check(n: int, k: int) -> tuple[int, int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import Iterable
 
 import pytest
 from hypothesis import strategies as st
@@ -61,9 +62,11 @@ def brute_force_components(g: Graph) -> Partition:
     return Partition.from_blocks(blocks)
 
 
-def brute_force_minimax(n: int, k: int | None, kind: str) -> int:
+def brute_force_minimax(n: int, k: int | None, kind: str,
+                        live: Iterable[Partition] | None = None) -> int:
     """Minimax queries to identify a partition of 0..n-1 into at most k
     blocks (any number if k is None), by plain exhaustive game search.
+    Given `live`, the game starts from those candidates instead.
 
     kind "alpha" queries every pair; "alpha_m" every raw pool (v, S) with S
     a nonempty set of other vertices, answered 1 iff v shares a block with
@@ -76,6 +79,11 @@ def brute_force_minimax(n: int, k: int | None, kind: str) -> int:
         if all(labels[v] <= max(labels[:v], default=-1) + 1 for v in range(n))
         and (k is None or max(labels, default=-1) < k)
     ]
+    if live is not None:
+        start = {tuple(p.block_index(v) for v in range(n)) for p in live}
+        if not start <= set(labelings):
+            raise ValueError("live holds a partition outside the candidate universe")
+        labelings = sorted(start)
     if kind == "alpha":
         queries = [(v, (u,)) for v, u in combinations(range(n), 2)]
     else:

@@ -141,6 +141,16 @@ def test_minimax_unknown_k(capsys):
     assert json.loads(out)["minimax"] == 6
 
 
+@pytest.mark.parametrize("n, value", [(1, 0), (2, 1), (3, 3), (4, 4), (5, 6)])
+def test_minimax_pooled_unknown_k_meets_the_bell_bound(capsys, n, value):
+    # with k unknown the pooled game is checked against ceil(log2 B(n)),
+    # which the solver's values meet exactly at n <= 5
+    code, out, _ = run_cli(capsys, "minimax", "--n", str(n), "--oracle", "alpha_m")
+    assert code == 0
+    assert json.loads(out) == {"formula": value, "k": None, "match": True, "minimax": value,
+                               "n": n, "oracle": "alpha_m"}
+
+
 def test_enumerate_ukc(capsys):
     code, out, _ = run_cli(capsys, "enumerate-ukc", "--n", "4", "--k", "2")
     assert code == 0
@@ -215,6 +225,40 @@ def test_settings_a_run_would_ignore_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["learn-partition", "--kind", "edgeless", "--n", "4", "--k", "2", "--m", "3", "--seed", "5"],
+     "edgeless takes no k, m, seed"),
+    (["gen", "--kind", "clique", "--n", "4", "--seed", "5"], "clique takes no seed"),
+    (["count-components", "--kind", "worst-case-prop1", "--n", "4", "--k", "2", "--seed", "5"],
+     "worst-case-prop1 takes no seed"),
+    (["duel", "--learner", "all-pairs", "--kind", "random-graph", "--n", "4", "--k", "2",
+      "--m", "3", "--seed", "1"], "random-graph takes no k"),
+    (["duel", "--learner", "reps-known", "--kind", "clique", "--n", "4", "--k", "3", "--grid"],
+     "takes no k_max"),
+], ids=["edgeless", "clique-seed", "prop1-seed", "random-graph-k", "clique-grid-k"])
+def test_instance_settings_a_kind_ignores_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("flag, value", [("--k", "2"), ("--m", "3"), ("--seed", "5")])
+def test_graph_file_takes_no_generator_settings(capsys, tmp_path, flag, value):
+    graph = tmp_path / "g.txt"
+    graph.write_text("4 1\n0 1\n")
+    code, out, err = run_cli(capsys, "learn-partition", "--graph", str(graph), flag, value)
+    assert code == 1 and out == ""
+    assert f"takes no {flag}" in err
+
+
+def test_duel_grid_over_a_kind_without_k_runs_one_cell_per_n(capsys):
+    code, out, _ = run_cli(capsys, "duel", "--learner", "reps-known", "--kind", "clique",
+                           "--n", "4", "--grid", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["n"], row["k"]) for row in rows] == [("2", "1"), ("3", "1"), ("4", "1")]
 
 
 def test_duel_grid_rejects_random_graph(capsys):

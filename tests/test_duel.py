@@ -66,3 +66,13 @@ def test_grid_duel_reports_are_reproducible():
     first, _ = grid_duel("reps-unknown", "unknown-count", 4)
     second, _ = grid_duel("reps-unknown", "unknown-count", 4)
     assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+
+
+@pytest.mark.parametrize("kind", ["edgeless", "clique"])
+def test_grid_duel_over_a_kind_without_k_runs_one_cell_per_n(kind):
+    reports, summary = grid_duel("reps-unknown", kind, 6, n_min=3)
+    assert [r.n for r in reports] == [3, 4, 5, 6]
+    assert summary["cells"] == 6 - 3 + 1
+    assert summary["all_satisfied"]
+    with pytest.raises(ValueError, match="k_max"):
+        grid_duel("reps-unknown", kind, 6, 3)

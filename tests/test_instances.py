@@ -41,6 +41,22 @@ def test_generate_instance_kinds():
         generate_instance("random-partition", 4, k=2)  # seed required
 
 
+@pytest.mark.parametrize("kind, settings, ignored", [
+    ("edgeless", {"k": 2}, "k"),
+    ("clique", {"k": 2}, "k"),
+    ("random-graph", {"k": 2, "m": 3, "seed": 1}, "k"),
+    ("edgeless", {"m": 3}, "m"),
+    ("worst-case-prop1", {"k": 2, "m": 3}, "m"),
+    ("random-partition", {"k": 2, "m": 3, "seed": 1}, "m"),
+    ("edgeless", {"seed": 5}, "seed"),
+    ("clique", {"seed": 5}, "seed"),
+    ("worst-case-prop1", {"k": 2, "seed": 5}, "seed"),
+])
+def test_generate_instance_rejects_settings_it_would_ignore(kind, settings, ignored):
+    with pytest.raises(ValueError, match=f"{kind} takes no {ignored}$"):
+        generate_instance(kind, 5, **settings)
+
+
 def test_generators_are_deterministic():
     a = generate_instance("random-partition", 8, k=3, seed=7)
     b = generate_instance("random-partition", 8, k=3, seed=7)

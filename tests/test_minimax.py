@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from graphquery import bounds
 from graphquery.minimax import (
     InstanceTooLargeError,
+    _new_game,
     information_bound_check,
     minimax_query_complexity,
 )
@@ -70,6 +73,45 @@ def test_pruned_solver_matches_brute_force(kind, n_max):
         for k in [*range(1, n + 1), None]:
             expected = brute_force_minimax(n, k, kind)
             assert minimax_query_complexity(n, k, kind) == expected, (kind, n, k)
+
+
+def test_alpha_values_at_six_and_seven_meet_the_formulas():
+    for k in range(1, 7):
+        assert minimax_query_complexity(6, k) == bounds.minimax_known_formula(6, k), k
+    assert minimax_query_complexity(6) == bounds.minimax_unknown_formula(6)
+    assert minimax_query_complexity(7, 3) == 11
+
+
+@pytest.mark.parametrize("kind", ["alpha", "alpha_m"])
+def test_windowed_value_keeps_its_contract(kind):
+    # value(mask, beta) is exact below beta and at least beta otherwise, and
+    # the bounds a window proves never pass for exact values later. Some sets
+    # are drawn from the partitions with at least 4 blocks: an alpha query
+    # splits one of them off at a time, so alpha values there lie far above
+    # ceil(log2 count), and windows fail high at the root and below it
+    rng = random.Random(f"window/{kind}")
+    cands, _ = _new_game(5, None, kind)
+    every = range(len(cands))
+    fine = [i for i, p in enumerate(cands) if p.k >= 4]
+    failed_high = 0
+    for pool, size in [(every, 4), (every, 6), (every, 8), (every, 10), (every, 12),
+                       (fine, 5), (fine, 7), (fine, 9), (fine, 11)]:
+        picked = rng.sample(pool, size)
+        mask = sum(1 << i for i in picked)
+        expected = brute_force_minimax(5, None, kind, live=[cands[i] for i in picked])
+        _, game = _new_game(5, None, kind)
+        for beta in range(1, expected + 2):
+            got = game.value(mask, beta)
+            if expected < beta:
+                assert got == expected, (size, beta)
+            else:
+                assert got >= beta, (size, beta)
+        failed_high += bool(game.lower)
+        assert game.value(mask) == expected, size
+    if kind == "alpha":
+        # the checks above have a subject; pooled queries meet
+        # ceil(log2 count) on every set here, so their windows never fail high
+        assert failed_high
 
 
 def test_alpha_m_values_at_five_are_frozen():
