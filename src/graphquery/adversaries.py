@@ -86,14 +86,30 @@ class _SeparabilityRule:
     answers 1 again; duplicates still count in the ledger. The two variants
     subclass this as siblings, so patching one variant's methods (as a
     tracer does) never reaches the other.
+
+    `masks` holds the auxiliary graph's adjacency bitmasks, kept in step
+    with `edges`. Once a search has set chi, chi is the first proper
+    coloring of the auxiliary graph in the search order, and it stays first:
+      - a new edge that chi already separates keeps it first, because every
+        coloring of G plus that edge is also a coloring of G;
+      - an inseparable pair leaves G alone;
+      - for a same-colored pair u < v, every coloring before chi's path
+        chi[0..v] is improper for G, and every one inside that path's
+        subtree gives u and v one color,
+    so the first coloring of G plus uv is the first one after that subtree,
+    and the search resumes there (`find_k_coloring(after=...)`). A start
+    coloring that no search produced is not known to be first, so the first
+    search of such an adversary starts cold.
     """
 
-    def __init__(self, n: int, k: int, edges: frozenset[Edge], chi: Coloring):
+    def __init__(self, n: int, k: int, graph: Graph, chi: Coloring, chi_is_first: bool):
         self.n = n
         self.k = k
-        self.edges: set[Edge] = set(edges)
+        self.edges: set[Edge] = set(graph.edges)
+        self.masks = graph.adjacency_masks()
         self.forced_edges: set[Edge] = set()
         self.chi = chi
+        self.chi_is_first = chi_is_first
         self.ledger = QueryLedger()
 
     def graph_view(self) -> Graph:
@@ -107,20 +123,36 @@ class _SeparabilityRule:
 
     def membership_query(self, x: int, y: int) -> int:
         pair = _validated_pair(x, y, self.n)
-        if pair in self.edges or self.chi.color_of(x) != self.chi.color_of(y):
+        u, v = pair
+        colors = self.chi.colors
+        masks = self.masks
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+        answer = 0
+        if colors[u] != colors[v]:  # also true of every recorded edge
             self.edges.add(pair)
-            answer = 0
         else:
-            separating = find_k_coloring(Graph(self.n, frozenset(self.edges | {pair})), self.k)
-            if separating is not None:
-                self.edges.add(pair)
-                self.chi = separating
-                answer = 0
-            else:
+            after = colors[: v + 1] if self.chi_is_first else ()
+            separating = None
+            try:
+                separating = find_k_coloring(masks, self.k, after=after)
+            finally:
+                if separating is None:  # inseparable, or the search gave up
+                    masks[u] &= ~(1 << v)
+                    masks[v] &= ~(1 << u)
+            if separating is None:
                 self.forced_edges.add(pair)
                 answer = 1
-        colors = self.chi.colors
-        assert all(colors[u] != colors[v] for u, v in self.edges)
+            else:
+                self.edges.add(pair)
+                self.chi = separating
+                self.chi_is_first = True
+        new = self.chi.colors
+        if new is colors:
+            # chi was proper on the old edges; only a new edge can break that
+            assert answer or new[u] != new[v]
+        else:
+            assert all(new[a] != new[b] for a, b in self.edges)
         self.ledger.append("alpha", (x, y), answer)
         return answer
 
@@ -138,7 +170,7 @@ class SeparabilityAdversary(_SeparabilityRule):
         if not 2 <= k <= n:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
         graph, chi = _initial_state(n, k, initial_coloring, initial_edges)
-        super().__init__(n, k, graph.edges, chi)
+        super().__init__(n, k, graph, chi, chi_is_first=False)
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         """Forced iff the auxiliary graph pins down a single consistent partition.
@@ -166,7 +198,8 @@ class UnknownCountAdversary(_SeparabilityRule):
     def __init__(self, n: int, k: int):
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        super().__init__(n, k, frozenset(), Coloring((1,) * n, k))
+        # all-1 is the first coloring of the edgeless graph
+        super().__init__(n, k, Graph(n, frozenset()), Coloring((1,) * n, k), chi_is_first=True)
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         """Forced iff the claim is the only partition (of any block count) that fits.

@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_instance(args) -> Graph:
     if args.graph:
-        given = [f"--{name}" for name in ("k", "m", "seed") if getattr(args, name) is not None]
+        given = [f"--{name}" for name in ("kind", "n", "k", "m", "seed")
+                 if getattr(args, name) is not None]
         if given:
             raise ValueError(f"--graph FILE is the hidden graph, so it takes no {', '.join(given)}")
         return read_graph(args.graph)

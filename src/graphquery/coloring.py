@@ -10,6 +10,15 @@ vertices adjacent to that color, and cuts a branch as soon as some uncolored
 vertex has every color blocked (forward checking). The cut only drops
 subtrees without solutions, so it saves nodes but never changes the output.
 
+`find_k_coloring(..., after=p)` resumes that order instead of starting it:
+it returns the first proper coloring that comes after every coloring
+beginning with the prefix p. The search replays p[:-1], tries the colors
+above p[-1] at the last prefix vertex, and then walks back up the prefix.
+Replayed prefix vertices are not expanded, so they cost no nodes. A caller
+that knows every coloring up to the end of p's subtree is improper (the
+adversaries do; see `adversaries._SeparabilityRule`) gets the cold search's
+answer for a fraction of its nodes.
+
 The searches are still exponential and intended for desk-scale inputs only;
 every entry point takes a node budget and aborts with BudgetExceededError
 when the search tree outgrows it.
@@ -70,14 +79,16 @@ class Coloring:
         return all(self.colors[u] != self.colors[v] for u, v in g.edges)
 
 
-def _search_colorings(g: Graph, k: int, limit, node_budget):
+def _search_colorings(masks: list[int], k: int, limit, node_budget, after=()):
     """Backtracking over color-class partitions, with forward checking.
 
-    Vertices are assigned in ascending label order and colors in ascending
-    palette order; a vertex may introduce color c only when colors 1..c-1
-    already appear. This visits each proper color-class partition exactly
-    once, so outputs are deterministic and palette permutations are never
-    enumerated. Yields solutions as color tuples until `limit` of them.
+    `masks[v]` is the bitmask of v's neighbors. Vertices are assigned in
+    ascending label order and colors in ascending palette order; a vertex
+    may introduce color c only when colors 1..c-1 already appear. This
+    visits each proper color-class partition exactly once, so outputs are
+    deterministic and palette permutations are never enumerated. Yields
+    solutions as color tuples until `limit` of them. A nonempty `after`
+    starts the search just past every coloring that begins with it.
 
     `near[c]` is the bitmask of vertices adjacent to some vertex colored c,
     so v may take c iff bit v of near[c] is clear. After a color is placed,
@@ -87,9 +98,16 @@ def _search_colorings(g: Graph, k: int, limit, node_budget):
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    n = len(masks)
+    if len(after) > n:
+        raise ValueError(f"prefix of {len(after)} colors for {n} vertices")
+    used = 0
+    for c in after:
+        if not 0 < c <= k or c > used + 1:
+            raise ValueError(f"{tuple(after)} is not a search path with {k} colors")
+        if c > used:
+            used = c
     SEARCH_STATS["invocations"] += 1
-    n = g.n
-    masks = g.adjacency_masks()
 
     colors = [0] * n
     near = [0] * (k + 1)
@@ -103,7 +121,7 @@ def _search_colorings(g: Graph, k: int, limit, node_budget):
             common &= near[c]
         return common
 
-    def rec(v: int, used: int):
+    def rec(v: int, used: int, first: int = 1):
         nonlocal found
         if v == n:
             found += 1
@@ -112,7 +130,7 @@ def _search_colorings(g: Graph, k: int, limit, node_budget):
         bit = 1 << v
         mask = masks[v]
         top = min(used + 1, k)
-        for c in range(1, top + 1):
+        for c in range(first, top + 1):
             before = near[c]
             if before & bit:
                 continue
@@ -134,16 +152,45 @@ def _search_colorings(g: Graph, k: int, limit, node_budget):
         colors[v] = 0
 
     try:
-        yield from rec(0, 0)
+        if not after:
+            yield from rec(0, 0)
+            return
+        # replay after[:-1], remembering what each step overwrote
+        undo = []
+        used = 0
+        for v in range(len(after) - 1):
+            c = after[v]
+            undo.append((c, near[c], used))
+            colors[v] = c
+            near[c] |= masks[v]
+            if c > used:
+                used = c
+        # next colors at the last prefix vertex, then at each one above it
+        for v in range(len(after) - 1, -1, -1):
+            yield from rec(v, used, after[v] + 1)
+            if (limit is not None and found >= limit) or not v:
+                return
+            c, near[c], used = undo.pop()
     finally:
         # rec's closure refers to rec itself; breaking that cycle lets
         # reference counting free the search state without the cyclic GC
         rec = None
 
 
-def find_k_coloring(g: Graph, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Coloring | None:
-    """First proper k-coloring of g in the fixed search order, or None."""
-    for colors in _search_colorings(g, k, limit=1, node_budget=node_budget):
+def find_k_coloring(
+    g: Graph | list[int],
+    k: int,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    after: tuple[int, ...] = (),
+) -> Coloring | None:
+    """First proper k-coloring of g in the fixed search order, or None.
+
+    g is a Graph or its list of adjacency bitmasks (which is only read).
+    With `after` set, the first coloring past every one that begins with
+    that prefix, or None when there is none.
+    """
+    masks = g.adjacency_masks() if isinstance(g, Graph) else g
+    for colors in _search_colorings(masks, k, limit=1, node_budget=node_budget, after=after):
         return Coloring(colors, k)
     return None
 
@@ -159,7 +206,7 @@ def proper_partitions(
     With `limit` set, stops as soon as that many have been found.
     """
     out = []
-    for colors in _search_colorings(g, k, limit=limit, node_budget=node_budget):
+    for colors in _search_colorings(g.adjacency_masks(), k, limit=limit, node_budget=node_budget):
         out.append(Coloring(colors, k).classes())
     return out
 

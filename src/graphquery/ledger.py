@@ -93,7 +93,7 @@ def honest_answer(entry: LedgerEntry, partition: Partition) -> int:
         return int(partition.same_block(u, v))
     if entry.kind == "alpha_m":
         u, subset = entry.args
-        return int(any(partition.same_block(u, v) for v in subset))
+        return int(not frozenset(subset).isdisjoint(partition.block_of(u)))
     raise ValueError("beta queries depend on edges, not components; cannot replay from a partition")
 
 

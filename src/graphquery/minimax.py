@@ -52,6 +52,9 @@ from .partitions import Partition, all_partitions, partitions_with_at_most
 from . import bounds
 
 ALPHA_KNOWN_MAX_N = 7
+# at n = ALPHA_KNOWN_MAX_N only k <= this: alpha (7, 5), (7, 6) and (7, 7)
+# take 41-54 s each (2-vCPU Xeon VM, Python 3.11.7), (7, 4) about 9 s
+ALPHA_KNOWN_MAX_K_AT_MAX_N = 4
 ALPHA_UNKNOWN_MAX_N = 6
 ALPHA_M_MAX_N = 5
 
@@ -208,6 +211,11 @@ def minimax_query_complexity(
     if n > guard:
         raise InstanceTooLargeError(
             f"{oracle_kind} game with n={n} exceeds the guard n <= {guard}"
+        )
+    top_k = ALPHA_KNOWN_MAX_K_AT_MAX_N
+    if oracle_kind == "alpha" and n == ALPHA_KNOWN_MAX_N and k is not None and top_k < k <= n:
+        raise InstanceTooLargeError(
+            f"alpha game with n={n}, k={k} exceeds the guard k <= {top_k} at n={n}"
         )
     cands, game = _new_game(n, k, oracle_kind)
     return game.value((1 << len(cands)) - 1)

@@ -43,6 +43,13 @@ class HonestOracle:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
+    def _checked_set(self, subset: Iterable[int]) -> frozenset[int]:
+        s = frozenset(subset)
+        if s and (min(s) < 0 or max(s) >= self.n):
+            for v in s:  # name the first bad member, as a per-member check would
+                self._check_vertex(v)
+        return s
+
     def membership_query(self, u: int, v: int) -> int:
         """1 iff u and v lie in the same component of the hidden graph."""
         self._check_vertex(u)
@@ -56,21 +63,17 @@ class HonestOracle:
     def multi_membership_query(self, u: int, subset: Iterable[int]) -> int:
         """1 iff u shares a component with some member of the set; empty set gives 0."""
         self._check_vertex(u)
-        s = frozenset(subset)
-        for v in s:
-            self._check_vertex(v)
+        s = self._checked_set(subset)
         if u in s:
             raise ValueError(f"query vertex {u} must not belong to the set")
-        answer = int(any(self.hidden_partition.same_block(u, v) for v in s))
+        answer = int(not s.isdisjoint(self.hidden_partition.block_of(u)))
         self.ledger.append("alpha_m", (u, s), answer)
         return answer
 
     def neighborhood_query(self, v: int, subset: Iterable[int]) -> int:
         """1 iff v has an edge into the set; empty set gives 0."""
         self._check_vertex(v)
-        s = frozenset(subset)
-        for u in s:
-            self._check_vertex(u)
+        s = self._checked_set(subset)
         if v in s:
             raise ValueError(f"query vertex {v} must not belong to the set")
         answer = int(bool(self.hidden.neighbors(v) & s))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -9,12 +10,17 @@ from graphquery.adversaries import (
     SeparabilityAdversary,
     UnknownCountAdversary,
 )
-from graphquery.coloring import SEARCH_STATS, reset_search_stats
+from graphquery.coloring import (
+    BudgetExceededError,
+    SEARCH_STATS,
+    find_k_coloring,
+    reset_search_stats,
+)
 from graphquery.graphs import connected_components
 from graphquery.ledger import replay_matches_partition
 from graphquery.learners import learn_partition_all_pairs, learn_partition_representatives
 from graphquery.partitions import Partition
-from graphquery import bounds
+from graphquery import adversaries, bounds
 
 # State midway through the known-count walkthrough: n=6, k=3, six edges
 # already recorded, coloring classes {0,1,2} / {3,4} / {5}.
@@ -506,3 +512,102 @@ def test_representatives_forced_on_any_order(run):
     else:
         assert result.queries_used >= bounds.contraction_adversary_lower(n, k)
     assert replay_matches_partition(adv.ledger.entries, result.answer)
+
+
+def _random_start(n: int, k: int, rng: random.Random):
+    """A proper coloring that no search would produce first, and edges it allows."""
+    colors = [rng.randint(1, k) for _ in range(n)]
+    edges = [(u, v) for u, v in combinations(range(n), 2)
+             if colors[u] != colors[v] and rng.random() < 0.3]
+    return colors, edges
+
+
+@pytest.mark.parametrize("start", ["separability", "separability-initial", "unknown-count"])
+def test_live_masks_and_coloring_track_the_auxiliary_graph(start):
+    # seeded pair streams with repeats and inseparable pairs; after every
+    # query the live masks equal the edges' masks, and once a search has run,
+    # chi is the cold search's first coloring of the auxiliary graph
+    rng = random.Random(f"live-masks/{start}")
+    repeats = ones = 0
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        if start == "unknown-count":
+            adv = UnknownCountAdversary(n, rng.randint(1, min(4, n)))
+        elif start == "separability":
+            adv = SeparabilityAdversary(n, rng.randint(2, min(4, n)))
+        else:
+            k = rng.randint(2, min(4, n))
+            colors, edges = _random_start(n, k, rng)
+            adv = SeparabilityAdversary(n, k, initial_coloring=colors, initial_edges=edges)
+        asked = set()
+        for _ in range(3 * n * n):
+            x, y = rng.sample(range(n), 2)
+            pair = (min(x, y), max(x, y))
+            repeats += pair in asked
+            asked.add(pair)
+            ones += adv.membership_query(x, y)
+            graph = adv.graph_view()
+            assert adv.masks == graph.adjacency_masks()
+            assert adv.chi.is_proper(graph)
+            if adv.chi_is_first:
+                assert adv.chi == find_k_coloring(graph, adv.k)
+    assert repeats > 1000 and ones > 100
+
+
+# SHA-256 over every query, its answer and the coloring after it (contraction:
+# the representatives' colors lifted to every vertex), then the claim and
+# verdict, for each ascending-order duel grid pairing over n <= 10 and every k
+FROZEN_GRID_DIGESTS = {
+    ("reps-known", "separability"): "98b806388f0bfa134991dc316d84250285c79343998e8fa36ab380b487d822cf",
+    ("all-pairs", "separability"): "73080e33e118f7253926db133e97f2deb4451b827b6da86626cf1ab8321feda4",
+    ("reps-known", "contraction"): "d18e046aee8afe05a77748afe4fb43b835ff1584f5323511ffde5756d6fc83aa",
+    ("all-pairs", "contraction"): "3381361774b4157b32d78155b1e3814e5fc1ee49cdaba50f31c8daf646f3128d",
+    ("reps-unknown", "unknown-count"): "06a67c79d82f5d22b4088cc0eb03163f81a271dce076fbadf138d820be2ab929",
+}
+
+
+def _grid_digest(learner: str, variant: str, n_max: int) -> str:
+    digest = hashlib.sha256()
+    for n in range(2, n_max + 1):
+        for k in range(1 if variant == "unknown-count" else 2, n + 1):
+            adv = ADVERSARY_CLASSES[variant](n, k)
+            ask = adv.membership_query
+
+            def recorded(x, y, adv=adv, ask=ask):
+                answer = ask(x, y)
+                if variant == "contraction":
+                    colors = tuple(adv.color[adv.contraction.find(v)] for v in range(n))
+                else:
+                    colors = adv.chi.colors
+                digest.update(f"{x},{y},{answer}:{colors};".encode())
+                return answer
+
+            adv.membership_query = recorded
+            if learner == "all-pairs":
+                result = learn_partition_all_pairs(adv, n)
+            else:
+                k_known = k if learner == "reps-known" else None
+                result = learn_partition_representatives(adv, n, k_known=k_known)
+            verdict = adv.declare(result.answer)
+            digest.update(f"{result.answer.blocks}|{verdict.forced}\n".encode())
+    return digest.hexdigest()
+
+
+def test_ascending_grid_transcripts_are_frozen():
+    got = {pairing: _grid_digest(*pairing, n_max=10) for pairing in FROZEN_GRID_DIGESTS}
+    assert got == FROZEN_GRID_DIGESTS
+
+
+def test_a_search_that_gives_up_leaves_the_state_alone(monkeypatch):
+    adv = SeparabilityAdversary(4, 2)  # chi starts (1, 2, 1, 2)
+    adv.membership_query(0, 1)
+    masks, edges, chi = list(adv.masks), set(adv.edges), adv.chi
+
+    def give_up(*args, **kwargs):
+        raise BudgetExceededError("stub search gave up")
+
+    monkeypatch.setattr(adversaries, "find_k_coloring", give_up)
+    with pytest.raises(BudgetExceededError):
+        adv.membership_query(0, 2)
+    assert (adv.masks, adv.edges, adv.forced_edges, adv.chi) == (masks, edges, set(), chi)
+    assert adv.ledger.count == 1

@@ -244,7 +244,8 @@ def test_instance_settings_a_kind_ignores_are_usage_errors(capsys, argv, message
     assert message in err
 
 
-@pytest.mark.parametrize("flag, value", [("--k", "2"), ("--m", "3"), ("--seed", "5")])
+@pytest.mark.parametrize("flag, value", [("--k", "2"), ("--m", "3"), ("--seed", "5"),
+                                         ("--kind", "clique"), ("--n", "9")])
 def test_graph_file_takes_no_generator_settings(capsys, tmp_path, flag, value):
     graph = tmp_path / "g.txt"
     graph.write_text("4 1\n0 1\n")

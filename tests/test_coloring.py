@@ -245,3 +245,48 @@ def test_coloring_classes():
     assert col.classes() == Partition.from_blocks([[0, 2], [1]])
     with pytest.raises(ValueError):
         Coloring((1, 3), 2)
+
+
+def test_resumed_search_matches_cold_search():
+    # c is the first coloring of g; for a same-colored non-adjacent pair
+    # u < v, every coloring up to the end of c[:v+1]'s subtree is improper
+    # for g + uv, so resuming after that prefix must find the cold answer
+    rng = random.Random(2007)
+    checked = separable = 0
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, 4)
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, frozenset(rng.sample(pairs, rng.randint(0, len(pairs) // 2))))
+        c = find_k_coloring(g, k)
+        if c is None:
+            continue
+        for u, v in pairs:
+            if (u, v) in g.edges or c.colors[u] != c.colors[v]:
+                continue
+            plus = Graph(n, g.edges | {(u, v)})
+            cold = find_k_coloring(plus, k)
+            assert find_k_coloring(plus, k, after=c.colors[: v + 1]) == cold
+            assert find_k_coloring(plus.adjacency_masks(), k, after=c.colors[: v + 1]) == cold
+            checked += 1
+            separable += cold is not None
+    # both outcomes occur often enough to matter
+    assert checked > 500 and 100 < separable < checked - 100
+
+
+def test_resume_prefix_must_be_a_search_path():
+    g = empty_graph(4)
+    for bad in [(2,), (1, 3), (0,), (1, 2, 3), (1, 1, 1, 1, 1)]:
+        with pytest.raises(ValueError):
+            find_k_coloring(g, 2, after=bad)
+    # the full path of the last coloring has nothing after it
+    assert find_k_coloring(g, 2, after=(1, 2, 2, 2)) is None
+    assert find_k_coloring(g, 2, after=(1, 1)).colors == (1, 2, 1, 1)
+
+
+def test_replayed_prefix_costs_no_nodes():
+    g = empty_graph(10)
+    reset_search_stats()
+    assert find_k_coloring(g, 2, after=(1,) * 9 + (1,)).colors == (1,) * 9 + (2,)
+    # only the last vertex is expanded: one node, color 2
+    assert SEARCH_STATS["nodes"] == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from graphquery import bounds
+from graphquery import bounds, minimax
 from graphquery.minimax import (
     InstanceTooLargeError,
     _new_game,
@@ -41,7 +41,7 @@ def test_memoized_resolve_is_stable():
     assert first == second == bounds.minimax_known_formula(5, 3)
 
 
-def test_guards():
+def test_guards(monkeypatch):
     with pytest.raises(InstanceTooLargeError):
         minimax_query_complexity(8, 3)
     with pytest.raises(InstanceTooLargeError):
@@ -52,6 +52,26 @@ def test_guards():
         minimax_query_complexity(4, 2, "gamma")
     with pytest.raises(ValueError):
         minimax_query_complexity(4, 5)
+    # alpha at n=7 takes k <= 4 only: k = 5..7 would each run for close to a minute
+    for k in (5, 6, 7):
+        with pytest.raises(InstanceTooLargeError, match="k <= 4 at n=7"):
+            minimax_query_complexity(7, k)
+    with pytest.raises(ValueError, match="k must lie in 1..7"):
+        minimax_query_complexity(7, 8)
+
+    # (7, 3) and (7, 4) pass the guards and reach the solver; solving (7, 4)
+    # takes seconds, so the solver is stubbed out here ((7, 3)'s value is
+    # pinned in test_alpha_values_at_six_and_seven_meet_the_formulas)
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached(args)
+
+    monkeypatch.setattr(minimax, "_new_game", reached)
+    for k in (1, 3, 4):
+        with pytest.raises(Reached):
+            minimax_query_complexity(7, k)
 
 
 def test_relabel_canonicalization_preserves_values():

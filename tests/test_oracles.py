@@ -1,8 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from graphquery.graphs import Graph, empty_graph
-from graphquery.ledger import QueryLedger, replay_matches_partition, replay_on_session
+from graphquery.ledger import (
+    QueryLedger,
+    honest_answer,
+    replay_matches_partition,
+    replay_on_session,
+)
 from graphquery.oracles import HonestOracle
 from graphquery.partitions import Partition
 
@@ -124,3 +131,37 @@ def test_declare_checks_ground_truth(oracle):
     assert oracle.declare(truth).forced
     verdict = oracle.declare(Partition.singletons(6))
     assert not verdict.forced and verdict.witness == truth
+
+
+def test_pooled_and_neighborhood_answers_match_brute_force():
+    rng = random.Random(2021)
+    ones = 0
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        hidden = Graph(n, frozenset(rng.sample(pairs, rng.randint(0, len(pairs) // 3))))
+        oracle = HonestOracle(hidden)
+        truth = oracle.hidden_partition
+        for _ in range(20):
+            u = rng.randrange(n)
+            s = {v for v in range(n) if v != u and rng.random() < 0.3}
+            pooled = oracle.multi_membership_query(u, s)
+            assert pooled == int(any(truth.same_block(u, v) for v in s))
+            assert oracle.neighborhood_query(u, s) == int(any(hidden.has_edge(u, v) for v in s))
+            ones += pooled
+        pooled_entries = [e for e in oracle.ledger if e.kind == "alpha_m"]
+        for e in pooled_entries:
+            u, s = e.args
+            assert honest_answer(e, truth) == int(any(truth.same_block(u, v) for v in s))
+        assert replay_matches_partition(pooled_entries, truth)
+    assert 100 < ones < 1100
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_set_queries_name_an_out_of_range_member(oracle, bad):
+    for query in (oracle.multi_membership_query, oracle.neighborhood_query):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=6"):
+            query(0, {1, 2, bad})
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=6"):
+            query(0, [bad])
+    assert oracle.ledger.count == 0
