@@ -25,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def _code(nbrs: list[int]) -> int:
+def code(nbrs: list[int] | tuple[int, ...]) -> int:
+    """Canonical code of the graph whose vertex v has neighbour bitmask nbrs[v]."""
     memo: dict[tuple[int, ...], int] = {}
 
     def best(cells: tuple[int, ...], size: int) -> int:
@@ -78,4 +79,4 @@ def canonical_codes(adj: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     # one neighbour bitmask per vertex: bit j of masks[b, v] is adj[b, v, j]
     masks = np.asarray(adj, dtype=np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
-    return np.array([_code(nbrs) for nbrs in masks.tolist()], dtype=np.int64)
+    return np.array([code(nbrs) for nbrs in masks.tolist()], dtype=np.int64)

@@ -152,7 +152,12 @@ class _SeparabilityRule:
             # chi was proper on the old edges; only a new edge can break that
             assert answer or new[u] != new[v]
         else:
-            assert all(new[a] != new[b] for a, b in self.edges)
+            # masks equal the edges, so chi is proper iff no vertex has a
+            # neighbor inside its own color class
+            classes = [0] * (self.k + 1)
+            for w, c in enumerate(new):
+                classes[c] |= 1 << w
+            assert not any(nbrs & classes[c] for nbrs, c in zip(masks, new))
         self.ledger.append("alpha", (x, y), answer)
         return answer
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._canon import canonical_codes
+from ._canon import canonical_codes, code
 from .coloring import BudgetExceededError, is_uniquely_k_colorable
 from .graphs import Graph
 from . import bounds
@@ -25,17 +25,9 @@ def _code_to_graph(code: int, n: int) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def _graph_to_adj(g: Graph) -> np.ndarray:
-    adj = np.zeros((g.n, g.n), dtype=np.uint8)
-    for u, v in g.edges:
-        adj[u, v] = 1
-        adj[v, u] = 1
-    return adj
-
-
 def canonical_code(g: Graph) -> int:
-    """Isomorphism-invariant integer code of a graph (n <= 8)."""
-    return int(canonical_codes(_graph_to_adj(g)[None, :, :])[0])
+    """Isomorphism-invariant integer code of a graph."""
+    return code(g.adjacency_masks())
 
 
 def _levels(n_max: int, graph_budget: int):

@@ -2,44 +2,78 @@
 
 The game: the learner picks a query, the adversary picks an answer that
 keeps at least one candidate partition alive, and the learner stops once a
-single candidate remains. The value is computed by exhaustive search with
-memoization on candidate sets encoded as bitmasks.
+single candidate remains. With a known block count k the candidate universe
+is every partition into at most k blocks. (k pairwise-separated vertices
+pin the count to exactly k, so the learner's deductions with public k are
+unchanged, and the universe stays meaningful at k = n.) With k unknown it
+is every partition.
+
+One windowed search, `_Game`, solves every game. It is generic over its
+states: a game supplies `key(state)`, which names a state in the memos, and
+`splits(state, count)`, which lists the informative queries on a state
+with `count` live candidates and the two states each leaves.
+
+Alpha (pairwise) games are played on the auxiliary graph H. Its vertices
+are the classes of vertices known to be together (the pairs answered 1,
+closed transitively), and two classes are adjacent when a pair between
+them was answered 0. The game on H is exact:
+  - The live partitions correspond one-to-one with the partitions of H
+    into at most k independent sets. A live partition keeps every class
+    together and separates every answered-0 pair, so it is the lift of
+    such a partition of H; and every such lift agrees with every answer.
+    With k unknown that is every proper partition, the game of k = n.
+  - A query inside a class, or across an edge of H, has the same answer
+    on every live partition, so it is uninformative. A query across a
+    non-adjacent pair ab splits H into H + ab (answer 0) and H / ab
+    (answer 1), and every informative query is one of these.
+  - A relabelling of H maps its live sets and its moves onto those of the
+    relabelled graph, so the value depends only on H's isomorphism class.
+The memos are therefore keyed by (vertices of H, canonical code of H),
+from `_canon.code`, whose codes are equal exactly for isomorphic graphs.
+The live count is the number of partitions of H into at most k
+independent sets, found by the colouring search and cached per labelled
+state. Deletion-contraction, count(H) = count(H + ab) + count(H / ab),
+makes each move cost one search.
+
+Alpha_m (pooled) games keep bitmask states over the candidate list: a
+state is the mask of live candidates, its key is the mask itself, and its
+count is the mask's popcount.
 
 The search is windowed (alpha-beta; Knuth & Moore, "An analysis of
-alpha-beta pruning", 1975). `_Game.value(mask, beta)` returns the exact
-value when it is below `beta`, and otherwise a lower bound that is at least
-`beta`. A move is worth trying only if both of its answers cost less than
-`best - 1`, so each child is searched with that window, the larger half
-first, and a child that fails high cuts the move without its exact value.
-Two memos keep what the search proved: `exact` holds exact values only,
-and `lower` holds the lower bounds that failing high proved. A fail-high
-result must never enter `exact`. A set's floor is the larger of
-ceil(log2 count) and its stored lower bound; a call whose floor reaches its
-window returns at once, and the move loop stops once `best` reaches it. The
-root is searched with no window, so the value it returns is exact. Alpha
-(6, k unknown) went from 0.80 s to 0.31 s, and alpha (7, 3) from 0.32 s to
-0.037 s (2-vCPU Xeon VM, Python 3.11.7).
+alpha-beta pruning", 1975). `_Game.value(state, count, beta)` returns the
+exact value when it is below `beta`, and otherwise a lower bound that is
+at least `beta`. A move is worth trying only if both of its answers cost
+less than `best - 1`, so each child is searched with that window, the
+larger half first, and a child that fails high cuts the move without its
+exact value. Two memos keep what the search proved: `exact` holds exact
+values only, and `lower` holds the lower bounds that failing high proved.
+A fail-high result must never enter `exact`. A state's floor is the larger
+of ceil(log2 count) and its stored lower bound; a call whose floor reaches
+its window returns at once, and the move loop stops once `best` reaches
+it. The root is searched with no window, so the value it returns is exact.
 
-Sets of at most 3 candidates return count - 1 without a search. That holds
-for this learning game only: any two distinct partitions are split by some
-query, and a stop needs one live candidate, so 3 candidates cost
-ceil(log2 3) = 2. A game that stops earlier, such as one that only has to
-learn the block count, must search such sets itself.
+States with at most 3 candidates return count - 1 without a search, and
+without a key. That holds for this learning game only: any two distinct
+partitions are split by some query, and a stop needs one live candidate,
+so 3 candidates cost ceil(log2 3) = 2. A game that stops earlier, such as
+one that only has to learn the block count, must search such states
+itself.
 
 Both memos belong to one `_Game`, which one `minimax_query_complexity`
-call builds and drops, so no solver state outlives a call. They are keyed
-by the live-candidate mask itself, with no symmetry reduction. Mapping each
-mask to its minimum over all n! vertex relabelings made every alpha and
-alpha_m game up to n=6 whose solve takes over a millisecond 9x-316x slower
-(alpha n=6, k=3: 1.98 s against 0.035 s; n=6, k unknown: 20.0 s against
-1.52 s), and at n=7, k=3 building its tables alone took 27 s against a
-0.61 s solve (2-vCPU Xeon VM, Python 3.11.7). Each lookup remapped its mask
-n! times, which cost more than the repeated solves it saved.
-
-With a known block count k the candidate universe is every partition into
-at most k blocks. (k pairwise-separated vertices pin the count to exactly
-k, so the learner's deductions with public k are unchanged, and the
-universe stays meaningful at k = n.) With k unknown it is every partition.
+call builds and drops, so no solver state outlives a call. An earlier
+symmetry reduction mapped each candidate mask to its minimum over all n!
+vertex relabelings. It made every game whose solve takes over a
+millisecond 9x-316x slower (alpha n=6, k=3: 1.98 s against 0.035 s), and
+at n=7, k=3 building its tables alone took 27 s, because each lookup
+remapped its mask n! times. One canonical code per visited graph state
+wins instead: it is one ordered-partition search on at most 7 vertices,
+computed only for a state the search enters with more than 3 candidates,
+and it folds the labelled states into at most 208 classes on 6 vertices
+(1044 on exactly 7). Alpha (6, k unknown) stored 33.8k lower bounds on
+labelled masks; it now stores 177 states in all. Every alpha game on 6
+vertices, every k and k unknown, took 0.74 s and now takes about 0.12 s,
+and alpha (7, 5), (7, 6) and (7, 7) went from 41-54 s each to about half
+a second (2-vCPU Xeon VM, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -47,15 +81,14 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
+from ._canon import code
+from .coloring import DEFAULT_NODE_BUDGET, _search_colorings
 from .graphs import ContractionMap
 from .partitions import Partition, all_partitions, partitions_with_at_most
 from . import bounds
 
 ALPHA_KNOWN_MAX_N = 7
-# at n = ALPHA_KNOWN_MAX_N only k <= this: alpha (7, 5), (7, 6) and (7, 7)
-# take 41-54 s each (2-vCPU Xeon VM, Python 3.11.7), (7, 4) about 9 s
-ALPHA_KNOWN_MAX_K_AT_MAX_N = 4
-ALPHA_UNKNOWN_MAX_N = 6
+ALPHA_UNKNOWN_MAX_N = 7
 ALPHA_M_MAX_N = 5
 
 
@@ -63,97 +96,148 @@ class InstanceTooLargeError(ValueError):
     """The requested game exceeds the configured state-space guard."""
 
 
-def _candidates(n: int, k: int | None) -> list[Partition]:
-    if k is None:
-        return list(all_partitions(n))
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in 1..{n}")
-    return list(partitions_with_at_most(n, k))
-
-
-def _pair_masks(cands: list[Partition], n: int) -> dict[tuple[int, int], int]:
-    """For each vertex pair, the bitmask of candidates keeping it together."""
-    masks = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            m = 0
-            for i, p in enumerate(cands):
-                if p.same_block(u, v):
-                    m |= 1 << i
-            masks[(u, v)] = m
-    return masks
-
-
 class _Game:
-    def __init__(self, moves_fn):
-        self.moves_fn = moves_fn
-        self.exact: dict[int, int] = {}
-        self.lower: dict[int, int] = {}
+    """The windowed search over one game's states.
 
-    def value(self, mask: int, beta: float = math.inf) -> int:
-        """The game value of `mask` if it is below `beta`, else a lower
+    `key(state)` names a state in the memos. `splits(state, count)` lists
+    the informative queries on a state with `count` live candidates, each
+    as (larger count, larger half, smaller count, smaller half).
+    """
+
+    def __init__(self, key, splits):
+        self.key = key
+        self.splits = splits
+        self.exact: dict = {}
+        self.lower: dict = {}
+
+    def value(self, state, count: int, beta: float = math.inf) -> int:
+        """The game value of `state` if it is below `beta`, else a lower
         bound on it that is at least `beta`."""
-        count = mask.bit_count()
         if count <= 3:
             # 1 candidate: done; 2: any query splitting them; 3: any
             # splitting query leaves 1 or 2, and ceil(log2 3) = 2
             return count - 1
-        hit = self.exact.get(mask)
+        key = self.key(state)
+        hit = self.exact.get(key)
         if hit is not None:
             return hit
-        floor = max((count - 1).bit_length(), self.lower.get(mask, 0))
+        floor = max((count - 1).bit_length(), self.lower.get(key, 0))
         if floor >= beta:
             return floor
-        # each split keyed by its larger half; the other half is mask ^ large
-        splits: dict[int, int] = {}
-        for move_mask in self.moves_fn(mask):
-            one = mask & move_mask
-            if one == 0 or one == mask:
-                continue
-            zero = mask ^ one
-            ones = one.bit_count()
-            if ones * 2 > count or (ones * 2 == count and one > zero):
-                splits[one] = ones
-            else:
-                splits[zero] = count - ones
+        splits = self.splits(state, count)
         if not splits:
             raise AssertionError("no informative query splits a multi-candidate set")
         # balanced splits first: they bound the answer quickly, and the
         # window best - 1 then cuts the rest
         best = beta
-        for large, size in sorted(splits.items(), key=itemgetter(1)):
+        for size, large, small_size, small in sorted(splits, key=itemgetter(0)):
             # the answer leaving `large` alive still needs ceil(log2 size)
             # queries, and later splits have larger halves still
             if 1 + (size - 1).bit_length() >= best:
                 break
-            first = self.value(large, best - 1)
+            first = self.value(large, size, best - 1)
             if first + 1 >= best:
                 continue
-            second = self.value(mask ^ large, best - 1)
+            second = self.value(small, small_size, best - 1)
             if second + 1 >= best:
                 continue
             best = 1 + max(first, second)
             if best <= floor:
                 break
         if best < beta:
-            self.exact[mask] = best
-            self.lower.pop(mask, None)
+            self.exact[key] = best
+            self.lower.pop(key, None)
             return best
         # every move costs at least beta: a lower bound, never an exact value
-        self.lower[mask] = beta
+        self.lower[key] = beta
         return beta
 
 
-def _alpha_moves(pair_masks):
-    masks = list(pair_masks.values())
+def _contract(h: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """H / ab for non-adjacent a < b: b merged into a, the vertices above b
+    moved down one label."""
+    low = (1 << b) - 1
+    bit_a, bit_b = 1 << a, 1 << b
+    out = []
+    for v, nbrs in enumerate(h):
+        if v == b:
+            continue
+        if v == a:
+            nbrs |= h[b]
+        elif nbrs & bit_b:
+            nbrs |= bit_a
+        out.append(nbrs & low | nbrs >> 1 & ~low)
+    return tuple(out)
 
-    def moves(_mask):
-        return masks
 
-    return moves
+def _alpha_game(n: int, k: int) -> tuple[_Game, tuple[int, ...], int]:
+    """The pairwise game on auxiliary graphs, its root (n classes, no edges)
+    and the root's candidate count."""
+    counts: dict[tuple[int, ...], int] = {}
+
+    def count(h: tuple[int, ...]) -> int:
+        # partitions of H into at most k independent sets
+        found = counts.get(h)
+        if found is None:
+            found = counts[h] = sum(
+                1 for _ in _search_colorings(h, k, limit=None, node_budget=DEFAULT_NODE_BUDGET)
+            )
+        return found
+
+    def splits(h: tuple[int, ...], total: int) -> list:
+        out = []
+        for b in range(1, len(h)):
+            nbrs_b = h[b]
+            for a in range(b):
+                if nbrs_b >> a & 1:
+                    continue
+                merged = _contract(h, a, b)
+                ones = count(merged)
+                # deletion-contraction: every live partition of H either
+                # separates a and b (H + ab) or joins them (H / ab)
+                zeros = total - ones
+                if not ones or not zeros:
+                    continue
+                plus = list(h)
+                plus[a] |= 1 << b
+                plus[b] |= 1 << a
+                plus = tuple(plus)
+                if ones > zeros:
+                    out.append((ones, merged, zeros, plus))
+                else:
+                    out.append((zeros, plus, ones, merged))
+        return out
+
+    keys: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def key(h: tuple[int, ...]) -> tuple[int, int]:
+        found = keys.get(h)
+        if found is None:
+            found = keys[h] = (len(h), code(h))
+        return found
+
+    root = (0,) * n
+    return _Game(key, splits), root, count(root)
 
 
-def _alpha_m_moves(n, pair_masks):
+def _candidates(n: int, k: int | None) -> list[Partition]:
+    return list(all_partitions(n) if k is None else partitions_with_at_most(n, k))
+
+
+def _alpha_m_game(n: int, k: int | None) -> tuple[_Game, int, int]:
+    """The pooled game on candidate bitmasks over `_candidates(n, k)`, its
+    root (every candidate) and the root's candidate count."""
+    cands = _candidates(n, k)
+    # for each vertex pair, the bitmask of candidates keeping it together
+    pair_masks = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            m = 0
+            for i, p in enumerate(cands):
+                if p.same_block(u, v):
+                    m |= 1 << i
+            pair_masks[(u, v)] = m
+
     def moves(mask):
         # One query vertex per known-together class, and pools built from one
         # representative per class: classmates answer identically on every
@@ -177,7 +261,22 @@ def _alpha_m_moves(n, pair_masks):
                 out.append(pool)
         return out
 
-    return moves
+    def splits(mask: int, count: int) -> list:
+        # each split keyed by its larger half; the other half is mask ^ large
+        halves: dict[int, int] = {}
+        for move_mask in moves(mask):
+            one = mask & move_mask
+            if one == 0 or one == mask:
+                continue
+            zero = mask ^ one
+            ones = one.bit_count()
+            if ones * 2 > count or (ones * 2 == count and one > zero):
+                halves[one] = ones
+            else:
+                halves[zero] = count - ones
+        return [(size, large, count - size, mask ^ large) for large, size in halves.items()]
+
+    return _Game(lambda mask: mask, splits), (1 << len(cands)) - 1, len(cands)
 
 
 def minimax_query_complexity(
@@ -195,10 +294,11 @@ def minimax_query_complexity(
     because any pool answers identically to its class closure (the tests
     check it against a plain search over raw pools).
 
-    canonicalize changes nothing: every value is computed on raw candidate
-    masks. The keyword is kept only because the benchmark's minimax-games
-    workload still passes canonicalize=True and its tracer reads the
-    argument; it goes once that workload stops passing it.
+    canonicalize changes nothing: alpha games are always solved over
+    isomorphism classes of the auxiliary graph, and alpha_m games over raw
+    candidate masks. The keyword is kept only because the benchmark's
+    minimax-games workload still passes canonicalize=True and its tracer
+    reads the argument; it goes once that workload stops passing it.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -212,24 +312,18 @@ def minimax_query_complexity(
         raise InstanceTooLargeError(
             f"{oracle_kind} game with n={n} exceeds the guard n <= {guard}"
         )
-    top_k = ALPHA_KNOWN_MAX_K_AT_MAX_N
-    if oracle_kind == "alpha" and n == ALPHA_KNOWN_MAX_N and k is not None and top_k < k <= n:
-        raise InstanceTooLargeError(
-            f"alpha game with n={n}, k={k} exceeds the guard k <= {top_k} at n={n}"
-        )
-    cands, game = _new_game(n, k, oracle_kind)
-    return game.value((1 << len(cands)) - 1)
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"k must lie in 1..{n}")
+    game, root, count = _new_game(n, k, oracle_kind)
+    return game.value(root, count)
 
 
-def _new_game(n: int, k: int | None, oracle_kind: str) -> tuple[list[Partition], _Game]:
-    """The candidate universe, in bit order, and a fresh game over it."""
-    cands = _candidates(n, k)
-    pair_masks = _pair_masks(cands, n)
+def _new_game(n: int, k: int | None, oracle_kind: str) -> tuple[_Game, object, int]:
+    """A fresh game, its root state and the root's candidate count."""
     if oracle_kind == "alpha":
-        moves_fn = _alpha_moves(pair_masks)
-    else:
-        moves_fn = _alpha_m_moves(n, pair_masks)
-    return cands, _Game(moves_fn)
+        # with k unknown every partition is a candidate: the game of k = n
+        return _alpha_game(n, n if k is None else k)
+    return _alpha_m_game(n, k)
 
 
 def information_bound_check(n: int, k: int) -> tuple[int, int]:

@@ -12,6 +12,7 @@ from graphquery.adversaries import (
 )
 from graphquery.coloring import (
     BudgetExceededError,
+    Coloring,
     SEARCH_STATS,
     find_k_coloring,
     reset_search_stats,
@@ -611,3 +612,17 @@ def test_a_search_that_gives_up_leaves_the_state_alone(monkeypatch):
         adv.membership_query(0, 2)
     assert (adv.masks, adv.edges, adv.forced_edges, adv.chi) == (masks, edges, set(), chi)
     assert adv.ledger.count == 1
+
+
+def test_a_new_coloring_is_checked_against_every_old_edge(monkeypatch):
+    adv = UnknownCountAdversary(3, 2)  # chi starts (1, 1, 1)
+    adv.membership_query(0, 1)
+    assert adv.chi.colors == (1, 2, 1)
+
+    def improper(*args, **kwargs):
+        # separates the queried pair 0, 2 but joins the old edge 0-1
+        return Coloring((1, 1, 2), 2)
+
+    monkeypatch.setattr(adversaries, "find_k_coloring", improper)
+    with pytest.raises(AssertionError):
+        adv.membership_query(0, 2)

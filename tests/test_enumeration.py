@@ -6,7 +6,6 @@ import pytest
 from graphquery._canon import canonical_codes
 from graphquery.coloring import BudgetExceededError
 from graphquery.enumeration import (
-    _graph_to_adj,
     canonical_code,
     enumerate_graphs,
     verify_unique_colorable_edge_bound,
@@ -85,8 +84,10 @@ def test_codes_match_brute_force_minimum():
     # eight vertices where candidate ties branch most
     k44 = Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])
     for g in (empty_graph(8), complete_graph(8), cycle_graph(8), k44):
-        adj = _graph_to_adj(g)
-        assert canonical_codes(adj[None])[0] == brute_force_code(adj.tolist())
+        adj = [[nbrs >> v & 1 for v in range(g.n)] for nbrs in g.adjacency_masks()]
+        expected = brute_force_code(adj)
+        assert canonical_code(g) == expected
+        assert canonical_codes(np.array([adj], dtype=np.uint8))[0] == expected
     codes = canonical_codes(np.stack(batch))
     assert codes.dtype == np.int64
     assert codes.tolist() == [brute_force_code(a.tolist()) for a in batch]

@@ -1,10 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from graphquery import bounds, minimax
+from graphquery import bounds
+from graphquery.coloring import proper_partitions
+from graphquery.graphs import Graph
 from graphquery.minimax import (
     InstanceTooLargeError,
+    _candidates,
     _new_game,
     information_bound_check,
     minimax_query_complexity,
@@ -41,37 +45,30 @@ def test_memoized_resolve_is_stable():
     assert first == second == bounds.minimax_known_formula(5, 3)
 
 
-def test_guards(monkeypatch):
+def test_guards():
     with pytest.raises(InstanceTooLargeError):
         minimax_query_complexity(8, 3)
     with pytest.raises(InstanceTooLargeError):
-        minimax_query_complexity(7)
+        minimax_query_complexity(8)
     with pytest.raises(InstanceTooLargeError):
         minimax_query_complexity(6, 3, "alpha_m")
     with pytest.raises(ValueError):
         minimax_query_complexity(4, 2, "gamma")
     with pytest.raises(ValueError):
         minimax_query_complexity(4, 5)
-    # alpha at n=7 takes k <= 4 only: k = 5..7 would each run for close to a minute
-    for k in (5, 6, 7):
-        with pytest.raises(InstanceTooLargeError, match="k <= 4 at n=7"):
-            minimax_query_complexity(7, k)
     with pytest.raises(ValueError, match="k must lie in 1..7"):
         minimax_query_complexity(7, 8)
+    with pytest.raises(ValueError, match="k must lie in 1..7"):
+        minimax_query_complexity(7, 0)
 
-    # (7, 3) and (7, 4) pass the guards and reach the solver; solving (7, 4)
-    # takes seconds, so the solver is stubbed out here ((7, 3)'s value is
-    # pinned in test_alpha_values_at_six_and_seven_meet_the_formulas)
-    class Reached(Exception):
-        pass
 
-    def reached(*args):
-        raise Reached(args)
-
-    monkeypatch.setattr(minimax, "_new_game", reached)
-    for k in (1, 3, 4):
-        with pytest.raises(Reached):
-            minimax_query_complexity(7, k)
+def test_alpha_at_seven_with_large_or_unknown_k_meets_the_formulas():
+    # every k and k unknown at n=7 is inside the guards and solves in well
+    # under a second each
+    values = [minimax_query_complexity(7, k) for k in (4, 5, 6, 7)]
+    assert values == [bounds.minimax_known_formula(7, k) for k in (4, 5, 6, 7)]
+    assert values == [15, 18, 20, 21]
+    assert minimax_query_complexity(7) == bounds.minimax_unknown_formula(7) == 21
 
 
 def test_relabel_canonicalization_preserves_values():
@@ -102,36 +99,97 @@ def test_alpha_values_at_six_and_seven_meet_the_formulas():
     assert minimax_query_complexity(7, 3) == 11
 
 
-@pytest.mark.parametrize("kind", ["alpha", "alpha_m"])
-def test_windowed_value_keeps_its_contract(kind):
-    # value(mask, beta) is exact below beta and at least beta otherwise, and
-    # the bounds a window proves never pass for exact values later. Some sets
-    # are drawn from the partitions with at least 4 blocks: an alpha query
-    # splits one of them off at a time, so alpha values there lie far above
-    # ceil(log2 count), and windows fail high at the root and below it
-    rng = random.Random(f"window/{kind}")
-    cands, _ = _new_game(5, None, kind)
+def _random_graph(n, density, rng):
+    """Neighbour bitmasks of a seeded random graph on n vertices."""
+    nbrs = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < density:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+    return tuple(nbrs)
+
+
+def _edges(h):
+    return [(u, v) for u, v in combinations(range(len(h)), 2) if h[u] >> v & 1]
+
+
+def _alpha_window_cases(rng):
+    # auxiliary graphs on 5 vertices, k unknown: the live candidates are
+    # H's proper partitions. Sparse graphs keep many partitions alive, and
+    # an alpha query splits one of them off at a time, so their values lie
+    # far above ceil(log2 count) and windows fail high at the root and below it
+    for density in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+        h = _random_graph(5, density, rng)
+        live = proper_partitions(Graph.from_edges(5, _edges(h)), 5)
+        yield h, len(live), live
+
+
+def _alpha_m_window_cases(rng):
+    # candidate masks over every partition of 5 vertices; some are drawn
+    # from the partitions with at least 4 blocks
+    cands = _candidates(5, None)
     every = range(len(cands))
     fine = [i for i, p in enumerate(cands) if p.k >= 4]
-    failed_high = 0
     for pool, size in [(every, 4), (every, 6), (every, 8), (every, 10), (every, 12),
                        (fine, 5), (fine, 7), (fine, 9), (fine, 11)]:
         picked = rng.sample(pool, size)
-        mask = sum(1 << i for i in picked)
-        expected = brute_force_minimax(5, None, kind, live=[cands[i] for i in picked])
-        _, game = _new_game(5, None, kind)
+        yield sum(1 << i for i in picked), size, [cands[i] for i in picked]
+
+
+@pytest.mark.parametrize("kind", ["alpha", "alpha_m"])
+def test_windowed_value_keeps_its_contract(kind):
+    # value(state, count, beta) is exact below beta and at least beta
+    # otherwise, and the bounds a window proves never pass for exact values
+    # later
+    rng = random.Random(f"window/{kind}")
+    cases = _alpha_window_cases(rng) if kind == "alpha" else _alpha_m_window_cases(rng)
+    failed_high = 0
+    for state, count, live in cases:
+        expected = brute_force_minimax(5, None, kind, live=live)
+        game, _, _ = _new_game(5, None, kind)
         for beta in range(1, expected + 2):
-            got = game.value(mask, beta)
+            got = game.value(state, count, beta)
             if expected < beta:
-                assert got == expected, (size, beta)
+                assert got == expected, (count, beta)
             else:
-                assert got >= beta, (size, beta)
+                assert got >= beta, (count, beta)
         failed_high += bool(game.lower)
-        assert game.value(mask) == expected, size
+        assert game.value(state, count) == expected, count
     if kind == "alpha":
         # the checks above have a subject; pooled queries meet
         # ceil(log2 count) on every set here, so their windows never fail high
         assert failed_high
+
+
+def test_alpha_value_is_invariant_under_relabelling():
+    rng = random.Random("relabel")
+    for _ in range(30):
+        n = rng.randint(4, 6)
+        h = _random_graph(n, rng.choice((0.1, 0.2, 0.3, 0.5)), rng)
+        perm = rng.sample(range(n), n)
+        relabelled = [0] * n
+        for u, v in _edges(h):
+            relabelled[perm[u]] |= 1 << perm[v]
+            relabelled[perm[v]] |= 1 << perm[u]
+        relabelled = tuple(relabelled)
+        k = rng.randint(2, n)
+        count = len(proper_partitions(Graph.from_edges(n, _edges(h)), k))
+        game, _, _ = _new_game(n, k, "alpha")
+        value = game.value(h, count)
+        stored = dict(game.exact), dict(game.lower)
+        # the relabelled graph is a memo hit, and a fresh game agrees
+        assert game.value(relabelled, count) == value, (h, perm, k)
+        assert (game.exact, game.lower) == stored
+        fresh, _, _ = _new_game(n, k, "alpha")
+        assert fresh.value(relabelled, count) == value, (h, perm, k)
+
+
+def test_alpha_memos_hold_one_entry_per_isomorphism_class():
+    # 208 graphs on at most 6 vertices: a key that fell back to labelled
+    # graphs would store far more
+    game, root, count = _new_game(6, None, "alpha")
+    assert game.value(root, count) == bounds.minimax_unknown_formula(6)
+    assert len(game.exact) + len(game.lower) <= 208
 
 
 def test_alpha_m_values_at_five_are_frozen():
