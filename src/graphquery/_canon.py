@@ -18,6 +18,21 @@ Rows are placed most significant first, so the minimum code starts with
 the smallest row any candidate v can reach; only the candidates that tie on
 it are searched further. The bits still open depend on the state alone, so
 each state's best tail is memoised. The result is exactly the scan's code.
+
+Twin pruning. Two tied candidates u, v of the first cell are twins when
+N(u) minus v equals N(v) minus u. They lie in one cell, so they already
+agree on the placed vertices, and comparing their whole neighbour masks
+less u and v tests the open ones. The transposition (u v) is then an
+automorphism of the graph. It fixes every placed vertex and every cell,
+and it maps the state after placing u onto the state after placing v.
+Automorphic states have the same best tail, so only one candidate per
+twin class is searched. Twins have equal rows, so the test only runs
+among the candidates that tie on the smallest row.
+
+Fast paths. A state with two open vertices has one bit left, their
+adjacency, and returns it. A state whose first cell is a single vertex
+does not branch: its row and next state are computed directly, and it
+skips the memo, which only saves work where the search branches.
 """
 
 from __future__ import annotations
@@ -27,45 +42,70 @@ import numpy as np
 
 def code(nbrs: list[int] | tuple[int, ...]) -> int:
     """Canonical code of the graph whose vertex v has neighbour bitmask nbrs[v]."""
-    memo: dict[tuple[int, ...], int] = {}
+    n = len(nbrs)
+    return _best(nbrs, {}, ((1 << n) - 1,), n)
 
-    def best(cells: tuple[int, ...], size: int) -> int:
-        # minimum code of the rows of the `size` vertices still open in this state
-        if size <= 1:
+
+def _split(nbr: int, cells: tuple[int, ...]) -> tuple[int, ...]:
+    # each cell's non-neighbours of the placed vertex, then its neighbours
+    out = []
+    for cell in cells:
+        ones = cell & nbr
+        if ones != cell:
+            out.append(cell ^ ones)
+        if ones:
+            out.append(ones)
+    return tuple(out)
+
+
+def _best(nbrs, memo: dict, cells: tuple[int, ...], size: int) -> int:
+    """Minimum code of the rows of the `size` vertices still open in `cells`."""
+    if size <= 2:
+        if size < 2:
             return 0
-        found = memo.get(cells)
-        if found is not None:
-            return found
-        first = cells[0]
-        low_row = -1
-        ties = []
-        pending = first
-        while pending:
-            bit = pending & -pending
-            pending ^= bit
-            nbr = nbrs[bit.bit_length() - 1]
-            row = 0
-            split = []
-            for cell in (first ^ bit,) + cells[1:]:
-                ones = cell & nbr
-                zeros = cell ^ ones
-                width = ones.bit_count()
-                row = (row << cell.bit_count()) | ((1 << width) - 1)
-                if zeros:
-                    split.append(zeros)
-                if ones:
-                    split.append(ones)
-            if low_row < 0 or row < low_row:
-                low_row, ties = row, [split]
-            elif row == low_row:
-                ties.append(split)
-        left = size - 1
-        tail = min(best(tuple(split), left) for split in ties)
-        found = (low_row << left * (left - 1) // 2) | tail
-        memo[cells] = found
+        pair = cells[0] if len(cells) == 1 else cells[0] | cells[1]
+        low = pair & -pair
+        return 1 if nbrs[low.bit_length() - 1] & (pair ^ low) else 0
+    left = size - 1
+    first = cells[0]
+    if not first & (first - 1):
+        nbr = nbrs[first.bit_length() - 1]
+        rest = cells[1:]
+        row = 0
+        for cell in rest:
+            row = (row << cell.bit_count()) | ((1 << (cell & nbr).bit_count()) - 1)
+        return (row << left * (left - 1) // 2) | _best(nbrs, memo, _split(nbr, rest), left)
+    found = memo.get(cells)
+    if found is not None:
         return found
-
-    return best(((1 << len(nbrs)) - 1,), len(nbrs))
+    rest = cells[1:]
+    low_row = -1
+    ties: list[tuple[int, int]] = []
+    pending = first
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        nbr = nbrs[bit.bit_length() - 1]
+        # v's row: its neighbours in the rest of the first cell, then in
+        # each later cell, each cell's ones packed after its zeros
+        row = (1 << (first & nbr).bit_count()) - 1
+        for cell in rest:
+            row = (row << cell.bit_count()) | ((1 << (cell & nbr).bit_count()) - 1)
+        if low_row < 0 or row < low_row:
+            low_row, ties = row, [(bit, nbr)]
+        elif row == low_row:
+            for other_bit, other in ties:
+                if not (nbr ^ other) & ~(bit | other_bit):
+                    break  # a twin of a kept candidate: the same best tail
+            else:
+                ties.append((bit, nbr))
+    if len(ties) == 1:  # the common case, about 12% faster without min()
+        bit, nbr = ties[0]
+        tail = _best(nbrs, memo, _split(nbr, (first ^ bit,) + rest), left)
+    else:
+        tail = min(_best(nbrs, memo, _split(nbr, (first ^ bit,) + rest), left) for bit, nbr in ties)
+    found = memo[cells] = (low_row << left * (left - 1) // 2) | tail
+    return found
 
 
 def canonical_codes(adj: np.ndarray) -> np.ndarray:

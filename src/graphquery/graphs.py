@@ -82,16 +82,6 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def clique_union_graph(blocks: Iterable[Iterable[int]], n: int) -> Graph:
     """Disjoint union of cliques, one per block; realizes a partition as components."""
     edges = []

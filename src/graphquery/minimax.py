@@ -89,7 +89,7 @@ from . import bounds
 
 ALPHA_KNOWN_MAX_N = 7
 ALPHA_UNKNOWN_MAX_N = 7
-ALPHA_M_MAX_N = 5
+ALPHA_M_MAX_N = 8
 
 
 class InstanceTooLargeError(ValueError):

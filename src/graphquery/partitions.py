@@ -147,13 +147,6 @@ def partitions_with_at_most(n: int, kmax: int) -> Iterator[Partition]:
         yield _string_to_partition(assign)
 
 
-def partitions_with_exactly(n: int, k: int) -> Iterator[Partition]:
-    """All partitions of {0..n-1} into exactly k blocks, in a fixed order."""
-    for p in partitions_with_at_most(n, min(k, n)):
-        if p.k == k:
-            yield p
-
-
 def all_partitions(n: int) -> Iterator[Partition]:
     """All partitions of {0..n-1} (any block count)."""
     yield from partitions_with_at_most(n, n)

@@ -3,13 +3,30 @@
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import strategies as st
 
 from graphquery.graphs import Graph
-from graphquery.partitions import Partition
+from graphquery.partitions import Partition, partitions_with_at_most
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("a cycle needs at least 3 vertices")
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def partitions_with_exactly(n: int, k: int) -> Iterator[Partition]:
+    """All partitions of {0..n-1} into exactly k blocks, in a fixed order."""
+    for p in partitions_with_at_most(n, min(k, n)):
+        if p.k == k:
+            yield p
 
 
 @st.composite

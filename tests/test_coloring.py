@@ -19,14 +19,18 @@ from graphquery.coloring import (
 from graphquery.graphs import (
     Graph,
     complete_graph,
-    cycle_graph,
     empty_graph,
     normalize_edge,
-    path_graph,
 )
 from graphquery.partitions import Partition
 
-from conftest import brute_force_proper_partitions, brute_force_separable, graphs
+from conftest import (
+    brute_force_proper_partitions,
+    brute_force_separable,
+    cycle_graph,
+    graphs,
+    path_graph,
+)
 
 
 def k4_minus_edge():

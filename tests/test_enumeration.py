@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import combinations, permutations
 
 import numpy as np
@@ -5,13 +7,16 @@ import pytest
 
 from graphquery._canon import canonical_codes
 from graphquery.coloring import BudgetExceededError
+from graphquery import enumeration
 from graphquery.enumeration import (
     canonical_code,
     enumerate_graphs,
     verify_unique_colorable_edge_bound,
 )
-from graphquery.graphs import Graph, complete_graph, cycle_graph, empty_graph
+from graphquery.graphs import Graph, complete_graph, empty_graph
 from graphquery import bounds
+
+from conftest import cycle_graph
 
 
 def brute_force_classes(n):
@@ -72,6 +77,10 @@ def brute_force_code(adj):
     )
 
 
+def _adjacency(g):
+    return [[nbrs >> v & 1 for v in range(g.n)] for nbrs in g.adjacency_masks()]
+
+
 def test_codes_match_brute_force_minimum():
     rng = np.random.default_rng(3)
     batch = []
@@ -81,16 +90,59 @@ def test_codes_match_brute_force_minimum():
             for j in range(i + 1, 6):
                 a[i, j] = a[j, i] = rng.integers(0, 2)
         batch.append(a)
-    # eight vertices where candidate ties branch most
+    # seven and eight vertices where candidate ties branch most, and
+    # twin-rich graphs where the search keeps one candidate per twin class
     k44 = Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])
-    for g in (empty_graph(8), complete_graph(8), cycle_graph(8), k44):
-        adj = [[nbrs >> v & 1 for v in range(g.n)] for nbrs in g.adjacency_masks()]
+    k233 = Graph.from_edges(8, [(u, v) for u, v in combinations(range(8), 2)
+                                if (u >= 2) + (u >= 5) != (v >= 2) + (v >= 5)])
+    two_k4 = Graph.from_edges(8, [*combinations(range(4), 2), *combinations(range(4, 8), 2)])
+    star_plus_edge = Graph.from_edges(7, [*((0, v) for v in range(1, 7)), (1, 2)])
+    for g in (empty_graph(8), complete_graph(8), cycle_graph(8), k44, k233, two_k4,
+              star_plus_edge):
+        adj = _adjacency(g)
         expected = brute_force_code(adj)
         assert canonical_code(g) == expected
         assert canonical_codes(np.array([adj], dtype=np.uint8))[0] == expected
     codes = canonical_codes(np.stack(batch))
     assert codes.dtype == np.int64
     assert codes.tolist() == [brute_force_code(a.tolist()) for a in batch]
+
+
+def test_codes_match_brute_force_on_every_small_labelled_graph():
+    assert canonical_code(empty_graph(1)) == 0
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+            assert canonical_code(g) == brute_force_code(_adjacency(g)), (n, mask)
+
+
+def test_canonical_code_is_relabel_invariant_at_eight_vertices():
+    rng = random.Random(8)
+    pairs = list(combinations(range(8), 2))
+    for _ in range(60):
+        density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+        edges = [p for p in pairs if rng.random() < density]
+        perm = rng.sample(range(8), 8)
+        g = Graph.from_edges(8, edges)
+        relabelled = Graph.from_edges(8, [(perm[u], perm[v]) for u, v in edges])
+        assert canonical_code(relabelled) == canonical_code(g), (edges, perm)
+
+
+# the first 16 hex digits of sha256(",".join(codes)) for each level: the
+# sorted code order sets tight_examples, so no kernel change may move it
+LEVEL_DIGESTS = (
+    "5feceb66ffc86f38", "83b97b859aa5f81b", "e07a92fb5aaa9795", "ee8879922ff2981c",
+    "92c2b3d1c584d2f0", "995555965de9494f", "cb0450eee4c3f597",
+)
+
+
+def test_enumeration_order_is_frozen():
+    digests = tuple(
+        hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()[:16]
+        for _, codes in enumeration._levels(7, 10**7)
+    )
+    assert digests == LEVEL_DIGESTS
 
 
 def test_enumeration_guards():

@@ -7,11 +7,10 @@ from graphquery.graphs import (
     connected_components,
     format_edge_list,
     parse_edge_list,
-    path_graph,
 )
 from graphquery.partitions import Partition
 
-from conftest import brute_force_components, graphs
+from conftest import brute_force_components, graphs, path_graph
 
 
 def test_graph_rejects_self_loops_and_out_of_range():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphquery import bounds
 from graphquery.adversaries import SeparabilityAdversary, UnknownCountAdversary
-from graphquery.graphs import Graph, complete_graph, connected_components, empty_graph, path_graph
+from graphquery.graphs import Graph, complete_graph, connected_components, empty_graph
 from graphquery.instances import random_edge_graph, random_partition_graph, worst_case_graph
 from graphquery.learners import (
     OracleInconsistencyError,
@@ -22,7 +22,7 @@ from graphquery.learners import (
 from graphquery.oracles import HonestOracle
 from graphquery.partitions import Partition
 
-from conftest import graphs
+from conftest import graphs, path_graph
 
 
 # ---------------------------------------------------------------- membership

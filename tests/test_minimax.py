@@ -51,7 +51,7 @@ def test_guards():
     with pytest.raises(InstanceTooLargeError):
         minimax_query_complexity(8)
     with pytest.raises(InstanceTooLargeError):
-        minimax_query_complexity(6, 3, "alpha_m")
+        minimax_query_complexity(9, 3, "alpha_m")
     with pytest.raises(ValueError):
         minimax_query_complexity(4, 2, "gamma")
     with pytest.raises(ValueError):
@@ -196,6 +196,17 @@ def test_alpha_m_values_at_five_are_frozen():
     # brute_force_minimax gives these too, but takes about a minute at n=5
     values = [minimax_query_complexity(5, k, "alpha_m") for k in (1, 2, 3, 4, 5, None)]
     assert values == [0, 4, 6, 6, 6, 6]
+
+
+@pytest.mark.parametrize("n, values", [
+    (6, [5, 8, 8, 8, 8, 8]),
+    (7, [6, 9, 10, 10, 10, 10, 10]),
+])
+def test_alpha_m_values_at_six_and_seven_are_frozen(n, values):
+    # k = 2..n, then k unknown; with k unknown the value meets
+    # ceil(log2 B(n)) = 8 and 10
+    ks = [*range(2, n + 1), None]
+    assert [minimax_query_complexity(n, k, "alpha_m") for k in ks] == values
 
 
 def test_pooled_queries_beat_pairwise_information():

@@ -8,9 +8,10 @@ from graphquery.partitions import (
     all_partitions,
     is_refinement,
     partitions_with_at_most,
-    partitions_with_exactly,
     stirling_partition_count,
 )
+
+from conftest import partitions_with_exactly
 
 
 def brute_force_partitions(n):
