@@ -42,8 +42,17 @@ def _validated_pair(x: int, y: int, n: int) -> tuple[int, int]:
     return normalize_edge(x, y)
 
 
-def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[Graph, Coloring]:
-    """Validated starting edges and proper coloring; the coloring defaults to balanced."""
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[list[int], Coloring]:
+    """Neighbour bitmasks of the validated starting edges, and a proper
+    coloring of them; the coloring defaults to balanced."""
     graph = Graph.from_edges(n, initial_edges or ())
     # built from a list, not a generator: CPython resizes a tuple it builds
     # from a generator, and its per-length tuple free lists then keep one
@@ -54,7 +63,7 @@ def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[Gra
     chi = Coloring(colors, k)
     if not chi.is_proper(graph):
         raise ValueError("initial coloring is not proper on the initial edges")
-    return graph, chi
+    return graph.adjacency_masks(), chi
 
 
 def _audit(claimed: Partition, parts: list[Partition], unique_detail: str) -> AuditVerdict:
@@ -87,9 +96,10 @@ class _SeparabilityRule:
     subclass this as siblings, so patching one variant's methods (as a
     tracer does) never reaches the other.
 
-    `masks` holds the auxiliary graph's adjacency bitmasks, kept in step
-    with `edges`. Once a search has set chi, chi is the first proper
-    coloring of the auxiliary graph in the search order, and it stays first:
+    `masks` holds the auxiliary graph's neighbour bitmasks, its only stored
+    form; `edges` and `graph_view()` are read from it. Once a search has set
+    chi, chi is the first proper coloring of the auxiliary graph in the
+    search order, and it stays first:
       - a new edge that chi already separates keeps it first, because every
         coloring of G plus that edge is also a coloring of G;
       - an inseparable pair leaves G alone;
@@ -102,18 +112,22 @@ class _SeparabilityRule:
     search of such an adversary starts cold.
     """
 
-    def __init__(self, n: int, k: int, graph: Graph, chi: Coloring, chi_is_first: bool):
+    def __init__(self, n: int, k: int, masks: list[int], chi: Coloring, chi_is_first: bool):
         self.n = n
         self.k = k
-        self.edges: set[Edge] = set(graph.edges)
-        self.masks = graph.adjacency_masks()
+        self.masks = masks
         self.forced_edges: set[Edge] = set()
         self.chi = chi
         self.chi_is_first = chi_is_first
         self.ledger = QueryLedger()
 
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The auxiliary graph's edges, read from the masks."""
+        return frozenset((u, v) for u, nbrs in enumerate(self.masks) for v in _bits(nbrs) if u < v)
+
     def graph_view(self) -> Graph:
-        return Graph(self.n, frozenset(self.edges))
+        return Graph(self.n, self.edges)
 
     def forced_graph_view(self) -> Graph:
         return Graph(self.n, frozenset(self.forced_edges))
@@ -129,9 +143,7 @@ class _SeparabilityRule:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
         answer = 0
-        if colors[u] != colors[v]:  # also true of every recorded edge
-            self.edges.add(pair)
-        else:
+        if colors[u] == colors[v]:  # never true of a recorded edge
             after = colors[: v + 1] if self.chi_is_first else ()
             separating = None
             try:
@@ -144,7 +156,6 @@ class _SeparabilityRule:
                 self.forced_edges.add(pair)
                 answer = 1
             else:
-                self.edges.add(pair)
                 self.chi = separating
                 self.chi_is_first = True
         new = self.chi.colors
@@ -152,8 +163,8 @@ class _SeparabilityRule:
             # chi was proper on the old edges; only a new edge can break that
             assert answer or new[u] != new[v]
         else:
-            # masks equal the edges, so chi is proper iff no vertex has a
-            # neighbor inside its own color class
+            # chi is proper iff no vertex has a neighbor inside its own
+            # color class
             classes = [0] * (self.k + 1)
             for w, c in enumerate(new):
                 classes[c] |= 1 << w
@@ -174,8 +185,8 @@ class SeparabilityAdversary(_SeparabilityRule):
     def __init__(self, n: int, k: int, initial_coloring=None, initial_edges=None):
         if not 2 <= k <= n:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-        graph, chi = _initial_state(n, k, initial_coloring, initial_edges)
-        super().__init__(n, k, graph, chi, chi_is_first=False)
+        masks, chi = _initial_state(n, k, initial_coloring, initial_edges)
+        super().__init__(n, k, masks, chi, chi_is_first=False)
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         """Forced iff the auxiliary graph pins down a single consistent partition.
@@ -186,7 +197,7 @@ class SeparabilityAdversary(_SeparabilityRule):
         """
         if claimed.n != self.n:
             raise ValueError("claimed partition is over the wrong vertex set")
-        parts = proper_partitions(self.graph_view(), self.k, limit=2)
+        parts = proper_partitions(self.masks, self.k, limit=2)
         return _audit(claimed, parts, "auxiliary graph has a unique consistent partition")
 
 
@@ -204,7 +215,7 @@ class UnknownCountAdversary(_SeparabilityRule):
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         # all-1 is the first coloring of the edgeless graph
-        super().__init__(n, k, Graph(n, frozenset()), Coloring((1,) * n, k), chi_is_first=True)
+        super().__init__(n, k, [0] * n, Coloring((1,) * n, k), chi_is_first=True)
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         """Forced iff the claim is the only partition (of any block count) that fits.
@@ -220,7 +231,7 @@ class UnknownCountAdversary(_SeparabilityRule):
             return AuditVerdict(
                 False, certificate, "certificate components form a consistent refinement"
             )
-        parts = proper_partitions(self.graph_view(), self.k, limit=2)
+        parts = proper_partitions(self.masks, self.k, limit=2)
         return _audit(claimed, parts, "certificate components and auxiliary graph agree")
 
 
@@ -232,6 +243,11 @@ class ContractionAdversary:
     same-colored query, a small endpoint (the first argument when both are
     small) is recolored to another admissible color; when both endpoints are
     big they are contracted and the answer is 1.
+
+    The quotient is stored as neighbour bitmasks and colors, both indexed by
+    representative label: `masks[r]` holds the representatives adjacent to
+    class r, and `color[r]` is r's color. A label that is no longer a
+    representative has mask 0, and its color is never read again.
     """
 
     variant = "contraction"
@@ -241,89 +257,62 @@ class ContractionAdversary:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
         self.n = n
         self.k = k
-        graph, chi = _initial_state(n, k, initial_coloring, initial_edges)
+        self.masks, chi = _initial_state(n, k, initial_coloring, initial_edges)
+        self.color = list(chi.colors)
         self.contraction = ContractionMap(n)
-        self.adj: dict[int, set[int]] = {v: set(graph.adjacency[v]) for v in range(n)}
-        self.color: dict[int, int] = dict(enumerate(chi.colors))
         self.ledger = QueryLedger()
-
-    def _rep(self, v: int) -> int:
-        return self.contraction.find(v)
-
-    def _is_big(self, rep: int) -> bool:
-        return len(self.adj[rep]) >= self.k - 1
-
-    def _recolor(self, rep: int, avoid: int) -> None:
-        blocked = {self.color[u] for u in self.adj[rep]}
-        blocked.add(avoid)
-        for c in range(1, self.k + 1):
-            if c not in blocked:
-                self.color[rep] = c
-                return
-        raise AssertionError("small vertex lost all admissible colors")
-
-    def _add_edge(self, a: int, b: int) -> None:
-        self.adj[a].add(b)
-        self.adj[b].add(a)
-
-    def _contract(self, a: int, b: int) -> None:
-        root = self.contraction.union(a, b)
-        gone = b if root == a else a
-        for u in self.adj[gone]:
-            self.adj[u].discard(gone)
-            if u != root:
-                self.adj[u].add(root)
-                self.adj[root].add(u)
-        self.adj[root].discard(root)
-        self.adj[root].discard(gone)
-        del self.adj[gone]
-        del self.color[gone]
 
     def membership_query(self, x: int, y: int) -> int:
         _validated_pair(x, y, self.n)
-        rx, ry = self._rep(x), self._rep(y)
+        find = self.contraction.find
+        rx, ry = find(x), find(y)
         if rx == ry:
             raise ValueError(f"vertices {x} and {y} are already identified")
-        if self.color[rx] != self.color[ry]:
-            self._add_edge(rx, ry)
-            answer = 0
-        elif not self._is_big(rx):
-            self._recolor(rx, avoid=self.color[ry])
-            self._add_edge(rx, ry)
-            answer = 0
-        elif not self._is_big(ry):
-            self._recolor(ry, avoid=self.color[rx])
-            self._add_edge(rx, ry)
-            answer = 0
-        else:
-            self._contract(rx, ry)
-            answer = 1
+        masks, color = self.masks, self.color
+        answer = 0
+        if color[rx] == color[ry]:
+            small = rx if masks[rx].bit_count() < self.k - 1 else ry
+            if masks[small].bit_count() < self.k - 1:
+                # recolor: the least color held by no neighbor and not by the
+                # other endpoint, which shares small's color. Fewer than k-1
+                # neighbors leave one free (bit 0 stands for the unused 0).
+                blocked = 1 | 1 << color[small]
+                for w in _bits(masks[small]):
+                    blocked |= 1 << color[w]
+                color[small] = (~blocked & (blocked + 1)).bit_length() - 1
+                assert color[small] <= self.k, "small vertex lost all admissible colors"
+            else:
+                # contract: same-colored classes are not adjacent, so the
+                # merged mask holds neither of them
+                root = self.contraction.union(rx, ry)
+                gone = rx + ry - root
+                masks[root] |= masks[gone]
+                for w in _bits(masks[gone]):
+                    masks[w] = masks[w] & ~(1 << gone) | 1 << root
+                masks[gone] = 0
+                answer = 1
+        if not answer:
+            masks[rx] |= 1 << ry
+            masks[ry] |= 1 << rx
         self.ledger.append("alpha", (x, y), answer)
         return answer
-
-    def quotient_view(self) -> Graph:
-        """Current contracted auxiliary graph with reps relabeled densely."""
-        reps = self.contraction.representatives()
-        index = {rep: i for i, rep in enumerate(reps)}
-        edges = {
-            (min(index[a], index[b]), max(index[a], index[b]))
-            for a in reps
-            for b in self.adj[a]
-        }
-        return Graph(len(reps), frozenset(edges))
 
     def chi_partition(self) -> Partition:
         """Color classes lifted through the contraction map to original labels."""
         blocks: dict[int, list[int]] = {}
+        find = self.contraction.find
         for v in range(self.n):
-            blocks.setdefault(self.color[self._rep(v)], []).append(v)
+            blocks.setdefault(self.color[find(v)], []).append(v)
         return Partition.from_blocks(blocks.values())
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         if claimed.n != self.n:
             raise ValueError("claimed partition is over the wrong vertex set")
-        parts = proper_partitions(self.quotient_view(), self.k, limit=2)
         # quotient vertex i is the i-th class in ascending representative order
+        reps = self.contraction.representatives()
+        index = {rep: i for i, rep in enumerate(reps)}
+        quotient = [sum(1 << index[w] for w in _bits(self.masks[rep])) for rep in reps]
+        parts = proper_partitions(quotient, self.k, limit=2)
         classes = self.contraction.classes()
         lifted = [
             Partition.from_blocks([v for i in block for v in classes[i]] for block in p.blocks)

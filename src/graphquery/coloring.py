@@ -196,17 +196,19 @@ def find_k_coloring(
 
 
 def proper_partitions(
-    g: Graph,
+    g: Graph | list[int],
     k: int,
     limit: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[Partition]:
     """Distinct proper color-class partitions of g with at most k classes.
 
+    g is a Graph or its list of adjacency bitmasks (which is only read).
     With `limit` set, stops as soon as that many have been found.
     """
+    masks = g.adjacency_masks() if isinstance(g, Graph) else g
     out = []
-    for colors in _search_colorings(g.adjacency_masks(), k, limit=limit, node_budget=node_budget):
+    for colors in _search_colorings(masks, k, limit=limit, node_budget=node_budget):
         out.append(Coloring(colors, k).classes())
     return out
 

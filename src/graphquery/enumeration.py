@@ -14,6 +14,8 @@ from . import bounds
 ENUMERATION_MAX_N = 7
 EDGE_BOUND_MAX_K = 3
 DEFAULT_GRAPH_BUDGET = 10_000_000
+# uniquely colorable graphs at the edge floor listed per row of the report
+MAX_TIGHT_EXAMPLES = 4
 
 
 def _code_to_graph(code: int, n: int) -> Graph:
@@ -124,7 +126,6 @@ def verify_unique_colorable_edge_bound(
     n_max: int,
     k: int,
     graph_budget: int = DEFAULT_GRAPH_BUDGET,
-    max_tight_examples: int = 4,
 ) -> EdgeBoundReport:
     """Enumerate all graphs with at most n_max vertices (up to isomorphism),
     filter the uniquely k-colorable ones, and check each against the
@@ -147,7 +148,7 @@ def verify_unique_colorable_edge_bound(
             unique_count += 1
             if min_edges is None or g.m < min_edges:
                 min_edges = g.m
-            if g.m == bound and len(tight) < max_tight_examples:
+            if g.m == bound and len(tight) < MAX_TIGHT_EXAMPLES:
                 tight.append(tuple(g.sorted_edges()))
             if g.m < bound:
                 bad.append(tuple(g.sorted_edges()))

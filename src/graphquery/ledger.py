@@ -3,30 +3,27 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import Partition
 
 KINDS = ("alpha", "alpha_m", "beta")
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
+    """One recorded query; its index is its position in the ledger."""
+
     kind: str
     args: tuple
     answer: int
-    index: int
 
-    def to_json(self) -> str:
+    def to_json(self, index: int) -> str:
         if self.kind == "alpha":
             args = list(self.args)
         else:
             v, subset = self.args
             args = [v, sorted(subset)]
-        return json.dumps(
-            {"kind": self.kind, "args": args, "answer": self.answer, "index": self.index}
-        )
+        return json.dumps({"kind": self.kind, "args": args, "answer": self.answer, "index": index})
 
 
 class QueryLedger:
@@ -40,7 +37,7 @@ class QueryLedger:
             raise ValueError(f"unknown oracle kind {kind!r}")
         if answer not in (0, 1):
             raise ValueError("answer must be a bit")
-        entry = LedgerEntry(kind, args, answer, len(self._entries))
+        entry = LedgerEntry(kind, args, answer)
         self._entries.append(entry)
         return entry
 
@@ -62,7 +59,7 @@ class QueryLedger:
         return sum(1 for e in self._entries if e.answer == bit)
 
     def to_jsonl(self) -> str:
-        return "\n".join(e.to_json() for e in self._entries) + ("\n" if self._entries else "")
+        return "".join(e.to_json(i) + "\n" for i, e in enumerate(self._entries))
 
     @classmethod
     def from_jsonl(cls, text: str) -> QueryLedger:
@@ -78,11 +75,10 @@ class QueryLedger:
             else:
                 v, subset = obj["args"]
                 args = (v, frozenset(subset))
-            entry = ledger.append(kind, args, obj["answer"])
-            if entry.index != obj["index"]:
-                raise ValueError(
-                    f"entry index {obj['index']} does not match position {entry.index}"
-                )
+            position = len(ledger)
+            ledger.append(kind, args, obj["answer"])
+            if obj["index"] != position:
+                raise ValueError(f"entry index {obj['index']} does not match position {position}")
         return ledger
 
 

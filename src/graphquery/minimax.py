@@ -60,20 +60,7 @@ one that only has to learn the block count, must search such states
 itself.
 
 Both memos belong to one `_Game`, which one `minimax_query_complexity`
-call builds and drops, so no solver state outlives a call. An earlier
-symmetry reduction mapped each candidate mask to its minimum over all n!
-vertex relabelings. It made every game whose solve takes over a
-millisecond 9x-316x slower (alpha n=6, k=3: 1.98 s against 0.035 s), and
-at n=7, k=3 building its tables alone took 27 s, because each lookup
-remapped its mask n! times. One canonical code per visited graph state
-wins instead: it is one ordered-partition search on at most 7 vertices,
-computed only for a state the search enters with more than 3 candidates,
-and it folds the labelled states into at most 208 classes on 6 vertices
-(1044 on exactly 7). Alpha (6, k unknown) stored 33.8k lower bounds on
-labelled masks; it now stores 177 states in all. Every alpha game on 6
-vertices, every k and k unknown, took 0.74 s and now takes about 0.12 s,
-and alpha (7, 5), (7, 6) and (7, 7) went from 41-54 s each to about half
-a second (2-vCPU Xeon VM, Python 3.11.7).
+call builds and drops, so no solver state outlives a call.
 """
 
 from __future__ import annotations
@@ -83,7 +70,6 @@ from operator import itemgetter
 
 from ._canon import code
 from .coloring import DEFAULT_NODE_BUDGET, _search_colorings
-from .graphs import ContractionMap
 from .partitions import Partition, all_partitions, partitions_with_at_most
 from . import bounds
 
@@ -241,12 +227,10 @@ def _alpha_m_game(n: int, k: int | None) -> tuple[_Game, int, int]:
     def moves(mask):
         # One query vertex per known-together class, and pools built from one
         # representative per class: classmates answer identically on every
-        # live candidate, so nothing else is informative.
-        together = ContractionMap(n)
-        for (u, v), pm in pair_masks.items():
-            if mask & ~pm == 0 and not together.same(u, v):
-                together.union(u, v)
-        vertices = together.representatives()
+        # live candidate, so nothing else is informative. "Together on every
+        # live candidate" is an intersection of equivalence relations, so it
+        # is transitive, and a class's least member represents it.
+        vertices = [v for v in range(n) if all(mask & ~pair_masks[(u, v)] for u in range(v))]
         # every (v, S) with S a nonempty subset of the other representatives;
         # each pool's mask extends the mask of S minus its lowest member
         out = []

@@ -33,11 +33,11 @@ class HonestOracle:
     returns the same bit, and every call lands in the ledger.
     """
 
-    def __init__(self, hidden: Graph, ledger: QueryLedger | None = None):
+    def __init__(self, hidden: Graph):
         self.hidden = hidden
         self.n = hidden.n
         self.hidden_partition = connected_components(hidden)
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger()
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:

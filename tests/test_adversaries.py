@@ -225,11 +225,11 @@ def test_contraction_walkthrough():
     # different colors: plain edge, answer 0
     assert adv.membership_query(2, 3) == 0
     # same color, degree-2 endpoint 1 is big, endpoint 2 small: recolor 2
-    assert len(adv.adj[1]) == 2 and len(adv.adj[2]) == 1
+    assert adv.masks[1].bit_count() == 2 and adv.masks[2].bit_count() == 1
     assert adv.membership_query(1, 2) == 0
     assert adv.color[2] == 3  # recolored away from color 1, avoiding neighbor 3
     # both endpoints now big: contract and answer 1
-    assert len(adv.adj[0]) == 2 and len(adv.adj[1]) == 3
+    assert adv.masks[0].bit_count() == 2 and adv.masks[1].bit_count() == 3
     assert adv.membership_query(0, 1) == 1
     assert adv.contraction.same(0, 1)
     assert [e.answer for e in adv.ledger] == [0, 0, 1]
@@ -523,36 +523,66 @@ def _random_start(n: int, k: int, rng: random.Random):
     return colors, edges
 
 
-@pytest.mark.parametrize("start", ["separability", "separability-initial", "unknown-count"])
+def _quotient_masks(n: int, pairs, find) -> list[int]:
+    """Neighbour bitmasks of the pairs mapped through `find`, a self-loop as
+    the vertex's own bit."""
+    masks = [0] * n
+    for x, y in pairs:
+        masks[find(x)] |= 1 << find(y)
+        masks[find(y)] |= 1 << find(x)
+    return masks
+
+
+@pytest.mark.parametrize("start", ["separability", "separability-initial", "unknown-count", "contraction"])
 def test_live_masks_and_coloring_track_the_auxiliary_graph(start):
     # seeded pair streams with repeats and inseparable pairs; after every
-    # query the live masks equal the edges' masks, and once a search has run,
-    # chi is the cold search's first coloring of the auxiliary graph
+    # query the masks hold exactly the starting edges and the pairs answered
+    # 0, the coloring is proper on them, and once a search has run, chi is
+    # the cold search's first coloring of the auxiliary graph. The
+    # contraction adversary keeps the quotient: each representative's mask
+    # holds the representatives it was answered 0 against, and every other
+    # label's mask is 0.
     rng = random.Random(f"live-masks/{start}")
     repeats = ones = 0
     for _ in range(40):
         n = rng.randint(2, 9)
+        edges = []
         if start == "unknown-count":
             adv = UnknownCountAdversary(n, rng.randint(1, min(4, n)))
         elif start == "separability":
             adv = SeparabilityAdversary(n, rng.randint(2, min(4, n)))
-        else:
+        elif start == "separability-initial":
             k = rng.randint(2, min(4, n))
             colors, edges = _random_start(n, k, rng)
             adv = SeparabilityAdversary(n, k, initial_coloring=colors, initial_edges=edges)
+        else:
+            k = rng.randint(2, min(4, n))
+            colors, edges = _random_start(n, k, rng) if rng.random() < 0.5 else (None, [])
+            adv = ContractionAdversary(n, k, initial_coloring=colors, initial_edges=edges)
         asked = set()
         for _ in range(3 * n * n):
             x, y = rng.sample(range(n), 2)
+            if start == "contraction" and adv.contraction.same(x, y):
+                continue
             pair = (min(x, y), max(x, y))
             repeats += pair in asked
             asked.add(pair)
             ones += adv.membership_query(x, y)
+            zeros = edges + [e.args for e in adv.ledger if not e.answer]
+            if start == "contraction":
+                find = adv.contraction.find
+                assert adv.masks == _quotient_masks(n, zeros, find)
+                for r in adv.contraction.representatives():
+                    assert 1 <= adv.color[r] <= adv.k
+                    assert all(adv.color[r] != adv.color[w] for w in range(n) if adv.masks[r] >> w & 1)
+                continue
             graph = adv.graph_view()
-            assert adv.masks == graph.adjacency_masks()
+            assert adv.masks == _quotient_masks(n, zeros, lambda v: v)
             assert adv.chi.is_proper(graph)
             if adv.chi_is_first:
                 assert adv.chi == find_k_coloring(graph, adv.k)
-    assert repeats > 1000 and ones > 100
+    # a contraction stream answers 1 at most n - 1 times
+    assert repeats > 1000 and ones > (50 if start == "contraction" else 100)
 
 
 # SHA-256 over every query, its answer and the coloring after it (contraction:

@@ -205,9 +205,9 @@ def test_search_order_matches_lexicographic_reference():
         pairs = list(combinations(range(n), 2))
         g = Graph(n, frozenset(rng.sample(pairs, rng.randint(0, len(pairs)))))
         expect = [Coloring(colors, k).classes() for colors in _reference_colorings(g, k)]
-        assert proper_partitions(g, k) == expect
-        assert proper_partitions(g, k, limit=1) == expect[:1]
-        assert proper_partitions(g, k, limit=2) == expect[:2]
+        for given in (g, g.adjacency_masks()):
+            for limit in (None, 1, 2):
+                assert proper_partitions(given, k, limit) == expect[:limit]
         for i, j in [p for p in pairs if p not in g.edges][:3]:
             first = _reference_colorings(g, k, (i, j))[:1]
             for pair in ((i, j), (j, i)):

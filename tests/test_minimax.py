@@ -71,6 +71,14 @@ def test_alpha_at_seven_with_large_or_unknown_k_meets_the_formulas():
     assert minimax_query_complexity(7) == bounds.minimax_unknown_formula(7) == 21
 
 
+@pytest.mark.parametrize("k, value", [(2, 7), (3, 13), (4, 18)])
+def test_alpha_at_eight_with_small_k_meets_the_formula(k, value):
+    # n=8 is past the guard, so the game is played directly; (8, 4) takes
+    # about two seconds
+    game, root, count = _new_game(8, k, "alpha")
+    assert game.value(root, count) == bounds.minimax_known_formula(8, k) == value
+
+
 def test_relabel_canonicalization_preserves_values():
     # canonicalize=True is still accepted and changes no value
     for n in range(2, 6):

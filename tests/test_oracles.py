@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -77,7 +78,7 @@ def test_ledger_append_only_and_count(oracle):
     oracle.membership_query(0, 1)
     oracle.multi_membership_query(0, {3})
     entries = oracle.ledger.entries
-    assert [e.index for e in entries] == [0, 1]
+    assert [json.loads(line)["index"] for line in oracle.ledger.to_jsonl().splitlines()] == [0, 1]
     assert oracle.ledger.count == 2
     oracle.membership_query(2, 3)
     assert entries == oracle.ledger.entries[:2]  # earlier view unchanged
@@ -100,6 +101,9 @@ def test_ledger_rejects_bad_entries():
         ledger.append("gamma", (0, 1), 0)
     with pytest.raises(ValueError):
         ledger.append("alpha", (0, 1), 2)
+    line = '{"kind": "alpha", "args": [0, 1], "answer": 0, "index": 1}'
+    with pytest.raises(ValueError, match="entry index 1 does not match position 0"):
+        QueryLedger.from_jsonl(line)
 
 
 def test_replay_against_partition(oracle):
