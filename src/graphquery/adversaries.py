@@ -299,11 +299,8 @@ class ContractionAdversary:
 
     def chi_partition(self) -> Partition:
         """Color classes lifted through the contraction map to original labels."""
-        blocks: dict[int, list[int]] = {}
-        find = self.contraction.find
-        for v in range(self.n):
-            blocks.setdefault(self.color[find(v)], []).append(v)
-        return Partition.from_blocks(blocks.values())
+        color, find = self.color, self.contraction.find
+        return Partition.from_labels([color[find(v)] for v in range(self.n)])
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         if claimed.n != self.n:

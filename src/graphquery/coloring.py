@@ -10,6 +10,11 @@ vertices adjacent to that color, and cuts a branch as soon as some uncolored
 vertex has every color blocked (forward checking). The cut only drops
 subtrees without solutions, so it saves nodes but never changes the output.
 
+On the edgeless graph (`[0] * n`) nothing is cut, and the search yields
+every partition into at most k blocks once, as its restricted growth string
+plus 1, in lexicographic order. It is the only partition enumerator: the
+alpha_m minimax game indexes its candidates in that order.
+
 `find_k_coloring(..., after=p)` resumes that order instead of starting it:
 it returns the first proper coloring that comes after every coloring
 beginning with the prefix p. The search replays p[:-1], tries the colors
@@ -19,6 +24,11 @@ that knows every coloring up to the end of p's subtree is improper (the
 adversaries do; see `adversaries._SeparabilityRule`) gets the cold search's
 answer for a fraction of its nodes.
 
+The search is a lazy generator with no limit of its own: a caller stops
+reading once it has what it needs (`find_k_coloring` after one coloring,
+`proper_partitions` after `limit` partitions), and the search spends no
+node past the last solution read.
+
 The searches are still exponential and intended for desk-scale inputs only;
 every entry point takes a node budget and aborts with BudgetExceededError
 when the search tree outgrows it.
@@ -27,14 +37,16 @@ when the search tree outgrows it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .graphs import Graph, normalize_edge
 from .partitions import Partition
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
-# Instrumentation: every backtracking search bumps these. Polynomial-time
-# code paths must leave them untouched (tests rely on that).
+# Instrumentation: every backtracking search bumps these, including the
+# alpha_m minimax game's candidate enumeration (one invocation per game).
+# Polynomial-time code paths must leave them untouched (tests rely on that).
 SEARCH_STATS = {"invocations": 0, "nodes": 0}
 
 
@@ -65,21 +77,15 @@ class Coloring:
     def n(self) -> int:
         return len(self.colors)
 
-    def color_of(self, v: int) -> int:
-        return self.colors[v]
-
     def classes(self) -> Partition:
         """Partition into the nonempty color classes."""
-        blocks: dict[int, list[int]] = {}
-        for v, c in enumerate(self.colors):
-            blocks.setdefault(c, []).append(v)
-        return Partition.from_blocks(blocks.values())
+        return Partition.from_labels(self.colors)
 
     def is_proper(self, g: Graph) -> bool:
         return all(self.colors[u] != self.colors[v] for u, v in g.edges)
 
 
-def _search_colorings(masks: list[int], k: int, limit, node_budget, after=()):
+def _search_colorings(masks: list[int], k: int, node_budget, after=()):
     """Backtracking over color-class partitions, with forward checking.
 
     `masks[v]` is the bitmask of v's neighbors. Vertices are assigned in
@@ -87,8 +93,9 @@ def _search_colorings(masks: list[int], k: int, limit, node_budget, after=()):
     may introduce color c only when colors 1..c-1 already appear. This
     visits each proper color-class partition exactly once, so outputs are
     deterministic and palette permutations are never enumerated. Yields
-    solutions as color tuples until `limit` of them. A nonempty `after`
-    starts the search just past every coloring that begins with it.
+    solutions as color tuples, lazily: the caller stops it by reading no
+    further. A nonempty `after` starts the search just past every coloring
+    that begins with it.
 
     `near[c]` is the bitmask of vertices adjacent to some vertex colored c,
     so v may take c iff bit v of near[c] is clear. After a color is placed,
@@ -111,7 +118,6 @@ def _search_colorings(masks: list[int], k: int, limit, node_budget, after=()):
 
     colors = [0] * n
     near = [0] * (k + 1)
-    found = 0
     budget = [node_budget]
 
     def dead_after(v: int) -> int:
@@ -122,9 +128,7 @@ def _search_colorings(masks: list[int], k: int, limit, node_budget, after=()):
         return common
 
     def rec(v: int, used: int, first: int = 1):
-        nonlocal found
         if v == n:
-            found += 1
             yield tuple(colors)
             return
         bit = 1 << v
@@ -147,8 +151,6 @@ def _search_colorings(masks: list[int], k: int, limit, node_budget, after=()):
             if now_used < k or not dead_after(v):
                 yield from rec(v + 1, now_used)
             near[c] = before
-            if limit is not None and found >= limit:
-                return
         colors[v] = 0
 
     try:
@@ -168,7 +170,7 @@ def _search_colorings(masks: list[int], k: int, limit, node_budget, after=()):
         # next colors at the last prefix vertex, then at each one above it
         for v in range(len(after) - 1, -1, -1):
             yield from rec(v, used, after[v] + 1)
-            if (limit is not None and found >= limit) or not v:
+            if not v:
                 return
             c, near[c], used = undo.pop()
     finally:
@@ -190,7 +192,7 @@ def find_k_coloring(
     that prefix, or None when there is none.
     """
     masks = g.adjacency_masks() if isinstance(g, Graph) else g
-    for colors in _search_colorings(masks, k, limit=1, node_budget=node_budget, after=after):
+    for colors in _search_colorings(masks, k, node_budget, after):
         return Coloring(colors, k)
     return None
 
@@ -207,10 +209,8 @@ def proper_partitions(
     With `limit` set, stops as soon as that many have been found.
     """
     masks = g.adjacency_masks() if isinstance(g, Graph) else g
-    out = []
-    for colors in _search_colorings(masks, k, limit=limit, node_budget=node_budget):
-        out.append(Coloring(colors, k).classes())
-    return out
+    search = _search_colorings(masks, k, node_budget)
+    return [Partition.from_labels(colors) for colors in islice(search, limit)]
 
 
 def is_uniquely_k_colorable(g: Graph, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:

@@ -39,35 +39,35 @@ def _levels(n_max: int, graph_budget: int):
     Built level by level: every class on i+1 vertices arises from a class on
     i vertices by attaching one new vertex, so extending each representative
     with every neighbor subset and deduplicating by canonical code is
-    exhaustive.
+    exhaustive. A representative is a tuple of neighbour bitmasks.
     """
-    level = [np.zeros((1, 1), dtype=np.uint8)]
+    level = [(0,)]
     produced = 1
     yield 1, [0]
     for size in range(2, n_max + 1):
-        children = []
-        for adj in level:
-            for mask in range(1 << (size - 1)):
-                child = np.zeros((size, size), dtype=np.uint8)
-                child[: size - 1, : size - 1] = adj
-                for v in range(size - 1):
-                    if (mask >> v) & 1:
-                        child[v, size - 1] = 1
-                        child[size - 1, v] = 1
-                children.append(child)
-        produced += len(children)
+        new = size - 1
+        produced += len(level) << new
         if produced > graph_budget:
             raise BudgetExceededError(
                 f"enumeration generated more than {graph_budget} candidate graphs"
             )
-        batch = np.stack(children)
+        # child `mask` of a parent: the new vertex is adjacent to the set bits
+        children = [
+            tuple([nbrs | (mask >> v & 1) << new for v, nbrs in enumerate(parent)]) + (mask,)
+            for parent in level
+            for mask in range(1 << new)
+        ]
+        # (B, size, size) 0/1 matrices for the batch kernel, which the
+        # benchmark times; without it each child would go to code() directly
+        bits = np.arange(size, dtype=np.int64)
+        batch = (np.array(children, dtype=np.int64)[:, :, None] >> bits & 1).astype(np.uint8)
         codes = canonical_codes(batch)
         keep: dict[int, int] = {}
         for idx, code in enumerate(codes.tolist()):
             if code not in keep:
                 keep[code] = idx
         items = sorted(keep.items())
-        level = [batch[idx] for _, idx in items]
+        level = [children[idx] for _, idx in items]
         yield size, [code for code, _ in items]
 
 

@@ -61,9 +61,6 @@ class Graph:
             masks[v] |= 1 << u
         return masks
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
-
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
 
@@ -105,8 +102,8 @@ def connected_components(g: Graph) -> Partition:
 class ContractionMap:
     """Disjoint-set forest over original vertex labels.
 
-    find() is idempotent on representatives and each successful union lowers
-    the class count by exactly one.
+    find() is idempotent on representatives and each successful union
+    merges exactly two classes.
     """
 
     def __init__(self, n: int):
@@ -114,7 +111,6 @@ class ContractionMap:
             raise ValueError("need at least one element")
         self.n = n
         self._parent = list(range(n))
-        self._count = n
 
     def find(self, x: int) -> int:
         root = x
@@ -135,12 +131,7 @@ class ContractionMap:
         if ry < rx:
             rx, ry = ry, rx
         self._parent[ry] = rx
-        self._count -= 1
         return rx
-
-    @property
-    def class_count(self) -> int:
-        return self._count
 
     def representatives(self) -> list[int]:
         return sorted({self.find(v) for v in range(self.n)})

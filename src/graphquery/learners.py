@@ -37,10 +37,6 @@ class TraceNode:
     def is_blue(self) -> bool:
         return self.answer == 1
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass(frozen=True)
 class RecursionTrace:
@@ -60,9 +56,12 @@ class RecursionTrace:
         return out
 
     def blue_nodes(self) -> list[TraceNode]:
+        """Nodes answered 1; public because the paper's recursion-tree
+        analysis counts blue and red nodes."""
         return [nd for nd in self.nodes() if nd.is_blue]
 
     def red_nodes(self) -> list[TraceNode]:
+        """Nodes answered 0, the paper's red nodes (see `blue_nodes`)."""
         return [nd for nd in self.nodes() if not nd.is_blue]
 
 

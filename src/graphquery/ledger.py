@@ -59,10 +59,13 @@ class QueryLedger:
         return sum(1 for e in self._entries if e.answer == bit)
 
     def to_jsonl(self) -> str:
+        """One JSON object per entry, in the JSONL format the README
+        documents; public so that a run can be stored as a replayable fixture."""
         return "".join(e.to_json(i) + "\n" for i, e in enumerate(self._entries))
 
     @classmethod
     def from_jsonl(cls, text: str) -> QueryLedger:
+        """Load a ledger stored by `to_jsonl`, validating every entry."""
         ledger = cls()
         for line in text.splitlines():
             line = line.strip()
@@ -102,6 +105,8 @@ def replay_on_session(entries: Sequence[LedgerEntry], session) -> bool:
     """Re-issue every recorded query against a fresh session; True iff answers agree.
 
     The session must expose the query method matching each entry's kind.
+    Public so that a stored ledger (`QueryLedger.from_jsonl`) can be
+    replayed against any oracle or adversary session.
     """
     method = {
         "alpha": "membership_query",

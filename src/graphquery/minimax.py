@@ -37,7 +37,9 @@ makes each move cost one search.
 
 Alpha_m (pooled) games keep bitmask states over the candidate list: a
 state is the mask of live candidates, its key is the mask itself, and its
-count is the mask's popcount.
+count is the mask's popcount. The candidate list is the colouring search on
+the edgeless graph, whose colour tuples are the partitions' restricted
+growth strings plus 1; a pair's mask marks the tuples giving it one colour.
 
 The search is windowed (alpha-beta; Knuth & Moore, "An analysis of
 alpha-beta pruning", 1975). `_Game.value(state, count, beta)` returns the
@@ -70,11 +72,9 @@ from operator import itemgetter
 
 from ._canon import code
 from .coloring import DEFAULT_NODE_BUDGET, _search_colorings
-from .partitions import Partition, all_partitions, partitions_with_at_most
 from . import bounds
 
-ALPHA_KNOWN_MAX_N = 7
-ALPHA_UNKNOWN_MAX_N = 7
+ALPHA_MAX_N = 7
 ALPHA_M_MAX_N = 8
 
 
@@ -165,9 +165,7 @@ def _alpha_game(n: int, k: int) -> tuple[_Game, tuple[int, ...], int]:
         # partitions of H into at most k independent sets
         found = counts.get(h)
         if found is None:
-            found = counts[h] = sum(
-                1 for _ in _search_colorings(h, k, limit=None, node_budget=DEFAULT_NODE_BUDGET)
-            )
+            found = counts[h] = sum(1 for _ in _search_colorings(h, k, DEFAULT_NODE_BUDGET))
         return found
 
     def splits(h: tuple[int, ...], total: int) -> list:
@@ -206,21 +204,18 @@ def _alpha_game(n: int, k: int) -> tuple[_Game, tuple[int, ...], int]:
     return _Game(key, splits), root, count(root)
 
 
-def _candidates(n: int, k: int | None) -> list[Partition]:
-    return list(all_partitions(n) if k is None else partitions_with_at_most(n, k))
-
-
 def _alpha_m_game(n: int, k: int | None) -> tuple[_Game, int, int]:
-    """The pooled game on candidate bitmasks over `_candidates(n, k)`, its
-    root (every candidate) and the root's candidate count."""
-    cands = _candidates(n, k)
+    """The pooled game on candidate bitmasks, its root (every candidate) and
+    the root's candidate count. Candidate i is the i-th colouring of the
+    edgeless graph; listing them is one search in `SEARCH_STATS`."""
+    cands = list(_search_colorings([0] * n, n if k is None else k, DEFAULT_NODE_BUDGET))
     # for each vertex pair, the bitmask of candidates keeping it together
     pair_masks = {}
     for u in range(n):
         for v in range(u + 1, n):
             m = 0
-            for i, p in enumerate(cands):
-                if p.same_block(u, v):
+            for i, c in enumerate(cands):
+                if c[u] == c[v]:
                     m |= 1 << i
             pair_masks[(u, v)] = m
 
@@ -288,10 +283,7 @@ def minimax_query_complexity(
         raise ValueError("n must be positive")
     if oracle_kind not in ("alpha", "alpha_m"):
         raise ValueError(f"unknown oracle kind {oracle_kind!r}")
-    if oracle_kind == "alpha":
-        guard = ALPHA_KNOWN_MAX_N if k is not None else ALPHA_UNKNOWN_MAX_N
-    else:
-        guard = ALPHA_M_MAX_N
+    guard = ALPHA_MAX_N if oracle_kind == "alpha" else ALPHA_M_MAX_N
     if n > guard:
         raise InstanceTooLargeError(
             f"{oracle_kind} game with n={n} exceeds the guard n <= {guard}"

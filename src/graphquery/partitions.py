@@ -1,11 +1,18 @@
-"""Set partitions in canonical form, refinement checks, enumeration, and counting."""
+"""Set partitions in canonical form, refinement checks and counting.
+
+Partitions are enumerated by the colouring search: on the edgeless graph,
+`coloring._search_colorings([0] * n, k, budget)` yields every partition into
+at most k blocks once, as its restricted growth string plus 1, in
+lexicographic order; `coloring.proper_partitions([0] * n, k)` returns them
+as `Partition`s.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Hashable, Iterable
 
 
 @dataclass(frozen=True)
@@ -45,8 +52,17 @@ class Partition:
         return cls(tuple((v,) for v in range(n)))
 
     @classmethod
-    def single_block(cls, n: int) -> Partition:
-        return cls((tuple(range(n)),))
+    def from_labels(cls, labels: Iterable[Hashable]) -> Partition:
+        """The partition whose blocks hold the vertices sharing a label;
+        vertex v has label labels[v].
+
+        Blocks come out in order of first appearance, each ascending, so
+        they are already ordered by their smallest vertex.
+        """
+        blocks: dict[Hashable, list[int]] = {}
+        for v, label in enumerate(labels):
+            blocks.setdefault(label, []).append(v)
+        return cls(tuple([tuple(block) for block in blocks.values()]))
 
     @property
     def n(self) -> int:
@@ -70,10 +86,14 @@ class Partition:
         return self._block_index[u] == self._block_index[v]
 
     def to_json(self) -> str:
+        """The blocks as JSON arrays of arrays in canonical form: the
+        partition format the README documents for storing partitions."""
         return json.dumps([list(b) for b in self.blocks])
 
     @classmethod
     def from_json(cls, text: str) -> Partition:
+        """Inverse of `to_json`, so that partitions stored in the README's
+        format load back."""
         return cls.from_blocks(json.loads(text))
 
 
@@ -109,44 +129,3 @@ def stirling_partition_count(n: int, k: int) -> int:
             new[j] = j * row[j] + row[j - 1]
         row = new
     return row[k]
-
-
-def _growth_strings(n: int, max_blocks: int) -> Iterator[list[int]]:
-    """Restricted growth strings over n elements using at most max_blocks labels."""
-    assign = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[list[int]]:
-        if i == n:
-            yield assign
-            return
-        top = min(used + 1, max_blocks)
-        for c in range(top):
-            assign[i] = c
-            yield from rec(i + 1, max(used, c + 1))
-
-    if n == 0:
-        yield []
-    else:
-        yield from rec(0, 0)
-
-
-def _string_to_partition(assign: list[int]) -> Partition:
-    blocks: dict[int, list[int]] = {}
-    for v, c in enumerate(assign):
-        blocks.setdefault(c, []).append(v)
-    return Partition.from_blocks(blocks.values())
-
-
-def partitions_with_at_most(n: int, kmax: int) -> Iterator[Partition]:
-    """All partitions of {0..n-1} into at most kmax blocks, in a fixed order."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if kmax < 1:
-        raise ValueError("kmax must be positive")
-    for assign in _growth_strings(n, kmax):
-        yield _string_to_partition(assign)
-
-
-def all_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of {0..n-1} (any block count)."""
-    yield from partitions_with_at_most(n, n)

@@ -8,8 +8,9 @@ from typing import Iterable, Iterator
 import pytest
 from hypothesis import strategies as st
 
+from graphquery.coloring import proper_partitions
 from graphquery.graphs import Graph
-from graphquery.partitions import Partition, partitions_with_at_most
+from graphquery.partitions import Partition
 
 
 def path_graph(n: int) -> Graph:
@@ -24,7 +25,7 @@ def cycle_graph(n: int) -> Graph:
 
 def partitions_with_exactly(n: int, k: int) -> Iterator[Partition]:
     """All partitions of {0..n-1} into exactly k blocks, in a fixed order."""
-    for p in partitions_with_at_most(n, min(k, n)):
+    for p in proper_partitions([0] * n, min(k, n)):
         if p.k == k:
             yield p
 

@@ -159,7 +159,7 @@ def _check_trace(trace, ell):
     parent_of = {id(c): p for p in nodes for c in p.children}
     for node in nodes:
         if not node.is_blue:
-            assert node.is_leaf
+            assert not node.children
             assert parent_of[id(node)].is_blue
         assert sum(1 for c in node.children if not c.is_blue) <= 1
     assert len(nodes) <= 2 * len(blue)

@@ -15,6 +15,7 @@ from graphquery.coloring import (
     Coloring,
     SEARCH_STATS,
     find_k_coloring,
+    proper_partitions,
     reset_search_stats,
 )
 from graphquery.graphs import connected_components
@@ -40,10 +41,10 @@ def test_separability_walkthrough_answers():
     assert adv.membership_query(0, 4) == 0
     assert (0, 4) in adv.edges
     # same color but separable: answer 0, record, and re-separate the pair
-    assert adv.chi.color_of(1) == adv.chi.color_of(2)
+    assert adv.chi.colors[1] == adv.chi.colors[2]
     assert adv.membership_query(1, 2) == 0
     assert (1, 2) in adv.edges
-    assert adv.chi.color_of(1) != adv.chi.color_of(2)
+    assert adv.chi.colors[1] != adv.chi.colors[2]
     assert adv.membership_query(0, 2) == 0
     # inseparable: answer 1 and leave the graph alone
     edges_before = set(adv.edges)
@@ -63,7 +64,7 @@ def test_separability_walkthrough_consistency_replay():
 
 def test_separability_fresh_first_query():
     adv = SeparabilityAdversary(6, 3)
-    assert adv.chi.color_of(0) != adv.chi.color_of(4)
+    assert adv.chi.colors[0] != adv.chi.colors[4]
     assert adv.membership_query(0, 4) == 0
     assert (0, 4) in adv.edges
 
@@ -113,7 +114,7 @@ def test_audit_rejects_malformed_partition():
 def test_audit_refutes_wrong_claim_even_when_forced_possible():
     adv = SeparabilityAdversary(4, 2)
     learn_partition_all_pairs(adv, 4)
-    wrong = Partition.single_block(4)
+    wrong = Partition.from_blocks([range(4)])
     verdict = adv.declare(wrong)
     assert not verdict.forced and verdict.witness != wrong
 
@@ -151,10 +152,10 @@ def test_separability_forced_runs_up_to_ten_vertices():
 
 def test_unknown_count_fresh_pair_separates():
     adv = UnknownCountAdversary(4, 2)
-    assert adv.chi.color_of(0) == adv.chi.color_of(1) == 1
+    assert adv.chi.colors[0] == adv.chi.colors[1] == 1
     assert adv.membership_query(0, 1) == 0
     assert (0, 1) in adv.edges and not adv.forced_edges
-    assert adv.chi.color_of(0) != adv.chi.color_of(1)
+    assert adv.chi.colors[0] != adv.chi.colors[1]
 
 
 def test_unknown_count_single_color_always_yes():
@@ -182,7 +183,7 @@ def test_unknown_count_certificate_and_auxiliary_edges_disjoint():
         adv.membership_query(x, y)
         assert not (adv.edges & adv.forced_edges)
         for u, v in adv.forced_edges:
-            assert adv.chi.color_of(u) == adv.chi.color_of(v)
+            assert adv.chi.colors[u] == adv.chi.colors[v]
         assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
 
 
@@ -269,15 +270,13 @@ def test_contraction_contractions_match_yes_answers():
             continue
         yes += adv.membership_query(x, y)
         assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
-    assert adv.contraction.class_count == 8 - yes
+    assert len(adv.contraction.representatives()) == 8 - yes
 
 
 def _consistent_partitions(n, no_pairs, yes_pairs):
     """Every partition honoring all recorded answers, by brute force."""
-    from graphquery.partitions import all_partitions
-
     out = []
-    for p in all_partitions(n):
+    for p in proper_partitions([0] * n, n):
         if any(p.same_block(u, v) for u, v in no_pairs):
             continue
         if any(not p.same_block(u, v) for u, v in yes_pairs):
@@ -363,7 +362,7 @@ def test_contraction_forced_run_and_audit():
     verdict = adv.declare(result.answer)
     assert verdict.forced
     assert result.queries_used >= bounds.contraction_adversary_lower(7, 3)
-    wrong = Partition.single_block(7)
+    wrong = Partition.from_blocks([range(7)])
     bad = adv.declare(wrong)
     assert not bad.forced and bad.witness is not None
 
@@ -473,6 +472,33 @@ def test_random_pair_stream_transcripts_are_frozen(variant):
     assert (verdict.forced, verdict.witness.blocks, verdict.detail) == (False, witness, detail)
     wrong = adv.declare(Partition.singletons(9))
     assert (wrong.forced, wrong.witness.blocks, wrong.detail) == (False, wrong_witness, wrong_detail)
+
+
+# variant -> (answer-search nodes, audit-search nodes), summed over the reps
+# learner at n=12, k=3 on the orders random.Random(s).shuffle, s = 0..3
+PINNED_SEARCH_NODES = {
+    "separability": (112, 1308),
+    "unknown-count": (37158, 1308),
+    "contraction": (0, 1308),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_SEARCH_NODES))
+def test_search_node_counts_are_pinned(variant):
+    # a change to the search or to how callers stop it must not move these
+    answers = audits = 0
+    for seed in range(4):
+        order = list(range(12))
+        random.Random(seed).shuffle(order)
+        adv = ADVERSARY_CLASSES[variant](12, 3)
+        k_known = None if variant == "unknown-count" else 3
+        reset_search_stats()
+        result = learn_partition_representatives(adv, 12, k_known=k_known, order=order)
+        answers += SEARCH_STATS["nodes"]
+        reset_search_stats()
+        assert adv.declare(result.answer).forced
+        audits += SEARCH_STATS["nodes"]
+    assert (answers, audits) == PINNED_SEARCH_NODES[variant]
 
 
 def test_shuffled_order_contraction_audit_stays_small():

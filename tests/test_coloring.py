@@ -78,7 +78,7 @@ def test_find_coloring_rejects_bad_inputs():
 
 def test_separable_edgeless_pair():
     col = is_k_separable(empty_graph(4), 0, 1, 2)
-    assert col is not None and col.color_of(0) != col.color_of(1)
+    assert col is not None and col.colors[0] != col.colors[1]
 
 
 def test_inseparable_near_clique_pair():
@@ -89,7 +89,7 @@ def test_separable_four_cycle_with_three_colors():
     c4 = cycle_graph(4)
     assert brute_force_separable(c4, 0, 2, 3)
     col = is_k_separable(c4, 0, 2, 3)
-    assert col is not None and col.is_proper(c4) and col.color_of(0) != col.color_of(2)
+    assert col is not None and col.is_proper(c4) and col.colors[0] != col.colors[2]
 
 
 def test_separable_rejects_adjacent_pair():
@@ -126,7 +126,7 @@ def test_separability_agrees_with_brute_force(g, k, data):
     expect = brute_force_separable(g, i, j, k)
     assert (got is not None) == expect
     if got is not None:
-        assert got.is_proper(g) and got.color_of(i) != got.color_of(j)
+        assert got.is_proper(g) and got.colors[i] != got.colors[j]
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphquery._canon import canonical_codes
-from graphquery.coloring import BudgetExceededError
+from graphquery.coloring import SEARCH_STATS, BudgetExceededError, reset_search_stats
 from graphquery import enumeration
 from graphquery.enumeration import (
     canonical_code,
@@ -143,6 +143,12 @@ def test_enumeration_order_is_frozen():
         for _, codes in enumeration._levels(7, 10**7)
     )
     assert digests == LEVEL_DIGESTS
+
+
+def test_unique_coloring_search_nodes_are_pinned():
+    reset_search_stats()
+    verify_unique_colorable_edge_bound(7, 3)
+    assert SEARCH_STATS == {"invocations": 1252, "nodes": 19395}
 
 
 def test_enumeration_guards():

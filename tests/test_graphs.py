@@ -28,7 +28,7 @@ def test_from_edges_normalizes_and_dedupes():
     g = Graph.from_edges(4, [(2, 0), (0, 2), (1, 3)])
     assert g.edges == frozenset({(0, 2), (1, 3)})
     assert g.m == 2
-    assert g.has_edge(2, 0)
+    assert 0 in g.neighbors(2)
     assert g.neighbors(0) == frozenset({2})
 
 
@@ -54,9 +54,9 @@ def test_components_match_brute_force_and_are_canonical(g):
 
 def test_contraction_map_invariants():
     cm = ContractionMap(5)
-    assert cm.class_count == 5
+    assert len(cm.representatives()) == 5
     cm.union(0, 3)
-    assert cm.class_count == 4
+    assert len(cm.representatives()) == 4
     rep = cm.find(3)
     assert cm.find(rep) == rep
     with pytest.raises(ValueError):

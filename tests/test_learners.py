@@ -40,7 +40,7 @@ def test_representatives_worst_case_counts():
 def test_representatives_single_component_known_is_free():
     res = learn_partition_representatives(HonestOracle(complete_graph(4)), 4, k_known=1)
     assert res.queries_used == 0
-    assert res.answer == Partition.single_block(4)
+    assert res.answer == Partition.from_blocks([range(4)])
 
 
 def test_representatives_validates_inputs():
@@ -125,7 +125,7 @@ def test_count_components_exact_n_queries(g):
 def test_learn_components_extreme_instances():
     n = 7
     res = learn_components_multi(HonestOracle(complete_graph(n)), n)
-    assert res.queries_used == n - 1 and res.answer == Partition.single_block(n)
+    assert res.queries_used == n - 1 and res.answer == Partition.from_blocks([range(n)])
     res = learn_components_multi(HonestOracle(empty_graph(n)), n)
     assert res.queries_used == n - 1 and res.answer == Partition.singletons(n)
 
@@ -160,7 +160,7 @@ def check_trace_invariants(trace, ell):
         assert nodes == []
         return
     for node in red:
-        assert node.is_leaf
+        assert not node.children
     by_id = {id(c): parent for parent in nodes for c in parent.children}
     for node in red:
         parent = by_id.get(id(node))

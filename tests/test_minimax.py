@@ -8,7 +8,6 @@ from graphquery.coloring import proper_partitions
 from graphquery.graphs import Graph
 from graphquery.minimax import (
     InstanceTooLargeError,
-    _candidates,
     _new_game,
     information_bound_check,
     minimax_query_complexity,
@@ -135,7 +134,7 @@ def _alpha_window_cases(rng):
 def _alpha_m_window_cases(rng):
     # candidate masks over every partition of 5 vertices; some are drawn
     # from the partitions with at least 4 blocks
-    cands = _candidates(5, None)
+    cands = proper_partitions([0] * 5, 5)
     every = range(len(cands))
     fine = [i for i, p in enumerate(cands) if p.k >= 4]
     for pool, size in [(every, 4), (every, 6), (every, 8), (every, 10), (every, 12),

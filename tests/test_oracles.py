@@ -151,7 +151,7 @@ def test_pooled_and_neighborhood_answers_match_brute_force():
             s = {v for v in range(n) if v != u and rng.random() < 0.3}
             pooled = oracle.multi_membership_query(u, s)
             assert pooled == int(any(truth.same_block(u, v) for v in s))
-            assert oracle.neighborhood_query(u, s) == int(any(hidden.has_edge(u, v) for v in s))
+            assert oracle.neighborhood_query(u, s) == int(any(v in hidden.neighbors(u) for v in s))
             ones += pooled
         pooled_entries = [e for e in oracle.ledger if e.kind == "alpha_m"]
         for e in pooled_entries:

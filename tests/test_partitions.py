@@ -1,15 +1,10 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from graphquery.partitions import (
-    Partition,
-    all_partitions,
-    is_refinement,
-    partitions_with_at_most,
-    stirling_partition_count,
-)
+from graphquery.coloring import DEFAULT_NODE_BUDGET, _search_colorings, proper_partitions
+from graphquery.partitions import Partition, is_refinement, stirling_partition_count
 
 from conftest import partitions_with_exactly
 
@@ -96,22 +91,40 @@ def test_stirling_rejects_negative():
         stirling_partition_count(-1, 2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_enumerators_complete_and_distinct(n):
-    everything = list(all_partitions(n))
+    everything = proper_partitions([0] * n, n)
     assert len(everything) == len(set(everything))
     assert set(everything) == brute_force_partitions(n)
+    # restricted growth strings: each label at most one above the labels before it
+    growth = [
+        labels for labels in product(range(n), repeat=n)
+        if all(labels[v] <= max(labels[:v], default=-1) + 1 for v in range(n))
+    ]
     for k in range(1, n + 1):
         exact = list(partitions_with_exactly(n, k))
         assert len(exact) == stirling_partition_count(n, k)
-        at_most = list(partitions_with_at_most(n, k))
+        at_most = list(_search_colorings([0] * n, k, DEFAULT_NODE_BUDGET))
         assert len(at_most) == sum(stirling_partition_count(n, j) for j in range(1, k + 1))
+        # the alpha_m minimax game indexes its candidates in this order
+        assert at_most == sorted(tuple(c + 1 for c in s) for s in growth if max(s) < k)
 
 
 @given(st.integers(1, 6), st.data())
 def test_refinement_reflexive_property(n, data):
-    parts = list(all_partitions(n))
+    parts = proper_partitions([0] * n, n)
     p = data.draw(st.sampled_from(parts))
     assert is_refinement(p, p)
     assert is_refinement(Partition.singletons(n), p)
-    assert is_refinement(p, Partition.single_block(n))
+    assert is_refinement(p, Partition.from_blocks([range(n)]))
+
+
+@given(st.lists(st.integers(-3, 3), max_size=9))
+@example([3, 1, 3, 2])
+@example([])
+def test_from_labels_groups_equal_labels(labels):
+    # any labels, not only restricted growth strings
+    blocks: dict[int, list[int]] = {}
+    for v, label in enumerate(labels):
+        blocks.setdefault(label, []).append(v)
+    assert Partition.from_labels(labels) == Partition.from_blocks(blocks.values())
