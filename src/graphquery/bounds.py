@@ -66,8 +66,12 @@ def minimax_unknown_formula(n: int) -> int:
 
 
 def unique_coloring_edge_lower(n: int, k: int) -> int:
-    """Minimum edge count of a uniquely k-colorable graph on n vertices."""
-    return (k - 1) * n - k * (k - 1) // 2
+    """Minimum edge count of a uniquely k-colorable graph on n vertices.
+
+    The same number as the membership query bound: the paper ties the
+    query bound to this edge floor, so both read the one formula.
+    """
+    return membership_known_count(n, k)
 
 
 def information_lower(n: int, k: int) -> int:

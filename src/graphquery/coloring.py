@@ -17,17 +17,19 @@ alpha_m minimax game indexes its candidates in that order.
 
 `find_k_coloring(..., after=p)` resumes that order instead of starting it:
 it returns the first proper coloring that comes after every coloring
-beginning with the prefix p. The search replays p[:-1], tries the colors
-above p[-1] at the last prefix vertex, and then walks back up the prefix.
-Replayed prefix vertices are not expanded, so they cost no nodes. A caller
+beginning with the prefix p. One backtracking loop runs both searches. A
+cold search starts it at vertex 0; a resumed one places p (properly colored
+before its last vertex) and starts it at p's last vertex, as if color p[-1]
+had just been tried there. Placed prefix vertices cost no nodes. A caller
 that knows every coloring up to the end of p's subtree is improper (the
 adversaries do; see `adversaries._SeparabilityRule`) gets the cold search's
 answer for a fraction of its nodes.
 
-The search is a lazy generator with no limit of its own: a caller stops
-reading once it has what it needs (`find_k_coloring` after one coloring,
-`proper_partitions` after `limit` partitions), and the search spends no
-node past the last solution read.
+The search is a lazy generator with no limit of its own: the loop yields
+each solution as it reaches it, a caller stops reading once it has what it
+needs (`find_k_coloring` after one coloring, `proper_partitions` after
+`limit` partitions), and the search spends no node past the last solution
+read.
 
 The searches are still exponential and intended for desk-scale inputs only;
 every entry point takes a node budget and aborts with BudgetExceededError
@@ -97,6 +99,12 @@ def _search_colorings(masks: list[int], k: int, node_budget, after=()):
     further. A nonempty `after` starts the search just past every coloring
     that begins with it.
 
+    The state is flat, per vertex: `colors[v]` (0 while unplaced),
+    `saved[v]`, the value of near[colors[v]] before v took that color, and
+    `used[v]`, the number of colors in use before v. Each step of the loop
+    takes v's color back and gives v its next free one, then goes down to
+    v + 1, or back up to v - 1 when v has no color left.
+
     `near[c]` is the bitmask of vertices adjacent to some vertex colored c,
     so v may take c iff bit v of near[c] is clear. After a color is placed,
     a later vertex set in every near[1..k] has no color left, and the
@@ -108,75 +116,61 @@ def _search_colorings(masks: list[int], k: int, node_budget, after=()):
     n = len(masks)
     if len(after) > n:
         raise ValueError(f"prefix of {len(after)} colors for {n} vertices")
-    used = 0
-    for c in after:
-        if not 0 < c <= k or c > used + 1:
-            raise ValueError(f"{tuple(after)} is not a search path with {k} colors")
-        if c > used:
-            used = c
-    SEARCH_STATS["invocations"] += 1
-
-    colors = [0] * n
+    colors, saved, used = [0] * n, [0] * n, [0] * n
     near = [0] * (k + 1)
-    budget = [node_budget]
+    in_use = 0
+    for v, c in enumerate(after):
+        if not 0 < c <= k or c > in_use + 1:
+            raise ValueError(f"{tuple(after)} is not a search path with {k} colors")
+        # the last prefix vertex is only ever moved past, so it may clash
+        if near[c] >> v & 1 and v < len(after) - 1:
+            raise ValueError(f"{tuple(after)} colors two neighbors alike")
+        colors[v], saved[v], used[v] = c, near[c], in_use
+        near[c] |= masks[v]
+        if c > in_use:
+            in_use = c
+    SEARCH_STATS["invocations"] += 1
+    if not n:
+        yield ()
+        return
 
-    def dead_after(v: int) -> int:
-        """Vertices after v with every color 1..k blocked."""
-        common = -1 << (v + 1)
-        for c in range(1, k + 1):
-            common &= near[c]
-        return common
-
-    def rec(v: int, used: int, first: int = 1):
-        if v == n:
-            yield tuple(colors)
-            return
+    budget = node_budget
+    v = len(after) - 1 if after else 0
+    while v >= 0:
+        c = colors[v]
+        if c:
+            near[c] = saved[v]
         bit = 1 << v
-        mask = masks[v]
-        top = min(used + 1, k)
-        for c in range(first, top + 1):
-            before = near[c]
-            if before & bit:
+        top = used[v] + 1 if used[v] < k else k
+        c += 1
+        while c <= top and near[c] & bit:
+            c += 1
+        if c > top:
+            colors[v] = 0
+            v -= 1
+            continue
+        budget -= 1
+        SEARCH_STATS["nodes"] += 1
+        if budget < 0:
+            raise BudgetExceededError(
+                f"coloring search exceeded {node_budget} node expansions"
+            )
+        colors[v] = c
+        saved[v] = near[c]
+        near[c] |= masks[v]
+        now_used = c if c > used[v] else used[v]
+        # with fewer than k colors in use, near[k] is still empty
+        if now_used == k:
+            dead = -1 << (v + 1)
+            for d in range(1, k + 1):
+                dead &= near[d]
+            if dead:
                 continue
-            budget[0] -= 1
-            SEARCH_STATS["nodes"] += 1
-            if budget[0] < 0:
-                raise BudgetExceededError(
-                    f"coloring search exceeded {node_budget} node expansions"
-                )
-            colors[v] = c
-            near[c] = before | mask
-            now_used = max(used, c)
-            # with fewer than k colors in use, near[k] is still empty
-            if now_used < k or not dead_after(v):
-                yield from rec(v + 1, now_used)
-            near[c] = before
-        colors[v] = 0
-
-    try:
-        if not after:
-            yield from rec(0, 0)
-            return
-        # replay after[:-1], remembering what each step overwrote
-        undo = []
-        used = 0
-        for v in range(len(after) - 1):
-            c = after[v]
-            undo.append((c, near[c], used))
-            colors[v] = c
-            near[c] |= masks[v]
-            if c > used:
-                used = c
-        # next colors at the last prefix vertex, then at each one above it
-        for v in range(len(after) - 1, -1, -1):
-            yield from rec(v, used, after[v] + 1)
-            if not v:
-                return
-            c, near[c], used = undo.pop()
-    finally:
-        # rec's closure refers to rec itself; breaking that cycle lets
-        # reference counting free the search state without the cyclic GC
-        rec = None
+        if v + 1 == n:
+            yield tuple(colors)
+        else:
+            v += 1
+            used[v] = now_used
 
 
 def find_k_coloring(
@@ -189,7 +183,8 @@ def find_k_coloring(
 
     g is a Graph or its list of adjacency bitmasks (which is only read).
     With `after` set, the first coloring past every one that begins with
-    that prefix, or None when there is none.
+    that prefix, or None when there is none; the prefix must be colored
+    properly except at its last vertex.
     """
     masks = g.adjacency_masks() if isinstance(g, Graph) else g
     for colors in _search_colorings(masks, k, node_budget, after):

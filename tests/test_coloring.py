@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphquery.coloring import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     Coloring,
     SEARCH_STATS,
+    _search_colorings,
     find_k_coloring,
     is_k_separable,
     is_uniquely_k_colorable,
@@ -239,6 +241,8 @@ def test_search_leaves_no_cyclic_garbage():
         find_k_coloring(g, 2)
         proper_partitions(g, 3, limit=2)
         is_k_separable(g, 0, 2, 3)
+        find_k_coloring(g, 3, after=(1, 2, 1))
+        next(_search_colorings(g.adjacency_masks(), 3, 100))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -286,6 +290,11 @@ def test_resume_prefix_must_be_a_search_path():
     # the full path of the last coloring has nothing after it
     assert find_k_coloring(g, 2, after=(1, 2, 2, 2)) is None
     assert find_k_coloring(g, 2, after=(1, 1)).colors == (1, 2, 1, 1)
+    # vertices before the last must be properly colored; the last may clash
+    edge = Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        find_k_coloring(edge, 2, after=(1, 1, 1))
+    assert find_k_coloring(edge, 2, after=(1, 1)).colors == (1, 2, 1)
 
 
 def test_replayed_prefix_costs_no_nodes():
@@ -294,3 +303,33 @@ def test_replayed_prefix_costs_no_nodes():
     assert find_k_coloring(g, 2, after=(1,) * 9 + (1,)).colors == (1,) * 9 + (2,)
     # only the last vertex is expanded: one node, color 2
     assert SEARCH_STATS["nodes"] == 1
+
+
+def _search_paths(n, k):
+    """Every nonempty restricted-growth prefix of length at most n."""
+    paths = [(1,)]
+    for p in paths:
+        if len(p) < n:
+            paths.extend(p + (c,) for c in range(1, min(max(p) + 1, k) + 1))
+    return paths
+
+
+def test_resume_contract_on_every_search_path():
+    # resuming after p yields exactly the cold colorings whose prefix comes
+    # after p, in order: those past the end of p's subtree
+    rng = random.Random(1980)
+    resumed = 0
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, 4)
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, frozenset(rng.sample(pairs, rng.randint(0, len(pairs) // 2))))
+        masks = g.adjacency_masks()
+        cold = list(_search_colorings(masks, k, DEFAULT_NODE_BUDGET))
+        for p in _search_paths(n, k):
+            if any(p[u] == p[v] for u, v in g.edges if v < len(p) - 1):
+                continue
+            got = list(_search_colorings(masks, k, DEFAULT_NODE_BUDGET, after=p))
+            assert got == [c for c in cold if c[: len(p)] > p]
+            resumed += 1
+    assert resumed > 1000

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from graphquery import bounds
-from graphquery.coloring import proper_partitions
+from graphquery.coloring import SEARCH_STATS, proper_partitions, reset_search_stats
 from graphquery.graphs import Graph
 from graphquery.minimax import (
     InstanceTooLargeError,
@@ -214,6 +214,23 @@ def test_alpha_m_values_at_six_and_seven_are_frozen(n, values):
     # ceil(log2 B(n)) = 8 and 10
     ks = [*range(2, n + 1), None]
     assert [minimax_query_complexity(n, k, "alpha_m") for k in ks] == values
+
+
+@pytest.mark.parametrize(
+    "n, k, kind, counts",
+    [
+        (6, 3, "alpha", (19, 490)),
+        (6, None, "alpha", (169, 2878)),
+        (7, 3, "alpha", (43, 2196)),
+        (5, None, "alpha_m", (1, 75)),
+    ],
+)
+def test_minimax_search_counts_are_pinned(n, k, kind, counts):
+    # (invocations, nodes) of the colouring searches one game runs: a change
+    # to the search or to how the game stops it must not move these
+    reset_search_stats()
+    minimax_query_complexity(n, k, kind)
+    assert (SEARCH_STATS["invocations"], SEARCH_STATS["nodes"]) == counts
 
 
 def test_pooled_queries_beat_pairwise_information():
