@@ -1,4 +1,14 @@
-"""Exhaustive graph enumeration up to isomorphism and the unique-coloring edge bound."""
+"""Exhaustive graph enumeration up to isomorphism and the unique-coloring edge bound.
+
+Each level grows from the one below by max-degree augmentation: a new
+vertex joins a representative only where it ends up with maximum degree.
+That still reaches every class. Deleting a maximum-degree vertex from any
+graph on n vertices leaves a graph isomorphic to some representative R on
+n-1 vertices; adding the vertex back to R with the matching neighbours
+gives a child of R isomorphic to the graph, in which the new vertex again
+has maximum degree. The graph budget still counts every neighbour subset
+of every representative, as when all of them were built.
+"""
 
 from __future__ import annotations
 
@@ -11,20 +21,21 @@ from .coloring import BudgetExceededError, is_uniquely_k_colorable
 from .graphs import Graph
 from . import bounds
 
-ENUMERATION_MAX_N = 7
+ENUMERATION_MAX_N = 8
 EDGE_BOUND_MAX_K = 3
 DEFAULT_GRAPH_BUDGET = 10_000_000
 # uniquely colorable graphs at the edge floor listed per row of the report
 MAX_TIGHT_EXAMPLES = 4
 
 
-def _code_to_graph(code: int, n: int) -> Graph:
+def _codes_to_graphs(codes: list[int], n: int) -> list[Graph]:
+    """The graphs whose row-major upper-triangle bit strings are `codes`."""
     pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-    edges = set()
-    for bit, (i, j) in enumerate(pairs):
-        if (code >> (len(pairs) - 1 - bit)) & 1:
-            edges.add((i, j))
-    return Graph(n, frozenset(edges))
+    top = len(pairs) - 1
+    return [
+        Graph(n, frozenset([p for bit, p in enumerate(pairs) if code >> (top - bit) & 1]))
+        for code in codes
+    ]
 
 
 def canonical_code(g: Graph) -> int:
@@ -36,10 +47,16 @@ def _levels(n_max: int, graph_budget: int):
     """Yield (n, codes) for n = 1..n_max: the sorted canonical codes of every
     isomorphism class on exactly n vertices.
 
-    Built level by level: every class on i+1 vertices arises from a class on
-    i vertices by attaching one new vertex, so extending each representative
-    with every neighbor subset and deduplicating by canonical code is
-    exhaustive. A representative is a tuple of neighbour bitmasks.
+    Built level by level. A child of a representative on i vertices attaches
+    one new vertex to a neighbour subset; only children in which the new
+    vertex has maximum degree are built, and deduplicating them by canonical
+    code is exhaustive (see the module docstring). With `top` the parent's
+    maximum degree and `tops` the bitmask of vertices that have it, subset
+    `mask` qualifies iff popcount(mask) > top, or popcount(mask) == top and
+    `mask` avoids `tops`. A representative is a tuple of neighbour bitmasks.
+
+    The graph budget counts every neighbour subset of every parent, built or
+    not, and is checked before a level is built.
     """
     level = [(0,)]
     produced = 1
@@ -51,12 +68,18 @@ def _levels(n_max: int, graph_budget: int):
             raise BudgetExceededError(
                 f"enumeration generated more than {graph_budget} candidate graphs"
             )
-        # child `mask` of a parent: the new vertex is adjacent to the set bits
-        children = [
-            tuple([nbrs | (mask >> v & 1) << new for v, nbrs in enumerate(parent)]) + (mask,)
-            for parent in level
-            for mask in range(1 << new)
-        ]
+        weight = [mask.bit_count() for mask in range(1 << new)]
+        children = []
+        for parent in level:
+            degrees = [nbrs.bit_count() for nbrs in parent]
+            top = max(degrees)
+            tops = sum(1 << v for v, d in enumerate(degrees) if d == top)
+            # child `mask`: the new vertex is adjacent to the set bits
+            children += [
+                tuple([nbrs | (mask >> v & 1) << new for v, nbrs in enumerate(parent)]) + (mask,)
+                for mask, w in enumerate(weight)
+                if w > top or w == top and not mask & tops
+            ]
         # (B, size, size) 0/1 matrices for the batch kernel, which the
         # benchmark times; without it each child would go to code() directly
         bits = np.arange(size, dtype=np.int64)
@@ -78,7 +101,7 @@ def enumerate_graphs(n: int, graph_budget: int = DEFAULT_GRAPH_BUDGET) -> list[G
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
     for _, codes in _levels(n, graph_budget):
         pass
-    return [_code_to_graph(code, n) for code in codes]
+    return _codes_to_graphs(codes, n)
 
 
 @dataclass(frozen=True)
@@ -136,7 +159,7 @@ def verify_unique_colorable_edge_bound(
         raise ValueError(f"need 1 <= k <= {EDGE_BOUND_MAX_K}")
     rows = []
     for n, codes in _levels(n_max, graph_budget):
-        reps = [_code_to_graph(code, n) for code in codes]
+        reps = _codes_to_graphs(codes, n)
         bound = bounds.unique_coloring_edge_lower(n, k)
         unique_count = 0
         min_edges = None

@@ -151,9 +151,45 @@ def test_unique_coloring_search_nodes_are_pinned():
     assert SEARCH_STATS == {"invocations": 1252, "nodes": 19395}
 
 
+def test_levels_match_brute_force_codes():
+    # the max-degree filter must still reach every class: each level's codes
+    # are exactly the codes of all labelled graphs on that many vertices
+    levels = dict(enumeration._levels(6, 10**7))
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        codes = {
+            canonical_code(Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)))
+            for mask in range(1 << len(pairs))
+        }
+        assert levels[n] == sorted(codes), n
+
+
+def test_candidates_per_level_are_pinned(monkeypatch):
+    # children in which the new vertex has maximum degree, not every subset
+    sizes = []
+    kernel = enumeration.canonical_codes
+
+    def counting(batch):
+        sizes.append(len(batch))
+        return kernel(batch)
+
+    monkeypatch.setattr(enumeration, "canonical_codes", counting)
+    for _ in enumeration._levels(7, 10**7):
+        pass
+    assert tuple(sizes) == (2, 5, 16, 70, 348, 2690)
+
+
+def test_edge_bound_row_at_eight_vertices():
+    report = verify_unique_colorable_edge_bound(8, 3)
+    row = report.rows[-1]
+    assert (row.n, row.graphs_total, row.unique_count) == (8, 12346, 856)
+    assert row.min_edges == row.bound == 13
+    assert report.ok
+
+
 def test_enumeration_guards():
     with pytest.raises(ValueError):
-        enumerate_graphs(8)
+        enumerate_graphs(9)
     with pytest.raises(BudgetExceededError):
         enumerate_graphs(6, graph_budget=100)
 
@@ -183,7 +219,7 @@ def test_edge_bound_holds_up_to_five_for_three_colors():
 
 def test_edge_bound_guards():
     with pytest.raises(ValueError):
-        verify_unique_colorable_edge_bound(8, 2)
+        verify_unique_colorable_edge_bound(9, 2)
     with pytest.raises(ValueError):
         verify_unique_colorable_edge_bound(5, 4)
 
