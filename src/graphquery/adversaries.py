@@ -17,7 +17,9 @@ where the coloring starts:
 
 ContractionAdversary is the polynomial-time alternative: instead of
 separability searches it recolors low-degree endpoints and contracts
-high-degree ones.
+high-degree ones. It keeps the contracted auxiliary graph densely labelled,
+in the one form the minimax alpha game uses, and contracts it with the
+same `graphs.contract`.
 
 A learner's final claim is audited by `declare`, and all three audits end in
 one rule: the claim is *forced* only if it is the single consistent
@@ -28,7 +30,7 @@ than the claim as a witness.
 from __future__ import annotations
 
 from .coloring import Coloring, find_k_coloring, proper_partitions
-from .graphs import ContractionMap, Edge, Graph, connected_components, normalize_edge
+from .graphs import Edge, Graph, connected_components, contract, normalize_edge
 from .ledger import QueryLedger
 from .oracles import AuditVerdict
 from .partitions import Partition
@@ -97,7 +99,7 @@ class _SeparabilityRule:
     tracer does) never reaches the other.
 
     `masks` holds the auxiliary graph's neighbour bitmasks, its only stored
-    form; `edges` and `graph_view()` are read from it. Once a search has set
+    form; `edges` is read from it. Once a search has set
     chi, chi is the first proper coloring of the auxiliary graph in the
     search order, and it stays first:
       - a new edge that chi already separates keeps it first, because every
@@ -125,9 +127,6 @@ class _SeparabilityRule:
     def edges(self) -> frozenset[Edge]:
         """The auxiliary graph's edges, read from the masks."""
         return frozenset((u, v) for u, nbrs in enumerate(self.masks) for v in _bits(nbrs) if u < v)
-
-    def graph_view(self) -> Graph:
-        return Graph(self.n, self.edges)
 
     def forced_graph_view(self) -> Graph:
         return Graph(self.n, frozenset(self.forced_edges))
@@ -242,12 +241,15 @@ class ContractionAdversary:
     degree in the current simple quotient is at least k-1, else *small*. On a
     same-colored query, a small endpoint (the first argument when both are
     small) is recolored to another admissible color; when both endpoints are
-    big they are contracted and the answer is 1.
+    big they are contracted and the answer is 1. A pair inside one class was
+    contracted before, and answers 1 again.
 
-    The quotient is stored as neighbour bitmasks and colors, both indexed by
-    representative label: `masks[r]` holds the representatives adjacent to
-    class r, and `color[r]` is r's color. A label that is no longer a
-    representative has mask 0, and its color is never read again.
+    The quotient is stored the way the minimax alpha game stores its
+    auxiliary graph: classes are labelled 0, 1, ... in order of their least
+    vertex, `masks[i]` holds the classes adjacent to class i, `color[i]` is
+    its color, and `cls[v]` is the class of vertex v. A contraction is
+    `graphs.contract`, which keeps that order, so `declare` searches the
+    masks as stored.
     """
 
     variant = "contraction"
@@ -259,19 +261,16 @@ class ContractionAdversary:
         self.k = k
         self.masks, chi = _initial_state(n, k, initial_coloring, initial_edges)
         self.color = list(chi.colors)
-        self.contraction = ContractionMap(n)
+        self.cls = list(range(n))
         self.ledger = QueryLedger()
 
     def membership_query(self, x: int, y: int) -> int:
         _validated_pair(x, y, self.n)
-        find = self.contraction.find
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            raise ValueError(f"vertices {x} and {y} are already identified")
+        cx, cy = self.cls[x], self.cls[y]
         masks, color = self.masks, self.color
-        answer = 0
-        if color[rx] == color[ry]:
-            small = rx if masks[rx].bit_count() < self.k - 1 else ry
+        answer = int(cx == cy)
+        if not answer and color[cx] == color[cy]:
+            small = cx if masks[cx].bit_count() < self.k - 1 else cy
             if masks[small].bit_count() < self.k - 1:
                 # recolor: the least color held by no neighbor and not by the
                 # other endpoint, which shares small's color. Fewer than k-1
@@ -282,37 +281,26 @@ class ContractionAdversary:
                 color[small] = (~blocked & (blocked + 1)).bit_length() - 1
                 assert color[small] <= self.k, "small vertex lost all admissible colors"
             else:
-                # contract: same-colored classes are not adjacent, so the
-                # merged mask holds neither of them
-                root = self.contraction.union(rx, ry)
-                gone = rx + ry - root
-                masks[root] |= masks[gone]
-                for w in _bits(masks[gone]):
-                    masks[w] = masks[w] & ~(1 << gone) | 1 << root
-                masks[gone] = 0
+                # contract: same-colored classes are not adjacent, as contract needs
+                a, b = min(cx, cy), max(cx, cy)
+                self.masks = list(contract(masks, a, b))
+                del color[b]
+                self.cls = [a if c == b else c - (c > b) for c in self.cls]
                 answer = 1
         if not answer:
-            masks[rx] |= 1 << ry
-            masks[ry] |= 1 << rx
+            masks[cx] |= 1 << cy
+            masks[cy] |= 1 << cx
         self.ledger.append("alpha", (x, y), answer)
         return answer
 
     def chi_partition(self) -> Partition:
-        """Color classes lifted through the contraction map to original labels."""
-        color, find = self.color, self.contraction.find
-        return Partition.from_labels([color[find(v)] for v in range(self.n)])
+        """Color classes lifted through `cls` to original labels."""
+        color = self.color
+        return Partition.from_labels([color[c] for c in self.cls])
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         if claimed.n != self.n:
             raise ValueError("claimed partition is over the wrong vertex set")
-        # quotient vertex i is the i-th class in ascending representative order
-        reps = self.contraction.representatives()
-        index = {rep: i for i, rep in enumerate(reps)}
-        quotient = [sum(1 << index[w] for w in _bits(self.masks[rep])) for rep in reps]
-        parts = proper_partitions(quotient, self.k, limit=2)
-        classes = self.contraction.classes()
-        lifted = [
-            Partition.from_blocks([v for i in block for v in classes[i]] for block in p.blocks)
-            for p in parts
-        ]
+        parts = proper_partitions(self.masks, self.k, limit=2)
+        lifted = [Partition.from_labels([p.block_index(c) for c in self.cls]) for p in parts]
         return _audit(claimed, lifted, "contracted graph has a unique consistent partition")

@@ -19,7 +19,10 @@ def membership_known_count(n: int, k: int) -> int:
     """Worst-case membership queries to learn a k-component partition, k public.
 
     Tight: the representative learner never exceeds it, and the separability
-    adversary forces it.
+    adversary forces it. It is also the minimum edge count of a uniquely
+    k-colorable graph on n vertices, the edge floor that
+    `enumeration.verify_unique_colorable_edge_bound` checks: the paper ties
+    the query bound to that floor, so both read this one formula.
     """
     return (k - 1) * n - k * (k - 1) // 2
 
@@ -63,15 +66,6 @@ def minimax_known_formula(n: int, k: int) -> int:
 
 def minimax_unknown_formula(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def unique_coloring_edge_lower(n: int, k: int) -> int:
-    """Minimum edge count of a uniquely k-colorable graph on n vertices.
-
-    The same number as the membership query bound: the paper ties the
-    query bound to this edge floor, so both read the one formula.
-    """
-    return membership_known_count(n, k)
 
 
 def information_lower(n: int, k: int) -> int:

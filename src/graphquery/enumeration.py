@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._canon import canonical_codes, code
+from ._canon import canonical_codes
 from .coloring import BudgetExceededError, is_uniquely_k_colorable
 from .graphs import Graph
 from . import bounds
@@ -36,11 +36,6 @@ def _codes_to_graphs(codes: list[int], n: int) -> list[Graph]:
         Graph(n, frozenset([p for bit, p in enumerate(pairs) if code >> (top - bit) & 1]))
         for code in codes
     ]
-
-
-def canonical_code(g: Graph) -> int:
-    """Isomorphism-invariant integer code of a graph."""
-    return code(g.adjacency_masks())
 
 
 def _levels(n_max: int, graph_budget: int):
@@ -160,7 +155,7 @@ def verify_unique_colorable_edge_bound(
     rows = []
     for n, codes in _levels(n_max, graph_budget):
         reps = _codes_to_graphs(codes, n)
-        bound = bounds.unique_coloring_edge_lower(n, k)
+        bound = bounds.membership_known_count(n, k)
         unique_count = 0
         min_edges = None
         tight = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .partitions import Partition
 
@@ -99,6 +99,27 @@ def connected_components(g: Graph) -> Partition:
     return Partition.from_blocks(dsu.classes())
 
 
+def contract(h: Sequence[int], a: int, b: int) -> tuple[int, ...]:
+    """H / ab for non-adjacent a < b: b merged into a, the vertices above b
+    moved down one label.
+
+    H is a graph as neighbour bitmasks. The minimax alpha game and
+    `ContractionAdversary` both contract their auxiliary graph with it.
+    """
+    low = (1 << b) - 1
+    bit_a, bit_b = 1 << a, 1 << b
+    out = []
+    for v, nbrs in enumerate(h):
+        if v == b:
+            continue
+        if v == a:
+            nbrs |= h[b]
+        elif nbrs & bit_b:
+            nbrs |= bit_a
+        out.append(nbrs & low | nbrs >> 1 & ~low)
+    return tuple(out)
+
+
 class ContractionMap:
     """Disjoint-set forest over original vertex labels.
 
@@ -120,9 +141,6 @@ class ContractionMap:
             self._parent[x], x = root, self._parent[x]
         return root
 
-    def same(self, x: int, y: int) -> bool:
-        return self.find(x) == self.find(y)
-
     def union(self, x: int, y: int) -> int:
         """Merge the classes of x and y; the smaller label becomes representative."""
         rx, ry = self.find(x), self.find(y)
@@ -132,9 +150,6 @@ class ContractionMap:
             rx, ry = ry, rx
         self._parent[ry] = rx
         return rx
-
-    def representatives(self) -> list[int]:
-        return sorted({self.find(v) for v in range(self.n)})
 
     def classes(self) -> list[list[int]]:
         by_rep: dict[int, list[int]] = {}

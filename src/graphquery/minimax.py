@@ -34,6 +34,10 @@ The live count is the number of partitions of H into at most k
 independent sets, found by the colouring search and cached per labelled
 state. Deletion-contraction, count(H) = count(H + ab) + count(H / ab),
 makes each move cost one search.
+H is stored as a tuple of neighbour bitmasks over its classes, labelled in
+order of their least vertex, and H / ab is `graphs.contract`, which keeps
+that order. `ContractionAdversary` stores its quotient in the same form and
+contracts it with the same function.
 
 Alpha_m (pooled) games keep bitmask states over the candidate list: a
 state is the mask of live candidates, its key is the mask itself, and its
@@ -72,6 +76,7 @@ from operator import itemgetter
 
 from ._canon import code
 from .coloring import DEFAULT_NODE_BUDGET, _search_colorings
+from .graphs import contract
 from . import bounds
 
 ALPHA_MAX_N = 7
@@ -139,23 +144,6 @@ class _Game:
         return beta
 
 
-def _contract(h: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """H / ab for non-adjacent a < b: b merged into a, the vertices above b
-    moved down one label."""
-    low = (1 << b) - 1
-    bit_a, bit_b = 1 << a, 1 << b
-    out = []
-    for v, nbrs in enumerate(h):
-        if v == b:
-            continue
-        if v == a:
-            nbrs |= h[b]
-        elif nbrs & bit_b:
-            nbrs |= bit_a
-        out.append(nbrs & low | nbrs >> 1 & ~low)
-    return tuple(out)
-
-
 def _alpha_game(n: int, k: int) -> tuple[_Game, tuple[int, ...], int]:
     """The pairwise game on auxiliary graphs, its root (n classes, no edges)
     and the root's candidate count."""
@@ -175,7 +163,7 @@ def _alpha_game(n: int, k: int) -> tuple[_Game, tuple[int, ...], int]:
             for a in range(b):
                 if nbrs_b >> a & 1:
                     continue
-                merged = _contract(h, a, b)
+                merged = contract(h, a, b)
                 ones = count(merged)
                 # deletion-contraction: every live partition of H either
                 # separates a and b (H + ab) or joins them (H / ab)

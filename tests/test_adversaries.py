@@ -18,7 +18,7 @@ from graphquery.coloring import (
     proper_partitions,
     reset_search_stats,
 )
-from graphquery.graphs import connected_components
+from graphquery.graphs import Graph, connected_components
 from graphquery.ledger import replay_matches_partition
 from graphquery.learners import learn_partition_all_pairs, learn_partition_representatives
 from graphquery.partitions import Partition
@@ -130,7 +130,7 @@ def test_separability_random_stream_invariants(seed):
         if x == y:
             continue
         adv.membership_query(x, y)
-        assert adv.chi.is_proper(adv.graph_view())
+        assert adv.chi.is_proper(Graph(adv.n, adv.edges))
         assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
     # edges only ever come from 0-answers
     assert len(adv.edges) <= adv.ledger.answered(0)
@@ -232,18 +232,22 @@ def test_contraction_walkthrough():
     # both endpoints now big: contract and answer 1
     assert adv.masks[0].bit_count() == 2 and adv.masks[1].bit_count() == 3
     assert adv.membership_query(0, 1) == 1
-    assert adv.contraction.same(0, 1)
+    assert adv.cls[0] == adv.cls[1]
     assert [e.answer for e in adv.ledger] == [0, 0, 1]
     assert adv.chi_partition() == Partition.from_blocks([[0, 1], [3, 4], [2, 5]])
 
 
-def test_contraction_rejects_identified_query():
+def test_contraction_answers_a_reasked_contracted_pair():
     adv = make_contraction_adversary()
     adv.membership_query(2, 3)
     adv.membership_query(1, 2)
     adv.membership_query(0, 1)
-    with pytest.raises(ValueError):
-        adv.membership_query(0, 1)
+    masks, color, cls = list(adv.masks), list(adv.color), list(adv.cls)
+    # 0 and 1 share a class: the honest answer is 1, and the state stays
+    assert adv.membership_query(1, 0) == 1
+    assert [(e.args, e.answer) for e in adv.ledger] == [
+        ((2, 3), 0), ((1, 2), 0), ((0, 1), 1), ((1, 0), 1)]
+    assert (adv.masks, adv.color, adv.cls) == (masks, color, cls)
 
 
 def test_contraction_recolors_first_argument_when_both_small():
@@ -263,14 +267,15 @@ def test_contraction_never_searches_colorings():
 def test_contraction_contractions_match_yes_answers():
     rng = random.Random(11)
     adv = ContractionAdversary(8, 3)
-    yes = 0
+    contractions = 0
     for _ in range(40):
         x, y = rng.sample(range(8), 2)
-        if adv.contraction.same(x, y):
-            continue
-        yes += adv.membership_query(x, y)
+        together = adv.cls[x] == adv.cls[y]
+        answer = adv.membership_query(x, y)
+        assert answer or not together
+        contractions += answer and not together
         assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
-    assert len(adv.contraction.representatives()) == 8 - yes
+    assert len(adv.masks) == len(adv.color) == max(adv.cls) + 1 == 8 - contractions
 
 
 def _consistent_partitions(n, no_pairs, yes_pairs):
@@ -322,8 +327,6 @@ def test_forced_verdicts_require_the_lower_bound_queries(seed):
         adv = make()
         for _ in range(rng.randint(0, 2 * n)):
             x, y = rng.sample(range(n), 2)
-            if isinstance(adv, ContractionAdversary) and adv.contraction.same(x, y):
-                continue
             adv.membership_query(x, y)
         if adv.declare(adv.chi_partition()).forced:
             assert adv.ledger.count >= bound
@@ -463,8 +466,6 @@ def test_random_pair_stream_transcripts_are_frozen(variant):
     rng = random.Random(4)
     for _ in range(14):
         x, y = rng.sample(range(9), 2)
-        if variant == "contraction" and adv.contraction.same(x, y):
-            continue
         adv.membership_query(x, y)
     assert "".join(str(e.answer) for e in adv.ledger) == bits
     assert adv.chi_partition().blocks == chi
@@ -541,6 +542,43 @@ def test_representatives_forced_on_any_order(run):
     assert replay_matches_partition(adv.ledger.entries, result.answer)
 
 
+@st.composite
+def _raw_streams(draw):
+    variant = draw(st.sampled_from(sorted(ADVERSARY_CLASSES)))
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1 if variant == "unknown-count" else 2, n))
+    # either order, repeats, pairs already answered, pairs inside a
+    # contracted class: every pair of distinct vertices is a valid query
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    size = draw(st.integers(0, 3 * n * n))
+    return variant, n, k, draw(st.lists(pair, min_size=size, max_size=size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_streams())
+def test_any_valid_query_stream(run):
+    # after every query the ledger replays on the coloring's classes and the
+    # coloring is proper on the stored masks; the final audit of those
+    # classes is forced iff brute force finds them the only partition that
+    # fits the ledger, with at most k blocks when k is public
+    variant, n, k, stream = run
+    adv = ADVERSARY_CLASSES[variant](n, k)
+    for x, y in stream:
+        adv.membership_query(x, y)
+        assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
+        colors = adv.color if variant == "contraction" else adv.chi.colors
+        assert len(colors) == len(adv.masks) and all(1 <= c <= k for c in colors)
+        assert all(colors[i] != colors[j] for i, nbrs in enumerate(adv.masks)
+                   for j in range(len(adv.masks)) if nbrs >> j & 1)
+    claim = adv.chi_partition()
+    no_pairs = [e.args for e in adv.ledger if e.answer == 0]
+    yes_pairs = [e.args for e in adv.ledger if e.answer == 1]
+    consistent = _consistent_partitions(n, no_pairs, yes_pairs)
+    if variant != "unknown-count":
+        consistent = [p for p in consistent if p.k <= k]
+    assert adv.declare(claim).forced == (consistent == [claim])
+
+
 def _random_start(n: int, k: int, rng: random.Random):
     """A proper coloring that no search would produce first, and edges it allows."""
     colors = [rng.randint(1, k) for _ in range(n)]
@@ -565,11 +603,11 @@ def test_live_masks_and_coloring_track_the_auxiliary_graph(start):
     # query the masks hold exactly the starting edges and the pairs answered
     # 0, the coloring is proper on them, and once a search has run, chi is
     # the cold search's first coloring of the auxiliary graph. The
-    # contraction adversary keeps the quotient: each representative's mask
-    # holds the representatives it was answered 0 against, and every other
-    # label's mask is 0.
+    # contraction adversary keeps the quotient: each class's mask holds the
+    # classes it was answered 0 against, and its streams re-ask pairs inside
+    # a class.
     rng = random.Random(f"live-masks/{start}")
-    repeats = ones = 0
+    repeats = ones = inside = 0
     for _ in range(40):
         n = rng.randint(2, 9)
         edges = []
@@ -588,31 +626,30 @@ def test_live_masks_and_coloring_track_the_auxiliary_graph(start):
         asked = set()
         for _ in range(3 * n * n):
             x, y = rng.sample(range(n), 2)
-            if start == "contraction" and adv.contraction.same(x, y):
-                continue
             pair = (min(x, y), max(x, y))
             repeats += pair in asked
             asked.add(pair)
+            inside += start == "contraction" and adv.cls[x] == adv.cls[y]
             ones += adv.membership_query(x, y)
             zeros = edges + [e.args for e in adv.ledger if not e.answer]
             if start == "contraction":
-                find = adv.contraction.find
-                assert adv.masks == _quotient_masks(n, zeros, find)
-                for r in adv.contraction.representatives():
-                    assert 1 <= adv.color[r] <= adv.k
-                    assert all(adv.color[r] != adv.color[w] for w in range(n) if adv.masks[r] >> w & 1)
+                assert adv.masks == _quotient_masks(len(adv.masks), zeros, adv.cls.__getitem__)
+                for i, nbrs in enumerate(adv.masks):
+                    assert 1 <= adv.color[i] <= adv.k
+                    assert all(adv.color[i] != adv.color[j] for j in range(len(adv.masks)) if nbrs >> j & 1)
                 continue
-            graph = adv.graph_view()
+            graph = Graph(adv.n, adv.edges)
             assert adv.masks == _quotient_masks(n, zeros, lambda v: v)
             assert adv.chi.is_proper(graph)
             if adv.chi_is_first:
                 assert adv.chi == find_k_coloring(graph, adv.k)
-    # a contraction stream answers 1 at most n - 1 times
+    # a contraction stream contracts at most n - 1 times
     assert repeats > 1000 and ones > (50 if start == "contraction" else 100)
+    assert (inside > 100) == (start == "contraction")
 
 
 # SHA-256 over every query, its answer and the coloring after it (contraction:
-# the representatives' colors lifted to every vertex), then the claim and
+# the class colors lifted to every vertex), then the claim and
 # verdict, for each ascending-order duel grid pairing over n <= 10 and every k
 FROZEN_GRID_DIGESTS = {
     ("reps-known", "separability"): "98b806388f0bfa134991dc316d84250285c79343998e8fa36ab380b487d822cf",
@@ -633,7 +670,7 @@ def _grid_digest(learner: str, variant: str, n_max: int) -> str:
             def recorded(x, y, adv=adv, ask=ask):
                 answer = ask(x, y)
                 if variant == "contraction":
-                    colors = tuple(adv.color[adv.contraction.find(v)] for v in range(n))
+                    colors = tuple(adv.color[c] for c in adv.cls)
                 else:
                     colors = adv.chi.colors
                 digest.update(f"{x},{y},{answer}:{colors};".encode())

@@ -1,0 +1,51 @@
+"""The names the benchmark in perfbench/ reaches into graphquery through.
+
+The tier-1 suite does not collect perfbench/, so a change under src/ that
+drops one of these names would break the benchmark without failing a test.
+An entry may be removed only in the change that also edits perfbench/ to
+stop using it.
+"""
+
+import inspect
+
+from graphquery import adversaries, bounds, coloring, duel, enumeration, graphs, instances
+from graphquery import learners, ledger, minimax, oracles, partitions, _canon
+
+BINDINGS = {
+    _canon: ("canonical_codes",),
+    enumeration: ("canonical_codes", "is_uniquely_k_colorable", "verify_unique_colorable_edge_bound"),
+    adversaries: ("find_k_coloring", "proper_partitions", "SeparabilityAdversary",
+                  "UnknownCountAdversary", "ContractionAdversary"),
+    coloring: ("SEARCH_STATS", "BudgetExceededError"),
+    oracles: ("HonestOracle",),
+    ledger: ("QueryLedger", "replay_matches_partition"),
+    learners: ("learn_partition_representatives", "count_components_multi",
+               "learn_components_multi", "learn_graph_neighborhood", "verify_graph_neighborhood"),
+    duel: ("run_duel",),
+    graphs: ("Graph", "connected_components"),
+    instances: ("worst_case_order",),
+    partitions: ("stirling_partition_count",),
+    minimax: ("minimax_query_complexity", "information_bound_check"),
+    # every bounds function perfbench/workloads.py calls
+    bounds: ("membership_known_count", "membership_unknown_count", "contraction_adversary_lower",
+             "count_components_queries", "learn_components_ceiling", "find_neighbors_ceiling",
+             "verify_accept_queries", "minimax_known_formula", "minimax_unknown_formula"),
+}
+
+
+def test_benchmark_bindings_exist():
+    missing = [f"{module.__name__}.{name}" for module, names in BINDINGS.items()
+               for name in names if not hasattr(module, name)]
+    assert not missing
+    assert "nodes" in coloring.SEARCH_STATS
+    variants = [cls.variant for cls in (adversaries.SeparabilityAdversary,
+                                        adversaries.UnknownCountAdversary,
+                                        adversaries.ContractionAdversary)]
+    assert variants == ["separability", "unknown-count", "contraction"]
+    for cls in (adversaries.SeparabilityAdversary, adversaries.UnknownCountAdversary,
+                adversaries.ContractionAdversary):
+        assert callable(cls.membership_query) and callable(cls.declare)
+    for method in ("membership_query", "multi_membership_query", "neighborhood_query", "declare"):
+        assert callable(getattr(oracles.HonestOracle, method))
+    assert callable(ledger.QueryLedger.append)
+    assert "canonicalize" in inspect.signature(minimax.minimax_query_complexity).parameters
