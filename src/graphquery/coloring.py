@@ -208,13 +208,17 @@ def proper_partitions(
     return [Partition.from_labels(colors) for colors in islice(search, limit)]
 
 
-def is_uniquely_k_colorable(g: Graph, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+def is_uniquely_k_colorable(
+    g: Graph | list[int], k: int, node_budget: int = DEFAULT_NODE_BUDGET
+) -> bool:
     """True iff g has exactly one proper k-coloring up to palette permutation.
 
-    Equivalently: exactly one induced color-class partition. Counting stops
-    early after a second partition turns up.
+    Equivalently: exactly one induced color-class partition. g is a Graph or
+    its list of adjacency bitmasks (which is only read). Counting stops
+    early after a second partition turns up, and builds no Partition.
     """
-    return len(proper_partitions(g, k, limit=2, node_budget=node_budget)) == 1
+    masks = g.adjacency_masks() if isinstance(g, Graph) else g
+    return sum(1 for _ in islice(_search_colorings(masks, k, node_budget), 2)) == 1
 
 
 def is_k_separable(

@@ -8,11 +8,24 @@ n-1 vertices; adding the vertex back to R with the matching neighbours
 gives a child of R isomorphic to the graph, in which the new vertex again
 has maximum degree. The graph budget still counts every neighbour subset
 of every representative, as when all of them were built.
+
+A representative's neighbour subsets are also taken one per twin orbit.
+Vertices u and v of R are twins when N(u) minus v equals N(v) minus u.
+Twinship is an equivalence, each twin class is a clique or an independent
+set, and any permutation inside a class is an automorphism of R. An
+automorphism of R maps the child with subset S onto the child with its
+image of S, so the child depends, up to isomorphism, only on how many
+vertices of each class the new vertex sees. One subset per count vector
+suffices: the lowest-labelled vertices of each class. The max-degree test
+reads only degrees, which automorphisms keep, so it passes on the orbit's
+chosen subset whenever it passes anywhere on the orbit, and every class is
+still reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -22,20 +35,56 @@ from .graphs import Graph
 from . import bounds
 
 ENUMERATION_MAX_N = 8
-EDGE_BOUND_MAX_K = 3
+EDGE_BOUND_MAX_K = ENUMERATION_MAX_N
 DEFAULT_GRAPH_BUDGET = 10_000_000
 # uniquely colorable graphs at the edge floor listed per row of the report
 MAX_TIGHT_EXAMPLES = 4
 
 
-def _codes_to_graphs(codes: list[int], n: int) -> list[Graph]:
-    """The graphs whose row-major upper-triangle bit strings are `codes`."""
-    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+@cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i in range(n - 1) for j in range(i + 1, n))
+
+
+def _code_edges(code: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The sorted edges of the graph whose row-major upper-triangle bit string is `code`."""
+    pairs = _pairs(n)
     top = len(pairs) - 1
-    return [
-        Graph(n, frozenset([p for bit, p in enumerate(pairs) if code >> (top - bit) & 1]))
-        for code in codes
-    ]
+    return tuple([p for bit, p in enumerate(pairs) if code >> (top - bit) & 1])
+
+
+def _code_masks(code: int, n: int) -> list[int]:
+    """The neighbour bitmasks of the graph whose bit string is `code`."""
+    masks = [0] * n
+    for i, j in _code_edges(code, n):
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
+def _twin_orbit_subsets(parent: tuple[int, ...]) -> list[int]:
+    """One neighbour subset of `parent` per orbit of its twin swaps, ascending.
+
+    Each subset takes the lowest-labelled vertices of every twin class, any
+    number of them from none to all (see the module docstring).
+    """
+    classes: list[list[int]] = []  # vertices of each twin class, ascending
+    for v, nbrs in enumerate(parent):
+        for members in classes:
+            u = members[0]
+            if not (nbrs ^ parent[u]) & ~(1 << u | 1 << v):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    subsets = [0]
+    for members in classes:
+        prefixes = [0]
+        for v in members:
+            prefixes.append(prefixes[-1] | 1 << v)
+        subsets = [mask | prefix for mask in subsets for prefix in prefixes]
+    subsets.sort()
+    return subsets
 
 
 def _levels(n_max: int, graph_budget: int):
@@ -43,12 +92,13 @@ def _levels(n_max: int, graph_budget: int):
     isomorphism class on exactly n vertices.
 
     Built level by level. A child of a representative on i vertices attaches
-    one new vertex to a neighbour subset; only children in which the new
-    vertex has maximum degree are built, and deduplicating them by canonical
-    code is exhaustive (see the module docstring). With `top` the parent's
-    maximum degree and `tops` the bitmask of vertices that have it, subset
-    `mask` qualifies iff popcount(mask) > top, or popcount(mask) == top and
-    `mask` avoids `tops`. A representative is a tuple of neighbour bitmasks.
+    one new vertex to a neighbour subset. Only one subset per twin orbit is
+    tried, and of those only the ones in which the new vertex has maximum
+    degree are built; deduplicating the children by canonical code is
+    exhaustive (see the module docstring). With `top` the parent's maximum
+    degree and `tops` the bitmask of vertices that have it, subset `mask`
+    qualifies iff popcount(mask) > top, or popcount(mask) == top and `mask`
+    avoids `tops`. A representative is a tuple of neighbour bitmasks.
 
     The graph budget counts every neighbour subset of every parent, built or
     not, and is checked before a level is built.
@@ -63,7 +113,6 @@ def _levels(n_max: int, graph_budget: int):
             raise BudgetExceededError(
                 f"enumeration generated more than {graph_budget} candidate graphs"
             )
-        weight = [mask.bit_count() for mask in range(1 << new)]
         children = []
         for parent in level:
             degrees = [nbrs.bit_count() for nbrs in parent]
@@ -72,8 +121,8 @@ def _levels(n_max: int, graph_budget: int):
             # child `mask`: the new vertex is adjacent to the set bits
             children += [
                 tuple([nbrs | (mask >> v & 1) << new for v, nbrs in enumerate(parent)]) + (mask,)
-                for mask, w in enumerate(weight)
-                if w > top or w == top and not mask & tops
+                for mask in _twin_orbit_subsets(parent)
+                if (w := mask.bit_count()) > top or w == top and not mask & tops
             ]
         # (B, size, size) 0/1 matrices for the batch kernel, which the
         # benchmark times; without it each child would go to code() directly
@@ -96,7 +145,7 @@ def enumerate_graphs(n: int, graph_budget: int = DEFAULT_GRAPH_BUDGET) -> list[G
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
     for _, codes in _levels(n, graph_budget):
         pass
-    return _codes_to_graphs(codes, n)
+    return [Graph(n, frozenset(_code_edges(code, n))) for code in codes]
 
 
 @dataclass(frozen=True)
@@ -154,23 +203,23 @@ def verify_unique_colorable_edge_bound(
         raise ValueError(f"need 1 <= k <= {EDGE_BOUND_MAX_K}")
     rows = []
     for n, codes in _levels(n_max, graph_budget):
-        reps = _codes_to_graphs(codes, n)
         bound = bounds.membership_known_count(n, k)
         unique_count = 0
         min_edges = None
         tight = []
         bad = []
-        for g in reps:
-            if not is_uniquely_k_colorable(g, k):
+        for code in codes:
+            if not is_uniquely_k_colorable(_code_masks(code, n), k):
                 continue
             unique_count += 1
-            if min_edges is None or g.m < min_edges:
-                min_edges = g.m
-            if g.m == bound and len(tight) < MAX_TIGHT_EXAMPLES:
-                tight.append(tuple(g.sorted_edges()))
-            if g.m < bound:
-                bad.append(tuple(g.sorted_edges()))
+            m = code.bit_count()
+            if min_edges is None or m < min_edges:
+                min_edges = m
+            if m == bound and len(tight) < MAX_TIGHT_EXAMPLES:
+                tight.append(_code_edges(code, n))
+            if m < bound:
+                bad.append(_code_edges(code, n))
         rows.append(
-            EdgeBoundRow(n, len(reps), unique_count, bound, min_edges, tuple(tight), tuple(bad))
+            EdgeBoundRow(n, len(codes), unique_count, bound, min_edges, tuple(tight), tuple(bad))
         )
     return EdgeBoundReport(k, tuple(rows))

@@ -156,12 +156,12 @@ def count_components_multi(session, n) -> LearnResult:
     if n == 0:
         return LearnResult(0, 0)
     start = session.ledger.count
-    alive = [True] * n
+    alive = set(range(n))
     for v in range(n):
-        rest = frozenset(u for u in range(n) if alive[u] and u != v)
-        if session.multi_membership_query(v, rest):
-            alive[v] = False
-    return LearnResult(sum(alive), session.ledger.count - start)
+        alive.discard(v)
+        if not session.multi_membership_query(v, frozenset(alive)):
+            alive.add(v)
+    return LearnResult(len(alive), session.ledger.count - start)
 
 
 def learn_components_multi(session, n) -> LearnResult:
@@ -176,14 +176,14 @@ def learn_components_multi(session, n) -> LearnResult:
     start = session.ledger.count
     classes: list[list[int]] = [[0]]
     for v in range(1, n):
-        everything = frozenset(x for c in classes for x in c)
-        if session.multi_membership_query(v, everything) == 0:
+        # every earlier vertex already sits in a class
+        if session.multi_membership_query(v, frozenset(range(v))) == 0:
             classes.append([v])
             continue
         candidates = list(range(len(classes)))
         while len(candidates) > 1:
             half = candidates[: (len(candidates) + 1) // 2]
-            pooled = frozenset(x for i in half for x in classes[i])
+            pooled = frozenset().union(*[classes[i] for i in half])
             if session.multi_membership_query(v, pooled):
                 candidates = half
             else:

@@ -105,6 +105,23 @@ def test_unique_colorability_examples():
     assert not is_uniquely_k_colorable(empty_graph(3), 2)
 
 
+def test_unique_colorability_takes_masks_and_matches_partition_count():
+    # the enumeration audit passes neighbour masks; either input must give
+    # the verdict of counting up to two partitions, for the same nodes
+    rng = random.Random(17)
+    for _ in range(2000):
+        n, k = rng.randint(1, 8), rng.randint(1, 5)
+        density = rng.random()
+        g = Graph.from_edges(n, [p for p in combinations(range(n), 2) if rng.random() < density])
+        reset_search_stats()
+        expected = len(proper_partitions(g, k, limit=2)) == 1
+        spent = dict(SEARCH_STATS)
+        for given_g in (g, g.adjacency_masks()):
+            reset_search_stats()
+            assert is_uniquely_k_colorable(given_g, k) == expected, (g.sorted_edges(), k)
+            assert SEARCH_STATS == spent
+
+
 def test_unique_colorability_counts_partitions_not_labelings():
     # oracle: path 0-1-2 has exactly one proper partition among 2^3 colorings
     parts = brute_force_proper_partitions(path_graph(3), 2)

@@ -161,8 +161,8 @@ def test_levels_match_brute_force_codes():
         assert levels[n] == sorted(codes), n
 
 
-def test_candidates_per_level_are_pinned(monkeypatch):
-    # children in which the new vertex has maximum degree, not every subset
+def _count_batches(monkeypatch) -> list[int]:
+    """Record the size of every batch `_levels` hands to the kernel."""
     sizes = []
     kernel = enumeration.canonical_codes
 
@@ -171,17 +171,81 @@ def test_candidates_per_level_are_pinned(monkeypatch):
         return kernel(batch)
 
     monkeypatch.setattr(enumeration, "canonical_codes", counting)
+    return sizes
+
+
+def test_candidates_per_level_are_pinned(monkeypatch):
+    # children of one subset per twin orbit in which the new vertex has
+    # maximum degree, not every subset
+    sizes = _count_batches(monkeypatch)
     for _ in enumeration._levels(7, 10**7):
         pass
-    assert tuple(sizes) == (2, 5, 16, 70, 348, 2690)
+    assert tuple(sizes) == (2, 4, 11, 42, 221, 1808)
 
 
-def test_edge_bound_row_at_eight_vertices():
+def test_edge_bound_row_at_eight_vertices(monkeypatch):
+    sizes = _count_batches(monkeypatch)
     report = verify_unique_colorable_edge_bound(8, 3)
+    assert sizes[-1] == 22194
     row = report.rows[-1]
     assert (row.n, row.graphs_total, row.unique_count) == (8, 12346, 856)
     assert row.min_edges == row.bound == 13
     assert report.ok
+
+
+def test_edge_bound_rows_at_eight_vertices_for_more_colors():
+    # uniquely k-colorable classes per n = 1..8, pinned from the exhaustive
+    # check before twin-orbit augmentation; the sparsest meets the floor
+    expected = {
+        4: ((1, 1, 1, 1, 1, 3, 12, 127), 18),
+        5: ((1, 1, 1, 1, 1, 1, 3, 12), 22),
+    }
+    for k, (unique, floor) in expected.items():
+        report = verify_unique_colorable_edge_bound(8, k)
+        assert tuple(r.unique_count for r in report.rows) == unique, k
+        row = report.rows[-1]
+        assert row.min_edges == row.bound == floor == bounds.membership_known_count(8, k)
+        assert report.ok
+
+
+def _twin_swap_orbits(nbrs: list[int]) -> list[set[int]]:
+    """Orbits of the neighbour subsets under swaps of twins, by closure."""
+    n = len(nbrs)
+    swaps = [(u, v) for u, v in combinations(range(n), 2)
+             if nbrs[u] & ~(1 << v) == nbrs[v] & ~(1 << u)]
+    orbit_of: dict[int, int] = {}
+    orbits: list[set[int]] = []
+    for start in range(1 << n):
+        if start in orbit_of:
+            continue
+        orbit, todo = {start}, [start]
+        while todo:
+            mask = todo.pop()
+            for u, v in swaps:
+                a, b = mask >> u & 1, mask >> v & 1
+                image = mask ^ ((a ^ b) << u | (a ^ b) << v)
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        for mask in orbit:
+            orbit_of[mask] = len(orbits)
+        orbits.append(orbit)
+    return orbits
+
+
+def test_twin_orbit_subsets_pick_one_per_orbit():
+    # for every labelled parent on at most 5 vertices, the subsets `_levels`
+    # tries are ascending and hit every twin-swap orbit exactly once
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for code_bits in range(1 << len(pairs)):
+            nbrs = Graph(n, frozenset(p for i, p in enumerate(pairs) if code_bits >> i & 1)) \
+                .adjacency_masks()
+            subsets = enumeration._twin_orbit_subsets(tuple(nbrs))
+            assert subsets == sorted(subsets), (n, code_bits)
+            hits = sorted(sum(1 for mask in subsets if mask in orbit)
+                          for orbit in _twin_swap_orbits(nbrs))
+            assert hits == [1] * len(hits) and len(subsets) == len(hits), (n, code_bits)
 
 
 def test_enumeration_guards():
@@ -218,7 +282,8 @@ def test_edge_bound_guards():
     with pytest.raises(ValueError):
         verify_unique_colorable_edge_bound(9, 2)
     with pytest.raises(ValueError):
-        verify_unique_colorable_edge_bound(5, 4)
+        verify_unique_colorable_edge_bound(5, 9)
+    assert enumeration.EDGE_BOUND_MAX_K == enumeration.ENUMERATION_MAX_N == 8
 
 
 def test_report_dict_round_trip():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -143,6 +144,28 @@ def test_learn_components_correct_and_bounded(g):
     res = learn_components_multi(HonestOracle(g), g.n)
     assert res.answer == truth
     assert res.queries_used <= bounds.learn_components_ceiling(g.n, truth.k)
+
+
+# sha256 of the JSONL ledger of each pooled learner on three seeded
+# instances: how the learners build their query sets must not move a query
+POOLED_LEDGER_DIGESTS = {
+    (12, 3, 0): ("befe7c8c4ce7636faaca1fdf6153d55ae9e4884b41e6273656427c8e66309335",
+                 "b3925dc0ce954efded53fe5c2e507c15664c985d098988698663c3ebb0494d07"),
+    (20, 5, 1): ("113dfca80ce13cd51aacd0909b0f00d6623aeffbd860e3d8cb61ce9ac19d21f9",
+                 "a80ae766d60537d78a436edcbba076ac422db1cb998586d4a71bd13d5f3e6438"),
+    (31, 7, 2): ("387e6bca29ea87881f5434a5a8e65ffa6db4bc151bcb08d413b6e5c246ec440e",
+                 "9f9969299659553ecac43cb2767f00b66d76b34f2bbc864dbf039b40e2e854a5"),
+}
+
+
+def test_pooled_ledgers_are_pinned():
+    for (n, k, seed), digests in POOLED_LEDGER_DIGESTS.items():
+        got = []
+        for learner in (count_components_multi, learn_components_multi):
+            session = HonestOracle(random_partition_graph(n, k, seed))
+            learner(session, n)
+            got.append(hashlib.sha256(session.ledger.to_jsonl().encode()).hexdigest())
+        assert tuple(got) == digests, (n, k, seed)
 
 
 # ---------------------------------------------------------------- neighborhood
