@@ -2,15 +2,17 @@
 
 The two search adversaries share one separability rule. It keeps an
 auxiliary simple graph whose edges record "different component" answers,
-plus a proper k-coloring chi whose color classes are, at every moment, a
-real partition consistent with everything said so far. A same-colored pair
-is answered "yes" only when no proper k-coloring of the auxiliary graph
-separates it; such pairs are recorded once as forced edges. The rule has
-two sibling variants, which differ only in what the learner knows and in
-where the coloring starts:
+and answers a pair 0 iff the pair is k-separable there, that is, iff some
+proper k-coloring of the auxiliary graph gives its endpoints different
+colors. A separable pair becomes an edge; an inseparable one is answered 1
+and recorded once as a forced edge. The color classes of every proper
+k-coloring are then a real partition consistent with everything said so
+far, and the adversary reports one of them, chi, which depends on the
+auxiliary graph alone. The rule has two sibling variants, which differ
+only in what the learner knows and in where chi starts:
 
 - SeparabilityAdversary: the component count k is public, 2 <= k <= n, and
-  the coloring starts balanced.
+  chi starts balanced.
 - UnknownCountAdversary: k is fixed at construction but hidden, 1 <= k <= n,
   and every vertex starts with color 1. Its audit additionally requires the
   claim to equal the components of the forced edges.
@@ -52,6 +54,19 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _class_masks(colors, k: int) -> list[int]:
+    """classes[c] is the bitmask of the vertices colored c; classes[0] is empty."""
+    classes = [0] * (k + 1)
+    for w, c in enumerate(colors):
+        classes[c] |= 1 << w
+    return classes
+
+
+def _is_proper(masks: list[int], colors, classes: list[int]) -> bool:
+    """True iff no vertex has a neighbour inside its own color class."""
+    return not any(nbrs & classes[c] for nbrs, c in zip(masks, colors))
+
+
 def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[list[int], Coloring]:
     """Neighbour bitmasks of the validated starting edges, and a proper
     coloring of them; the coloring defaults to balanced."""
@@ -86,32 +101,36 @@ def _audit(claimed: Partition, parts: list[Partition], unique_detail: str) -> Au
 class _SeparabilityRule:
     """State and answer rule shared by the two search adversaries.
 
-    Rules on a query (x, y):
-      - different colors: record the edge, answer 0;
-      - same color and the pair is k-separable in the auxiliary graph:
-        record the edge, switch to a separating coloring, answer 0;
-      - same color and inseparable: leave the auxiliary graph alone, record
-        the pair (once) as a forced edge, answer 1.
-
+    The rule rests on one lemma: the answer is 0 iff the pair is
+    k-separable in the auxiliary graph G, that is, iff G plus the pair is
+    k-colorable. On a query (u, v):
+      - separable: record the edge uv, answer 0;
+      - inseparable: leave G alone, record the pair (once) as a forced
+        edge, answer 1.
     Re-asking an edge answers 0 again and re-asking an inseparable pair
     answers 1 again; duplicates still count in the ledger. The two variants
     subclass this as siblings, so patching one variant's methods (as a
     tracer does) never reaches the other.
 
-    `masks` holds the auxiliary graph's neighbour bitmasks, its only stored
-    form; `edges` is read from it. Once a search has set
-    chi, chi is the first proper coloring of the auxiliary graph in the
-    search order, and it stays first:
-      - a new edge that chi already separates keeps it first, because every
-        coloring of G plus that edge is also a coloring of G;
-      - an inseparable pair leaves G alone;
-      - for a same-colored pair u < v, every coloring before chi's path
-        chi[0..v] is improper for G, and every one inside that path's
-        subtree gives u and v one color,
-    so the first coloring of G plus uv is the first one after that subtree,
-    and the search resumes there (`find_k_coloring(after=...)`). A start
-    coloring that no search produced is not known to be first, so the first
-    search of such an adversary starts cold.
+    `masks` holds G's neighbour bitmasks, its only stored form; `edges` is
+    read from it. The decision is made against a *working* proper coloring
+    `color`, with `classes[c]` the bitmask of the vertices colored c:
+      1. u and v have different colors: the pair is separated already;
+      2. v, or failing that u, has a color that none of its neighbours in
+         G + uv holds: move it there;
+      3. otherwise a cold search of G + uv decides, and the coloring it
+         finds, if any, becomes the working one.
+    Every change to the working coloring is checked against every edge.
+
+    The answers, masks and forced edges depend only on separability, not on
+    which coloring is the working one, and neither does `chi`, the coloring
+    reported to callers. It is the start coloring until the first answer-0
+    pair that the start colors alike, and from then on (`chi_is_first`) the
+    first proper coloring of G in the search order, computed when read and
+    cached. A new edge that the cached chi already separates keeps it
+    first, because every coloring of G plus that edge is a coloring of G;
+    so only an edge that chi colors alike drops the cache. An inseparable
+    pair leaves G, and so chi, alone.
     """
 
     def __init__(self, n: int, k: int, masks: list[int], chi: Coloring, chi_is_first: bool):
@@ -119,7 +138,9 @@ class _SeparabilityRule:
         self.k = k
         self.masks = masks
         self.forced_edges: set[Edge] = set()
-        self.chi = chi
+        self.color = list(chi.colors)
+        self.classes = _class_masks(self.color, k)
+        self._chi: Coloring | None = chi  # None: the next read searches
         self.chi_is_first = chi_is_first
         self.ledger = QueryLedger()
 
@@ -128,46 +149,61 @@ class _SeparabilityRule:
         """The auxiliary graph's edges, read from the masks."""
         return frozenset((u, v) for u, nbrs in enumerate(self.masks) for v in _bits(nbrs) if u < v)
 
+    @property
+    def chi(self) -> Coloring:
+        if self._chi is None:
+            chi = find_k_coloring(self.masks, self.k)
+            # the working coloring is proper, so G has a first coloring
+            assert chi is not None
+            assert _is_proper(self.masks, chi.colors, _class_masks(chi.colors, self.k))
+            self._chi = chi
+        return self._chi
+
     def forced_graph_view(self) -> Graph:
         return Graph(self.n, frozenset(self.forced_edges))
 
     def chi_partition(self) -> Partition:
         return self.chi.classes()
 
+    def _recolor(self, w: int) -> bool:
+        """Move w to the least color that none of its neighbours holds, if any."""
+        nbrs, classes = self.masks[w], self.classes
+        for c in range(1, self.k + 1):
+            if not nbrs & classes[c]:
+                bit = 1 << w
+                classes[self.color[w]] ^= bit
+                classes[c] |= bit
+                self.color[w] = c
+                return True
+        return False
+
     def membership_query(self, x: int, y: int) -> int:
         pair = _validated_pair(x, y, self.n)
         u, v = pair
-        colors = self.chi.colors
         masks = self.masks
         masks[u] |= 1 << v
         masks[v] |= 1 << u
         answer = 0
-        if colors[u] == colors[v]:  # never true of a recorded edge
-            after = colors[: v + 1] if self.chi_is_first else ()
-            separating = None
-            try:
-                separating = find_k_coloring(masks, self.k, after=after)
-            finally:
-                if separating is None:  # inseparable, or the search gave up
-                    masks[u] &= ~(1 << v)
-                    masks[v] &= ~(1 << u)
-            if separating is None:
-                self.forced_edges.add(pair)
-                answer = 1
-            else:
-                self.chi = separating
-                self.chi_is_first = True
-        new = self.chi.colors
-        if new is colors:
-            # chi was proper on the old edges; only a new edge can break that
-            assert answer or new[u] != new[v]
-        else:
-            # chi is proper iff no vertex has a neighbor inside its own
-            # color class
-            classes = [0] * (self.k + 1)
-            for w, c in enumerate(new):
-                classes[c] |= 1 << w
-            assert not any(nbrs & classes[c] for nbrs, c in zip(masks, new))
+        if self.color[u] == self.color[v]:  # never true of a recorded edge
+            # the other endpoint blocks the shared color, so a move leaves it
+            if not (self._recolor(v) or self._recolor(u)):
+                separating = None
+                try:
+                    separating = find_k_coloring(masks, self.k)
+                finally:
+                    if separating is None:  # inseparable, or the search gave up
+                        masks[u] &= ~(1 << v)
+                        masks[v] &= ~(1 << u)
+                if separating is None:
+                    self.forced_edges.add(pair)
+                    answer = 1
+                else:
+                    self.color = list(separating.colors)
+                    self.classes = _class_masks(self.color, self.k)
+            assert answer or _is_proper(masks, self.color, self.classes)
+        if not answer and self._chi is not None and self._chi.colors[u] == self._chi.colors[v]:
+            self._chi = None
+            self.chi_is_first = True
         self.ledger.append("alpha", (x, y), answer)
         return answer
 

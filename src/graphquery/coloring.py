@@ -15,16 +15,6 @@ every partition into at most k blocks once, as its restricted growth string
 plus 1, in lexicographic order. It is the only partition enumerator: the
 alpha_m minimax game indexes its candidates in that order.
 
-`find_k_coloring(..., after=p)` resumes that order instead of starting it:
-it returns the first proper coloring that comes after every coloring
-beginning with the prefix p. One backtracking loop runs both searches. A
-cold search starts it at vertex 0; a resumed one places p (properly colored
-before its last vertex) and starts it at p's last vertex, as if color p[-1]
-had just been tried there. Placed prefix vertices cost no nodes. A caller
-that knows every coloring up to the end of p's subtree is improper (the
-adversaries do; see `adversaries._SeparabilityRule`) gets the cold search's
-answer for a fraction of its nodes.
-
 The search is a lazy generator with no limit of its own: the loop yields
 each solution as it reaches it, a caller stops reading once it has what it
 needs (`find_k_coloring` after one coloring, `proper_partitions` after
@@ -87,7 +77,7 @@ class Coloring:
         return all(self.colors[u] != self.colors[v] for u, v in g.edges)
 
 
-def _search_colorings(masks: list[int], k: int, node_budget, after=()):
+def _search_colorings(masks: list[int], k: int, node_budget):
     """Backtracking over color-class partitions, with forward checking.
 
     `masks[v]` is the bitmask of v's neighbors. Vertices are assigned in
@@ -96,8 +86,7 @@ def _search_colorings(masks: list[int], k: int, node_budget, after=()):
     visits each proper color-class partition exactly once, so outputs are
     deterministic and palette permutations are never enumerated. Yields
     solutions as color tuples, lazily: the caller stops it by reading no
-    further. A nonempty `after` starts the search just past every coloring
-    that begins with it.
+    further.
 
     The state is flat, per vertex: `colors[v]` (0 while unplaced),
     `saved[v]`, the value of near[colors[v]] before v took that color, and
@@ -114,28 +103,15 @@ def _search_colorings(masks: list[int], k: int, node_budget, after=()):
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     n = len(masks)
-    if len(after) > n:
-        raise ValueError(f"prefix of {len(after)} colors for {n} vertices")
     colors, saved, used = [0] * n, [0] * n, [0] * n
     near = [0] * (k + 1)
-    in_use = 0
-    for v, c in enumerate(after):
-        if not 0 < c <= k or c > in_use + 1:
-            raise ValueError(f"{tuple(after)} is not a search path with {k} colors")
-        # the last prefix vertex is only ever moved past, so it may clash
-        if near[c] >> v & 1 and v < len(after) - 1:
-            raise ValueError(f"{tuple(after)} colors two neighbors alike")
-        colors[v], saved[v], used[v] = c, near[c], in_use
-        near[c] |= masks[v]
-        if c > in_use:
-            in_use = c
     SEARCH_STATS["invocations"] += 1
     if not n:
         yield ()
         return
 
     budget = node_budget
-    v = len(after) - 1 if after else 0
+    v = 0
     while v >= 0:
         c = colors[v]
         if c:
@@ -177,17 +153,13 @@ def find_k_coloring(
     g: Graph | list[int],
     k: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    after: tuple[int, ...] = (),
 ) -> Coloring | None:
     """First proper k-coloring of g in the fixed search order, or None.
 
     g is a Graph or its list of adjacency bitmasks (which is only read).
-    With `after` set, the first coloring past every one that begins with
-    that prefix, or None when there is none; the prefix must be colored
-    properly except at its last vertex.
     """
     masks = g.adjacency_masks() if isinstance(g, Graph) else g
-    for colors in _search_colorings(masks, k, node_budget, after):
+    for colors in _search_colorings(masks, k, node_budget):
         return Coloring(colors, k)
     return None
 

@@ -478,8 +478,8 @@ def test_random_pair_stream_transcripts_are_frozen(variant):
 # variant -> (answer-search nodes, audit-search nodes), summed over the reps
 # learner at n=12, k=3 on the orders random.Random(s).shuffle, s = 0..3
 PINNED_SEARCH_NODES = {
-    "separability": (112, 1308),
-    "unknown-count": (37158, 1308),
+    "separability": (0, 1308),
+    "unknown-count": (37288, 1308),
     "contraction": (0, 1308),
 }
 
@@ -599,30 +599,37 @@ def _quotient_masks(n: int, pairs, find) -> list[int]:
 
 @pytest.mark.parametrize("start", ["separability", "separability-initial", "unknown-count", "contraction"])
 def test_live_masks_and_coloring_track_the_auxiliary_graph(start):
-    # seeded pair streams with repeats and inseparable pairs; after every
-    # query the masks hold exactly the starting edges and the pairs answered
-    # 0, the coloring is proper on them, and once a search has run, chi is
-    # the cold search's first coloring of the auxiliary graph. The
-    # contraction adversary keeps the quotient: each class's mask holds the
-    # classes it was answered 0 against, and its streams re-ask pairs inside
-    # a class.
+    # seeded pair streams with repeats and inseparable pairs; each answer is
+    # 0 iff brute force finds the pair separable, and after every query the
+    # masks hold exactly the starting edges and the pairs answered 0, the
+    # working coloring is proper on them, and chi is the start coloring up to
+    # the first separable pair the start colors alike, and the cold search's
+    # first coloring of the auxiliary graph from then on. The contraction
+    # adversary keeps the quotient: each class's mask holds the classes it
+    # was answered 0 against, and its streams re-ask pairs inside a class.
     rng = random.Random(f"live-masks/{start}")
     repeats = ones = inside = 0
     for _ in range(40):
         n = rng.randint(2, 9)
         edges = []
         if start == "unknown-count":
-            adv = UnknownCountAdversary(n, rng.randint(1, min(4, n)))
+            k = rng.randint(1, min(4, n))
+            adv, start_colors = UnknownCountAdversary(n, k), (1,) * n
         elif start == "separability":
-            adv = SeparabilityAdversary(n, rng.randint(2, min(4, n)))
+            k = rng.randint(2, min(4, n))
+            adv, start_colors = SeparabilityAdversary(n, k), tuple(v % k + 1 for v in range(n))
         elif start == "separability-initial":
             k = rng.randint(2, min(4, n))
-            colors, edges = _random_start(n, k, rng)
-            adv = SeparabilityAdversary(n, k, initial_coloring=colors, initial_edges=edges)
+            start_colors, edges = _random_start(n, k, rng)
+            adv = SeparabilityAdversary(n, k, initial_coloring=start_colors, initial_edges=edges)
         else:
             k = rng.randint(2, min(4, n))
             colors, edges = _random_start(n, k, rng) if rng.random() < 0.5 else (None, [])
             adv = ContractionAdversary(n, k, initial_coloring=colors, initial_edges=edges)
+        if start != "contraction":
+            start_chi = Coloring(tuple(start_colors), k)
+            # the all-1 start is already the first coloring of the edgeless graph
+            switched = start == "unknown-count"
         asked = set()
         for _ in range(3 * n * n):
             x, y = rng.sample(range(n), 2)
@@ -630,7 +637,13 @@ def test_live_masks_and_coloring_track_the_auxiliary_graph(start):
             repeats += pair in asked
             asked.add(pair)
             inside += start == "contraction" and adv.cls[x] == adv.cls[y]
-            ones += adv.membership_query(x, y)
+            if start != "contraction":
+                plus = list(adv.masks)
+                plus[x] |= 1 << y
+                plus[y] |= 1 << x
+                separable = bool(proper_partitions(plus, k, limit=1))
+            answer = adv.membership_query(x, y)
+            ones += answer
             zeros = edges + [e.args for e in adv.ledger if not e.answer]
             if start == "contraction":
                 assert adv.masks == _quotient_masks(len(adv.masks), zeros, adv.cls.__getitem__)
@@ -638,11 +651,14 @@ def test_live_masks_and_coloring_track_the_auxiliary_graph(start):
                     assert 1 <= adv.color[i] <= adv.k
                     assert all(adv.color[i] != adv.color[j] for j in range(len(adv.masks)) if nbrs >> j & 1)
                 continue
+            assert answer == (not separable)
             graph = Graph(adv.n, adv.edges)
             assert adv.masks == _quotient_masks(n, zeros, lambda v: v)
+            assert all(adv.color[i] != adv.color[j] for i, j in graph.edges)
+            switched = switched or (separable and start_colors[x] == start_colors[y])
+            assert adv.chi_is_first == switched
+            assert adv.chi == (find_k_coloring(graph, k) if switched else start_chi)
             assert adv.chi.is_proper(graph)
-            if adv.chi_is_first:
-                assert adv.chi == find_k_coloring(graph, adv.k)
     # a contraction stream contracts at most n - 1 times
     assert repeats > 1000 and ones > (50 if start == "contraction" else 100)
     assert (inside > 100) == (start == "contraction")
@@ -692,10 +708,25 @@ def test_ascending_grid_transcripts_are_frozen():
     assert got == FROZEN_GRID_DIGESTS
 
 
-def test_a_search_that_gives_up_leaves_the_state_alone(monkeypatch):
-    adv = SeparabilityAdversary(4, 2)  # chi starts (1, 2, 1, 2)
+def _adversary_at_a_search():
+    """SeparabilityAdversary(4, 2) after the queries (0, 1) and (2, 3). Its
+    working coloring is (1, 2, 1, 2), so on the next query (0, 2) neither
+    endpoint has a free color, and the answer takes the search."""
+    adv = SeparabilityAdversary(4, 2)
     adv.membership_query(0, 1)
-    masks, edges, chi = list(adv.masks), set(adv.edges), adv.chi
+    adv.membership_query(2, 3)
+    assert adv.color == [1, 2, 1, 2]
+    return adv
+
+
+def test_a_search_that_gives_up_leaves_the_state_alone(monkeypatch):
+    # a fresh adversary moves 2 to its free color 2, with no search
+    reset_search_stats()
+    assert SeparabilityAdversary(4, 2).membership_query(0, 2) == 0
+    assert SEARCH_STATS["invocations"] == 0
+
+    adv = _adversary_at_a_search()
+    state = list(adv.masks), set(adv.edges), list(adv.color), list(adv.classes), adv.chi
 
     def give_up(*args, **kwargs):
         raise BudgetExceededError("stub search gave up")
@@ -703,18 +734,16 @@ def test_a_search_that_gives_up_leaves_the_state_alone(monkeypatch):
     monkeypatch.setattr(adversaries, "find_k_coloring", give_up)
     with pytest.raises(BudgetExceededError):
         adv.membership_query(0, 2)
-    assert (adv.masks, adv.edges, adv.forced_edges, adv.chi) == (masks, edges, set(), chi)
-    assert adv.ledger.count == 1
+    assert (adv.masks, adv.edges, adv.color, adv.classes, adv.chi) == state
+    assert adv.forced_edges == set() and adv.ledger.count == 2
 
 
 def test_a_new_coloring_is_checked_against_every_old_edge(monkeypatch):
-    adv = UnknownCountAdversary(3, 2)  # chi starts (1, 1, 1)
-    adv.membership_query(0, 1)
-    assert adv.chi.colors == (1, 2, 1)
+    adv = _adversary_at_a_search()
 
     def improper(*args, **kwargs):
         # separates the queried pair 0, 2 but joins the old edge 0-1
-        return Coloring((1, 1, 2), 2)
+        return Coloring((1, 1, 2, 1), 2)
 
     monkeypatch.setattr(adversaries, "find_k_coloring", improper)
     with pytest.raises(AssertionError):

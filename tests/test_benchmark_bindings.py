@@ -65,3 +65,28 @@ def test_traced_entry_points_are_reached(monkeypatch):
         monkeypatch.setattr(enumeration, name, counting)
     enumeration.verify_unique_colorable_edge_bound(7, 3)
     assert calls == {"canonical_codes": 6, "is_uniquely_k_colorable": 1252}
+
+
+def test_traced_answer_entry_point_is_reached(monkeypatch):
+    # perfbench's coloring.answer.* metrics wrap `adversaries.find_k_coloring`:
+    # an answer that takes the search and a read of chi each reach it once,
+    # and an answer settled by a free color does not reach it
+    calls = []
+    original = adversaries.find_k_coloring
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(adversaries, "find_k_coloring", counting)
+    adv = adversaries.SeparabilityAdversary(4, 2)  # working coloring (1, 2, 1, 2)
+    assert adv.membership_query(0, 2) == 0  # 2 moves to its free color 2
+    assert calls == []
+    adv = adversaries.SeparabilityAdversary(4, 2)
+    adv.membership_query(0, 1)
+    adv.membership_query(2, 3)
+    assert calls == []
+    assert adv.membership_query(0, 2) == 0  # neither 0 nor 2 has a free color
+    assert len(calls) == 1
+    assert adv.chi.colors == adv.chi.colors == (1, 2, 2, 1)  # computed once, then cached
+    assert len(calls) == 2

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphquery.coloring import (
-    DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     Coloring,
     SEARCH_STATS,
@@ -258,7 +257,6 @@ def test_search_leaves_no_cyclic_garbage():
         find_k_coloring(g, 2)
         proper_partitions(g, 3, limit=2)
         is_k_separable(g, 0, 2, 3)
-        find_k_coloring(g, 3, after=(1, 2, 1))
         next(_search_colorings(g.adjacency_masks(), 3, 100))
         assert gc.collect() == 0
     finally:
@@ -270,83 +268,3 @@ def test_coloring_classes():
     assert col.classes() == Partition.from_blocks([[0, 2], [1]])
     with pytest.raises(ValueError):
         Coloring((1, 3), 2)
-
-
-def test_resumed_search_matches_cold_search():
-    # c is the first coloring of g; for a same-colored non-adjacent pair
-    # u < v, every coloring up to the end of c[:v+1]'s subtree is improper
-    # for g + uv, so resuming after that prefix must find the cold answer
-    rng = random.Random(2007)
-    checked = separable = 0
-    for _ in range(300):
-        n = rng.randint(2, 9)
-        k = rng.randint(1, 4)
-        pairs = list(combinations(range(n), 2))
-        g = Graph(n, frozenset(rng.sample(pairs, rng.randint(0, len(pairs) // 2))))
-        c = find_k_coloring(g, k)
-        if c is None:
-            continue
-        for u, v in pairs:
-            if (u, v) in g.edges or c.colors[u] != c.colors[v]:
-                continue
-            plus = Graph(n, g.edges | {(u, v)})
-            cold = find_k_coloring(plus, k)
-            assert find_k_coloring(plus, k, after=c.colors[: v + 1]) == cold
-            assert find_k_coloring(plus.adjacency_masks(), k, after=c.colors[: v + 1]) == cold
-            checked += 1
-            separable += cold is not None
-    # both outcomes occur often enough to matter
-    assert checked > 500 and 100 < separable < checked - 100
-
-
-def test_resume_prefix_must_be_a_search_path():
-    g = empty_graph(4)
-    for bad in [(2,), (1, 3), (0,), (1, 2, 3), (1, 1, 1, 1, 1)]:
-        with pytest.raises(ValueError):
-            find_k_coloring(g, 2, after=bad)
-    # the full path of the last coloring has nothing after it
-    assert find_k_coloring(g, 2, after=(1, 2, 2, 2)) is None
-    assert find_k_coloring(g, 2, after=(1, 1)).colors == (1, 2, 1, 1)
-    # vertices before the last must be properly colored; the last may clash
-    edge = Graph.from_edges(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        find_k_coloring(edge, 2, after=(1, 1, 1))
-    assert find_k_coloring(edge, 2, after=(1, 1)).colors == (1, 2, 1)
-
-
-def test_replayed_prefix_costs_no_nodes():
-    g = empty_graph(10)
-    reset_search_stats()
-    assert find_k_coloring(g, 2, after=(1,) * 9 + (1,)).colors == (1,) * 9 + (2,)
-    # only the last vertex is expanded: one node, color 2
-    assert SEARCH_STATS["nodes"] == 1
-
-
-def _search_paths(n, k):
-    """Every nonempty restricted-growth prefix of length at most n."""
-    paths = [(1,)]
-    for p in paths:
-        if len(p) < n:
-            paths.extend(p + (c,) for c in range(1, min(max(p) + 1, k) + 1))
-    return paths
-
-
-def test_resume_contract_on_every_search_path():
-    # resuming after p yields exactly the cold colorings whose prefix comes
-    # after p, in order: those past the end of p's subtree
-    rng = random.Random(1980)
-    resumed = 0
-    for _ in range(30):
-        n = rng.randint(1, 7)
-        k = rng.randint(1, 4)
-        pairs = list(combinations(range(n), 2))
-        g = Graph(n, frozenset(rng.sample(pairs, rng.randint(0, len(pairs) // 2))))
-        masks = g.adjacency_masks()
-        cold = list(_search_colorings(masks, k, DEFAULT_NODE_BUDGET))
-        for p in _search_paths(n, k):
-            if any(p[u] == p[v] for u, v in g.edges if v < len(p) - 1):
-                continue
-            got = list(_search_colorings(masks, k, DEFAULT_NODE_BUDGET, after=p))
-            assert got == [c for c in cold if c[: len(p)] > p]
-            resumed += 1
-    assert resumed > 1000
