@@ -32,7 +32,7 @@ than the claim as a witness.
 from __future__ import annotations
 
 from .coloring import Coloring, find_k_coloring, proper_partitions
-from .graphs import Edge, Graph, connected_components, contract, normalize_edge
+from .graphs import Edge, Graph, bits, connected_components, contract, normalize_edge
 from .ledger import QueryLedger
 from .oracles import AuditVerdict
 from .partitions import Partition
@@ -44,14 +44,6 @@ def _validated_pair(x: int, y: int, n: int) -> tuple[int, int]:
     if x == y:
         raise ValueError("membership query needs two distinct vertices")
     return normalize_edge(x, y)
-
-
-def _bits(mask: int):
-    """The positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _class_masks(colors, k: int) -> list[int]:
@@ -108,7 +100,8 @@ class _SeparabilityRule:
       - inseparable: leave G alone, record the pair (once) as a forced
         edge, answer 1.
     Re-asking an edge answers 0 again and re-asking an inseparable pair
-    answers 1 again; duplicates still count in the ledger. The two variants
+    answers 1 again, from `forced_edges` and without a search, since G only
+    grows; duplicates still count in the ledger. The two variants
     subclass this as siblings, so patching one variant's methods (as a
     tracer does) never reaches the other.
 
@@ -147,7 +140,7 @@ class _SeparabilityRule:
     @property
     def edges(self) -> frozenset[Edge]:
         """The auxiliary graph's edges, read from the masks."""
-        return frozenset((u, v) for u, nbrs in enumerate(self.masks) for v in _bits(nbrs) if u < v)
+        return frozenset((u, v) for u, nbrs in enumerate(self.masks) for v in bits(nbrs) if u < v)
 
     @property
     def chi(self) -> Coloring:
@@ -180,11 +173,15 @@ class _SeparabilityRule:
     def membership_query(self, x: int, y: int) -> int:
         pair = _validated_pair(x, y, self.n)
         u, v = pair
+        same = self.color[u] == self.color[v]  # never true of a recorded edge
+        if same and pair in self.forced_edges:  # G only grows: still inseparable
+            self.ledger.append("alpha", (x, y), 1)
+            return 1
         masks = self.masks
         masks[u] |= 1 << v
         masks[v] |= 1 << u
         answer = 0
-        if self.color[u] == self.color[v]:  # never true of a recorded edge
+        if same:
             # the other endpoint blocks the shared color, so a move leaves it
             if not (self._recolor(v) or self._recolor(u)):
                 separating = None
@@ -312,7 +309,7 @@ class ContractionAdversary:
                 # other endpoint, which shares small's color. Fewer than k-1
                 # neighbors leave one free (bit 0 stands for the unused 0).
                 blocked = 1 | 1 << color[small]
-                for w in _bits(masks[small]):
+                for w in bits(masks[small]):
                     blocked |= 1 << color[w]
                 color[small] = (~blocked & (blocked + 1)).bit_length() - 1
                 assert color[small] <= self.k, "small vertex lost all admissible colors"

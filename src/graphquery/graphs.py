@@ -1,9 +1,12 @@
-"""Simple undirected graphs on dense integer labels, components, contraction, and edge-list I/O."""
+"""Simple undirected graphs on dense integer labels, vertex sets as
+bitmasks, components, contraction, and edge-list I/O."""
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable, Sequence
 
 from .partitions import Partition
@@ -16,6 +19,62 @@ def normalize_edge(u: int, v: int) -> Edge:
     if u == v:
         raise ValueError(f"self-loop {u!r} is not a valid edge")
     return (u, v) if u < v else (v, u)
+
+
+def bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class VertexSet(Set):
+    """Immutable set of vertices stored as one int bitmask: bit v is set iff
+    v is a member.
+
+    It compares and hashes equal to the frozenset with the same members.
+    The set queries pass and store their sets in this form, so a query set
+    costs one big int, and intersecting it with a neighbourhood or a
+    component is one AND.
+    """
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int = 0):
+        if mask < 0:
+            raise ValueError(f"vertex mask must be nonnegative, got {mask}")
+        self.mask = mask
+
+    @classmethod
+    def of(cls, vertices: Iterable[int]) -> VertexSet:
+        """The set of the given vertices; a VertexSet is returned as it is."""
+        if isinstance(vertices, VertexSet):
+            return vertices
+        mask = 0
+        try:
+            for v in vertices:
+                mask |= 1 << index(v)
+        except ValueError:  # a negative shift
+            raise ValueError(f"vertex {v} is negative") from None
+        return cls(mask)
+
+    _from_iterable = of  # what the Set operators build their results with
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __iter__(self):
+        """The members in ascending order."""
+        return bits(self.mask)
+
+    def __contains__(self, v) -> bool:
+        return isinstance(v, int) and v >= 0 and bool(self.mask >> v & 1)
+
+    __hash__ = Set._hash
+
+    def __repr__(self) -> str:
+        return f"VertexSet.of({list(self)})"
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Every learner takes a session object (an honest oracle or an adversary),
 issues queries through it, and reports the ledger delta as `queries_used`.
 Learners keep no state of their own, so one session may host several runs
-sequentially; concurrent learners need separate sessions.
+sequentially; concurrent learners need separate sessions. The set queries
+receive their sets as `graphs.VertexSet` bitmasks, built with big-int
+operations.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import ContractionMap, Graph
+from .graphs import ContractionMap, Graph, VertexSet
 from .partitions import Partition
 
 
@@ -156,12 +158,12 @@ def count_components_multi(session, n) -> LearnResult:
     if n == 0:
         return LearnResult(0, 0)
     start = session.ledger.count
-    alive = set(range(n))
+    alive = (1 << n) - 1
     for v in range(n):
-        alive.discard(v)
-        if not session.multi_membership_query(v, frozenset(alive)):
-            alive.add(v)
-    return LearnResult(len(alive), session.ledger.count - start)
+        alive ^= 1 << v
+        if not session.multi_membership_query(v, VertexSet(alive)):
+            alive |= 1 << v
+    return LearnResult(alive.bit_count(), session.ledger.count - start)
 
 
 def learn_components_multi(session, n) -> LearnResult:
@@ -174,28 +176,33 @@ def learn_components_multi(session, n) -> LearnResult:
     if n < 1:
         raise ValueError("n must be positive")
     start = session.ledger.count
-    classes: list[list[int]] = [[0]]
+    classes = [1]  # one vertex bitmask per class, in discovery order
     for v in range(1, n):
         # every earlier vertex already sits in a class
-        if session.multi_membership_query(v, frozenset(range(v))) == 0:
-            classes.append([v])
+        if session.multi_membership_query(v, VertexSet((1 << v) - 1)) == 0:
+            classes.append(1 << v)
             continue
         candidates = list(range(len(classes)))
         while len(candidates) > 1:
             half = candidates[: (len(candidates) + 1) // 2]
-            pooled = frozenset().union(*[classes[i] for i in half])
-            if session.multi_membership_query(v, pooled):
+            pooled = 0
+            for i in half:
+                pooled |= classes[i]
+            if session.multi_membership_query(v, VertexSet(pooled)):
                 candidates = half
             else:
                 candidates = candidates[len(half):]
-        classes[candidates[0]].append(v)
-    return LearnResult(Partition.from_blocks(classes), session.ledger.count - start)
+        classes[candidates[0]] |= 1 << v
+    blocks = [list(VertexSet(mask)) for mask in classes]
+    return LearnResult(Partition.from_blocks(blocks), session.ledger.count - start)
 
 
-def _split(part: list[int]) -> tuple[list[int], list[int]]:
-    # first part takes the ceil(|S|/2) lowest labels
+def _split(part: list[int], mask: int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
+    """Halves of a sorted part with their masks; the first half takes the
+    ceil(|S|/2) lowest labels, so its mask is the bits below the second's."""
     cut = (len(part) + 1) // 2
-    return part[:cut], part[cut:]
+    low = mask & ((1 << part[cut]) - 1)
+    return (part[:cut], low), (part[cut:], mask ^ low)
 
 
 def find_neighbors(session, v, subset: Iterable[int]) -> LearnResult:
@@ -216,22 +223,23 @@ def find_neighbors(session, v, subset: Iterable[int]) -> LearnResult:
     start = session.ledger.count
     blue: list[int] = []
 
-    def probe(sub: list[int]) -> TraceNode:
-        bit = session.neighborhood_query(v, frozenset(sub))
+    def probe(sub: list[int], mask: int) -> TraceNode:
+        bit = session.neighborhood_query(v, VertexSet(mask))
         if bit == 0:
             return TraceNode(tuple(sub), 0, True)
         if len(sub) == 1:
             blue.append(sub[0])
             return TraceNode(tuple(sub), 1, True)
-        left, right = _split(sub)
-        return TraceNode(tuple(sub), 1, True, (probe(left), probe(right)))
+        left, right = _split(sub, mask)
+        return TraceNode(tuple(sub), 1, True, (probe(*left), probe(*right)))
 
+    mask = VertexSet.of(part).mask
     if len(part) == 1:
-        node = probe(part)
+        node = probe(part, mask)
         root = node if node.is_blue else None
     else:
-        left, right = _split(part)
-        lnode, rnode = probe(left), probe(right)
+        left, right = _split(part, mask)
+        lnode, rnode = probe(*left), probe(*right)
         if lnode.is_blue or rnode.is_blue:
             root = TraceNode(tuple(part), 1, False, (lnode, rnode))
         else:
@@ -280,13 +288,13 @@ def verify_graph_neighborhood(session, candidate: Graph) -> LearnResult:
     n = candidate.n
     start = session.ledger.count
     for u, v in candidate.sorted_edges():
-        if session.neighborhood_query(u, frozenset([v])) != 1:
+        if session.neighborhood_query(u, VertexSet(1 << v)) != 1:
             return LearnResult(False, session.ledger.count - start)
-    everyone = frozenset(range(n))
-    for v in range(n):
-        rest = everyone - candidate.neighbors(v) - {v}
+    everyone = (1 << n) - 1
+    for v, nbrs in enumerate(candidate.adjacency_masks()):
+        rest = everyone & ~nbrs & ~(1 << v)
         if not rest:
             continue
-        if session.neighborhood_query(v, rest) != 0:
+        if session.neighborhood_query(v, VertexSet(rest)) != 0:
             return LearnResult(False, session.ledger.count - start)
     return LearnResult(True, session.ledger.count - start)

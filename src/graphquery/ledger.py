@@ -1,10 +1,17 @@
-"""Append-only query transcripts with JSONL export and replay helpers."""
+"""Append-only query transcripts with JSONL export and replay helpers.
+
+An alpha entry holds the queried pair; an alpha_m or beta entry holds
+(v, set), the set as the `graphs.VertexSet` bitmask the oracle normalised
+it to. JSONL writes every set as a sorted list of vertices and loads it
+back as a VertexSet.
+"""
 
 from __future__ import annotations
 
 import json
 from typing import Iterator, NamedTuple, Sequence
 
+from .graphs import VertexSet
 from .partitions import Partition
 
 KINDS = ("alpha", "alpha_m", "beta")
@@ -77,7 +84,7 @@ class QueryLedger:
                 args = tuple(obj["args"])
             else:
                 v, subset = obj["args"]
-                args = (v, frozenset(subset))
+                args = (v, VertexSet.of(subset))
             position = len(ledger)
             ledger.append(kind, args, obj["answer"])
             if obj["index"] != position:
@@ -92,7 +99,7 @@ def honest_answer(entry: LedgerEntry, partition: Partition) -> int:
         return int(partition.same_block(u, v))
     if entry.kind == "alpha_m":
         u, subset = entry.args
-        return int(not frozenset(subset).isdisjoint(partition.block_of(u)))
+        return int(bool(VertexSet.of(subset).mask & partition.block_mask(u)))
     raise ValueError("beta queries depend on edges, not components; cannot replay from a partition")
 
 

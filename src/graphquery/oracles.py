@@ -1,11 +1,17 @@
-"""Honest query-counting oracles backed by a fixed hidden graph."""
+"""Honest query-counting oracles backed by a fixed hidden graph.
+
+The set queries take any iterable of vertices. Each set is normalised once,
+to a `graphs.VertexSet` bitmask, which is also the form the ledger stores,
+so an answer is one AND of that mask with the query vertex's component
+(alpha_m) or neighbourhood (beta) mask.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, connected_components
+from .graphs import Graph, VertexSet, connected_components
 from .ledger import QueryLedger
 from .partitions import Partition
 
@@ -37,18 +43,25 @@ class HonestOracle:
         self.hidden = hidden
         self.n = hidden.n
         self.hidden_partition = connected_components(hidden)
+        self._nbr_masks = hidden.adjacency_masks()
         self.ledger = QueryLedger()
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
-    def _checked_set(self, subset: Iterable[int]) -> frozenset[int]:
-        s = frozenset(subset)
-        if s and (min(s) < 0 or max(s) >= self.n):
-            for v in s:  # name the first bad member, as a per-member check would
+    def _checked_set(self, subset: Iterable[int]) -> VertexSet:
+        """The set as a VertexSet, every member checked to be a vertex."""
+        if isinstance(subset, VertexSet):
+            beyond = subset.mask >> self.n
+            if beyond:  # name the least bad member
+                self._check_vertex(self.n + (beyond & -beyond).bit_length() - 1)
+            return subset
+        members = list(subset)
+        if members and (min(members) < 0 or max(members) >= self.n):
+            for v in members:  # name the first bad member, as a per-member check would
                 self._check_vertex(v)
-        return s
+        return VertexSet.of(members)
 
     def membership_query(self, u: int, v: int) -> int:
         """1 iff u and v lie in the same component of the hidden graph."""
@@ -66,7 +79,7 @@ class HonestOracle:
         s = self._checked_set(subset)
         if u in s:
             raise ValueError(f"query vertex {u} must not belong to the set")
-        answer = int(not s.isdisjoint(self.hidden_partition.block_of(u)))
+        answer = int(bool(s.mask & self.hidden_partition.block_mask(u)))
         self.ledger.append("alpha_m", (u, s), answer)
         return answer
 
@@ -76,7 +89,7 @@ class HonestOracle:
         s = self._checked_set(subset)
         if v in s:
             raise ValueError(f"query vertex {v} must not belong to the set")
-        answer = int(bool(self.hidden.neighbors(v) & s))
+        answer = int(bool(s.mask & self._nbr_masks[v]))
         self.ledger.append("beta", (v, s), answer)
         return answer
 

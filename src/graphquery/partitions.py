@@ -79,6 +79,19 @@ class Partition:
     def block_index(self, v: int) -> int:
         return self._block_index[v]
 
+    @cached_property
+    def _block_masks(self) -> list[int]:
+        masks = [0] * self.n
+        for block in self.blocks:
+            mask = sum(1 << v for v in block)  # the members are distinct
+            for v in block:
+                masks[v] = mask
+        return masks
+
+    def block_mask(self, v: int) -> int:
+        """The bitmask of the block holding v (bit w set iff w is in it)."""
+        return self._block_masks[v]
+
     def block_of(self, v: int) -> tuple[int, ...]:
         return self.blocks[self._block_index[v]]
 

@@ -76,8 +76,21 @@ def test_separability_repeats_are_consistent_and_ledgered():
     adv.membership_query(1, 2)
     adv.membership_query(0, 2)
     assert adv.membership_query(0, 1) == 1
+    searches, masks = SEARCH_STATS["invocations"], list(adv.masks)
     assert adv.membership_query(0, 1) == 1  # inseparable repeats answer 1
     assert adv.ledger.count == 6
+    # a repeat is answered from the forced edges, without a search
+    assert SEARCH_STATS["invocations"] == searches and adv.masks == masks
+    unknown = UnknownCountAdversary(4, 3)
+    for pair in [(2, 3), (0, 2), (0, 3), (1, 2), (1, 3)]:
+        unknown.membership_query(*pair)
+    assert unknown.membership_query(0, 1) == 1
+    searches, masks = SEARCH_STATS["invocations"], list(unknown.masks)
+    for _ in range(3):
+        assert unknown.membership_query(1, 0) == 1
+    assert SEARCH_STATS["invocations"] == searches and unknown.masks == masks
+    assert unknown.forced_edges == {(0, 1)}
+    assert [e.answer for e in unknown.ledger][-4:] == [1, 1, 1, 1]
 
 
 def test_separability_rejects_self_query():

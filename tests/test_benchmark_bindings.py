@@ -90,3 +90,22 @@ def test_traced_answer_entry_point_is_reached(monkeypatch):
     assert len(calls) == 1
     assert adv.chi.colors == adv.chi.colors == (1, 2, 2, 1)  # computed once, then cached
     assert len(calls) == 2
+
+
+def test_traced_set_queries_pass_the_set_at_index_two(monkeypatch):
+    # perfbench's oracles.set_elems reads len(args[2]) from both set queries
+    calls = []
+    for name in ("multi_membership_query", "neighborhood_query"):
+        original = getattr(oracles.HonestOracle, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, args, kwargs))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracles.HonestOracle, name, recording)
+    learners.learn_components_multi(oracles.HonestOracle(instances.random_partition_graph(20, 4, 1)), 20)
+    learners.learn_graph_neighborhood(oracles.HonestOracle(instances.random_edge_graph(12, 20, 2)), 12)
+    assert {name for name, _, _ in calls} == {"multi_membership_query", "neighborhood_query"}
+    for name, args, kwargs in calls:
+        assert not kwargs and len(args) == 3
+        assert len(args[2]) == sum(1 for _ in args[2])

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from graphquery.graphs import (
     ContractionMap,
     Graph,
+    VertexSet,
     connected_components,
     format_edge_list,
     parse_edge_list,
@@ -92,3 +93,28 @@ def test_edge_list_rejects_malformed(text):
 @given(graphs(max_n=7))
 def test_edge_list_round_trip_property(g):
     assert parse_edge_list(format_edge_list(g)) == g
+
+
+@given(st.frozensets(st.integers(0, 200)))
+def test_vertex_set_agrees_with_frozenset(members):
+    vs = VertexSet.of(members)
+    assert vs == members and members == vs
+    assert not vs != members and not members != vs
+    assert hash(vs) == hash(members)
+    assert {members: "found"}[vs] == {vs: "found"}[members] == "found"
+    assert vs != members | {201} and members | {201} != vs
+    assert len(vs) == len(members)
+    assert list(vs) == sorted(members)
+    assert VertexSet.of(vs) is vs and VertexSet(vs.mask) == vs
+    for probe in [*sorted(members)[:3], 0, 7, 200, 201, 10**30, -1, -7, "1", None, 1.5, (1,)]:
+        assert (probe in vs) == (probe in members)
+
+
+def test_vertex_set_rejects_negatives_and_keeps_set_operators():
+    with pytest.raises(ValueError, match="vertex mask must be nonnegative"):
+        VertexSet(-1)
+    with pytest.raises(ValueError, match="vertex -2 is negative"):
+        VertexSet.of([3, -2])
+    both = VertexSet.of([1, 2, 3]) & {2, 3, 4}
+    assert isinstance(both, VertexSet) and both == {2, 3}
+    assert VertexSet() == frozenset() and len(VertexSet()) == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphquery import bounds
 from graphquery.adversaries import SeparabilityAdversary, UnknownCountAdversary
-from graphquery.graphs import Graph, complete_graph, connected_components, empty_graph
+from graphquery.graphs import Graph, complete_graph, connected_components, empty_graph, format_edge_list
 from graphquery.instances import random_edge_graph, random_partition_graph, worst_case_graph
 from graphquery.learners import (
     OracleInconsistencyError,
@@ -166,6 +166,71 @@ def test_pooled_ledgers_are_pinned():
             learner(session, n)
             got.append(hashlib.sha256(session.ledger.to_jsonl().encode()).hexdigest())
         assert tuple(got) == digests, (n, k, seed)
+
+
+def _trace_text(node) -> str:
+    if node is None:
+        return "-"
+    children = "".join(_trace_text(c) for c in node.children)
+    return f"({list(node.subset)},{node.answer},{int(node.queried)}{children})"
+
+
+def _answer_text(answer) -> str:
+    if isinstance(answer, Partition):
+        return answer.to_json()
+    if isinstance(answer, Graph):
+        return format_edge_list(answer)
+    if isinstance(answer, frozenset):
+        return str(sorted(answer))
+    return repr(answer)
+
+
+def _set_query_transcripts(trials: int, seed: int) -> str:
+    """sha256 over the JSONL ledgers, answers and query counts of every
+    set-query learner and the verifier, plus `find_neighbors` traces, on
+    seeded graphs with up to 60 vertices."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+
+    def record(session, result) -> None:
+        digest.update(f"{_answer_text(result.answer)}|{result.queries_used}\n".encode())
+        digest.update(session.ledger.to_jsonl().encode())
+        if result.trace is not None:
+            digest.update(_trace_text(result.trace.root).encode())
+
+    for trial in range(trials):
+        n = rng.randint(1, 60)
+        if trial % 2:
+            hidden = random_partition_graph(n, rng.randint(1, n), rng.randrange(1 << 30))
+        else:
+            top = n * (n - 1) // 2
+            hidden = random_edge_graph(n, rng.randint(0, min(top, 3 * n)), rng.randrange(1 << 30))
+        for learner in (count_components_multi, learn_components_multi, learn_graph_neighborhood):
+            session = HonestOracle(hidden)
+            record(session, learner(session, n))
+        candidates = [hidden]
+        if n >= 2:
+            u, v = rng.sample(range(n), 2)
+            candidates.append(Graph(n, hidden.edges ^ {(min(u, v), max(u, v))}))
+        for candidate in candidates:  # accept, then reject
+            session = HonestOracle(hidden)
+            record(session, verify_graph_neighborhood(session, candidate))
+        if n >= 2:
+            session = HonestOracle(hidden)
+            for v in rng.sample(range(n), min(n, 4)):
+                others = [u for u in range(n) if u != v]
+                probed = rng.sample(others, rng.randint(1, len(others)))
+                record(session, find_neighbors(session, v, probed))
+    return digest.hexdigest()
+
+
+# every set-query transcript: ledgers, answers, counts and traces are
+# independent of how the learners and the oracle store their vertex sets
+SET_QUERY_TRANSCRIPT_DIGEST = "58700fc75be21ca8a12f035c7f3065fac1ca3b88e758cb5091c7b17a6e69c6cf"
+
+
+def test_set_query_transcripts_are_pinned():
+    assert _set_query_transcripts(150, 2008) == SET_QUERY_TRANSCRIPT_DIGEST
 
 
 # ---------------------------------------------------------------- neighborhood

@@ -1,10 +1,18 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from graphquery.graphs import Graph, empty_graph
+from graphquery.graphs import Graph, VertexSet, empty_graph
+from graphquery.instances import random_edge_graph, random_partition_exactly, random_partition_graph
+from graphquery.learners import (
+    count_components_multi,
+    learn_components_multi,
+    learn_graph_neighborhood,
+    verify_graph_neighborhood,
+)
 from graphquery.ledger import (
     QueryLedger,
     honest_answer,
@@ -169,3 +177,52 @@ def test_set_queries_name_an_out_of_range_member(oracle, bad):
         with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=6"):
             query(0, [bad])
     assert oracle.ledger.count == 0
+
+
+def test_set_queries_range_check_a_vertex_set_mask(oracle):
+    for query in (oracle.multi_membership_query, oracle.neighborhood_query):
+        for bad, mask in ((6, 1 << 6 | 0b110), (9, 1 << 9 | 1 << 12 | 0b10)):
+            with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=6"):
+                query(0, VertexSet(mask))
+        assert query(0, VertexSet(0b111110)) in (0, 1)
+    assert oracle.ledger.count == 2
+    assert all(isinstance(e.args[1], VertexSet) for e in oracle.ledger)
+
+
+def test_set_query_ledgers_round_trip_as_vertex_sets():
+    pooled = random_partition_graph(30, 5, seed=3)
+    edged = random_edge_graph(20, 45, seed=4)
+    runs = [
+        (pooled, (count_components_multi, learn_components_multi)),
+        (edged, (learn_graph_neighborhood, lambda session, n: verify_graph_neighborhood(session, edged))),
+    ]
+    for hidden, learners in runs:
+        session = HonestOracle(hidden)
+        for learner in learners:
+            learner(session, hidden.n)
+        text = session.ledger.to_jsonl()
+        back = QueryLedger.from_jsonl(text)
+        assert back.to_jsonl() == text
+        assert back.entries == session.ledger.entries
+        assert all(isinstance(e.args[1], VertexSet) for e in back)
+        assert replay_on_session(back.entries, HonestOracle(hidden))
+        if hidden is pooled:
+            assert replay_matches_partition(back.entries, session.hidden_partition)
+
+
+def test_pooled_learner_memory_stays_small():
+    # every stored query set is one n-bit int, not a hashed set of vertices
+    n, k = 800, 16
+    blocks = random_partition_exactly(n, k, random.Random(19)).blocks
+    hidden = Graph.from_edges(n, [(b[i], b[i + 1]) for b in blocks for i in range(len(b) - 1)])
+    session = HonestOracle(hidden)
+    session.hidden_partition.block_mask(0)  # the oracle's own cache, built before the run
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = learn_components_multi(session, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.answer == session.hidden_partition
+    assert peak < 8 * 2**20
