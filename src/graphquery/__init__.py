@@ -7,7 +7,6 @@ minimax game solver at desk scale.
 """
 
 from .graphs import (
-    ContractionMap,
     Graph,
     connected_components,
     format_edge_list,
@@ -48,7 +47,6 @@ __all__ = [
     "BudgetExceededError",
     "Coloring",
     "ContractionAdversary",
-    "ContractionMap",
     "DuelReport",
     "Graph",
     "HonestOracle",

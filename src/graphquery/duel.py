@@ -145,7 +145,7 @@ def run_honest(
         if candidate.n != n:
             raise ValueError("candidate and hidden graphs have different vertex counts")
         result = verify_graph_neighborhood(session, candidate)
-        scanned = sum(1 for v in range(n) if len(candidate.neighbors(v)) < n - 1)
+        scanned = sum(1 for v in range(n) if candidate.degree(v) < n - 1)
         bound = bounds.verify_accept_queries(candidate.m, scanned)
         expected = candidate == hidden
         # acceptance costs exactly the bound; a rejection stops early
@@ -226,17 +226,22 @@ def grid_duel(
         if k_max is not None:
             raise ValueError(f"the duel grid over {opponent} has no k to sweep, so it takes no k_max")
         cells = [(n, None) for n in range(n_min, n_max + 1)]
+        span = f"n = {n_min}..{n_max}"
     else:
         k_lo = 1 if opponent == "unknown-count" else 2
         cells = [(n, k) for n in range(n_min, n_max + 1)
                  for k in range(k_lo, (n if k_max is None else min(n, k_max)) + 1)]
+        span = f"n = {n_min}..{n_max}, k = {k_lo}..{'n' if k_max is None else k_max}"
+    if not cells:
+        # an empty sweep would report every cell satisfied having checked none
+        raise ValueError(f"the duel grid over {opponent} is empty: no cell has {span}")
     reports = [run_duel(learner, opponent, n, k, seed=seed) for n, k in cells]
     counts = [r.queries_used for r in reports]
     summary = {
         "cells": len(reports),
         "all_satisfied": all(r.satisfied for r in reports),
-        "queries_min": min(counts) if counts else 0,
-        "queries_max": max(counts) if counts else 0,
-        "queries_mean": statistics.mean(counts) if counts else 0.0,
+        "queries_min": min(counts),
+        "queries_max": max(counts),
+        "queries_mean": statistics.mean(counts),
     }
     return reports, summary

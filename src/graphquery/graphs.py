@@ -1,5 +1,9 @@
 """Simple undirected graphs on dense integer labels, vertex sets as
-bitmasks, components, contraction, and edge-list I/O."""
+bitmasks, components, contraction, and edge-list I/O.
+
+A graph stores its edges; the one form derived from them is a cached tuple
+of neighbour bitmasks, which answers neighbourhoods, degrees and components.
+"""
 
 from __future__ import annotations
 
@@ -82,7 +86,7 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Edges are stored as a frozenset of (u, v) pairs with u < v; loops and
-    duplicates are rejected at construction.
+    duplicates are rejected at construction; neighbour masks derive from them.
     """
 
     n: int
@@ -105,26 +109,22 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple([frozenset(s) for s in adj])  # from a list, see adversaries._initial_state
-
-    def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighbor bitmasks (bit v set iff v adjacent)."""
+    def _masks(self) -> tuple[int, ...]:
         masks = [0] * self.n
         for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return masks
+        return tuple(masks)  # from a list, see adversaries._initial_state
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
+    def adjacency_masks(self) -> list[int]:
+        """Per-vertex neighbor bitmasks (bit v set iff v adjacent), in a new list."""
+        return list(self._masks)
+
+    def neighbors(self, v: int) -> VertexSet:
+        return VertexSet(self._masks[v])
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self._masks[v].bit_count()
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -150,12 +150,23 @@ def clique_union_graph(blocks: Iterable[Iterable[int]], n: int) -> Graph:
 
 
 def connected_components(g: Graph) -> Partition:
-    """Partition of the vertex set into maximal connected sets, canonical form."""
-    dsu = ContractionMap(g.n)
-    for u, v in g.edges:
-        if dsu.find(u) != dsu.find(v):
-            dsu.union(u, v)
-    return Partition.from_blocks(dsu.classes())
+    """Partition of the vertex set into maximal connected sets, canonical form:
+    each flood fill starts at the least unplaced vertex, so no sort is needed."""
+    masks = g._masks
+    blocks = []
+    unseen = (1 << g.n) - 1
+    while unseen:
+        placed = unseen
+        todo = unseen & -unseen  # reached vertices whose neighbours are unread
+        unseen ^= todo
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            reached = masks[low.bit_length() - 1] & unseen
+            unseen ^= reached
+            todo |= reached
+        blocks.append(tuple(bits(placed ^ unseen)))
+    return Partition(tuple(blocks))
 
 
 def contract(h: Sequence[int], a: int, b: int) -> tuple[int, ...]:
@@ -177,44 +188,6 @@ def contract(h: Sequence[int], a: int, b: int) -> tuple[int, ...]:
             nbrs |= bit_a
         out.append(nbrs & low | nbrs >> 1 & ~low)
     return tuple(out)
-
-
-class ContractionMap:
-    """Disjoint-set forest over original vertex labels.
-
-    find() is idempotent on representatives and each successful union
-    merges exactly two classes.
-    """
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one element")
-        self.n = n
-        self._parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> int:
-        """Merge the classes of x and y; the smaller label becomes representative."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            raise ValueError(f"{x} and {y} are already identified")
-        if ry < rx:
-            rx, ry = ry, rx
-        self._parent[ry] = rx
-        return rx
-
-    def classes(self) -> list[list[int]]:
-        by_rep: dict[int, list[int]] = {}
-        for v in range(self.n):
-            by_rep.setdefault(self.find(v), []).append(v)
-        return [sorted(vs) for _, vs in sorted(by_rep.items())]
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -116,8 +116,5 @@ def worst_case_order(partition: Partition) -> list[int]:
 
     Ties break by the component's smallest label, then by label.
     """
-    ranked = sorted(
-        range(partition.n),
-        key=lambda v: (len(partition.block_of(v)), partition.block_of(v)[0], v),
-    )
-    return ranked
+    ranks = [(m.bit_count(), m & -m) for m in map(partition.block_mask, range(partition.n))]
+    return sorted(range(partition.n), key=ranks.__getitem__)  # stable: ties stay by label

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import ContractionMap, Graph, VertexSet
+from .graphs import Graph, VertexSet, bits
 from .partitions import Partition
 
 
@@ -130,20 +130,22 @@ def learn_partition_representatives(session, n, k_known=None, order=None) -> Lea
 def learn_partition_all_pairs(session, n) -> LearnResult:
     """Query every pair not already implied equal by earlier 1-answers.
 
-    1-answers accumulate in a union-find; pairs inside a known-equal class
-    are skipped (their answer is already forced), everything else is asked.
+    cls[v] is the bitmask of v's known class. A 1-answer merges two classes;
+    a pair inside one class is skipped (its answer is forced), all else asked.
     """
     if n < 1:
         raise ValueError("n must be positive")
     start = session.ledger.count
-    dsu = ContractionMap(n)
+    cls = [1 << v for v in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
-            if dsu.find(u) == dsu.find(v):
+            if cls[u] >> v & 1:
                 continue
             if session.membership_query(u, v):
-                dsu.union(u, v)
-    return LearnResult(Partition.from_blocks(dsu.classes()), session.ledger.count - start)
+                merged = cls[u] | cls[v]
+                for w in bits(merged):
+                    cls[w] = merged
+    return LearnResult(Partition.from_labels(cls), session.ledger.count - start)
 
 
 def count_components_multi(session, n) -> LearnResult:

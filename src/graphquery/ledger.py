@@ -72,35 +72,62 @@ class QueryLedger:
 
     @classmethod
     def from_jsonl(cls, text: str) -> QueryLedger:
-        """Load a ledger stored by `to_jsonl`, validating every entry."""
+        """Load a ledger stored by `to_jsonl`, validating every entry: it must
+        be one an oracle could have recorded, so that it replays and writes
+        back byte for byte the same."""
         ledger = cls()
         for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
             obj = json.loads(line)
-            kind = obj["kind"]
-            if kind == "alpha":
-                args = tuple(obj["args"])
-            else:
-                v, subset = obj["args"]
-                args = (v, VertexSet.of(subset))
             position = len(ledger)
-            ledger.append(kind, args, obj["answer"])
+            if not isinstance(obj, dict) or obj.keys() != {"kind", "args", "answer", "index"}:
+                raise ValueError(f"entry {position} needs exactly the keys kind, args, answer, index")
+            if type(obj["answer"]) is not int:  # JSON false would load as 0 and write back as false
+                raise ValueError(f"entry {position} has answer {obj['answer']!r}, not 0 or 1")
+            ledger.append(obj["kind"], _loaded_args(obj["kind"], obj["args"]), obj["answer"])
             if obj["index"] != position:
                 raise ValueError(f"entry index {obj['index']} does not match position {position}")
         return ledger
 
 
+def _is_vertex(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _loaded_args(kind: str, args) -> tuple:
+    """args as an oracle records them: two distinct vertices for alpha; for
+    alpha_m and beta, a vertex and an ascending list of other vertices,
+    loaded as a VertexSet."""
+    if kind in KINDS and isinstance(args, list) and len(args) == 2 and _is_vertex(args[0]):
+        v, other = args
+        if kind == "alpha" and _is_vertex(other) and v != other:
+            return v, other
+        if kind != "alpha" and isinstance(other, list) and all(map(_is_vertex, other)):
+            subset = VertexSet.of(other)
+            if list(subset) == other and v not in subset:
+                return v, subset
+    raise ValueError(f"no oracle records a {kind!r} query with args {args!r}")
+
+
 def honest_answer(entry: LedgerEntry, partition: Partition) -> int:
-    """Answer entry's query truthfully for a hidden graph with these components."""
+    """Answer entry's query truthfully for a hidden graph with these
+    components; an entry naming a vertex outside them raises ValueError."""
     if entry.kind == "alpha":
         u, v = entry.args
-        return int(partition.same_block(u, v))
-    if entry.kind == "alpha_m":
+        try:
+            return int(partition.same_block(u, v))
+        except KeyError:  # the block index holds exactly the vertices 0..n-1
+            pass
+    elif entry.kind == "alpha_m":
         u, subset = entry.args
-        return int(bool(VertexSet.of(subset).mask & partition.block_mask(u)))
-    raise ValueError("beta queries depend on edges, not components; cannot replay from a partition")
+        mask = VertexSet.of(subset).mask
+        if 0 <= u < partition.n and not mask >> partition.n:  # block_mask(-1) would wrap
+            return int(bool(mask & partition.block_mask(u)))
+    else:
+        raise ValueError("beta queries depend on edges, not components; cannot replay from a partition")
+    raise ValueError(f"{entry.kind} entry {entry.args} names a vertex outside 0..{partition.n - 1}")
 
 
 def replay_matches_partition(entries: Sequence[LedgerEntry], partition: Partition) -> bool:

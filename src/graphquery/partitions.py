@@ -64,7 +64,7 @@ class Partition:
             blocks.setdefault(label, []).append(v)
         return cls(tuple([tuple(block) for block in blocks.values()]))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
 
@@ -91,9 +91,6 @@ class Partition:
     def block_mask(self, v: int) -> int:
         """The bitmask of the block holding v (bit w set iff w is in it)."""
         return self._block_masks[v]
-
-    def block_of(self, v: int) -> tuple[int, ...]:
-        return self.blocks[self._block_index[v]]
 
     def same_block(self, u: int, v: int) -> bool:
         return self._block_index[u] == self._block_index[v]

@@ -23,6 +23,9 @@ BINDINGS = {
                "learn_components_multi", "learn_graph_neighborhood", "verify_graph_neighborhood"),
     duel: ("run_duel",),
     graphs: ("Graph", "connected_components"),
+    # perfbench builds graphs with Graph(n, frozenset) and from_edges, and
+    # reads hidden.degree(v) for the neighbour-search and verifier bounds
+    graphs.Graph: ("from_edges", "degree"),
     instances: ("worst_case_order",),
     partitions: ("stirling_partition_count",),
     minimax: ("minimax_query_complexity", "information_bound_check"),
@@ -37,6 +40,11 @@ def test_benchmark_bindings_exist():
     missing = [f"{module.__name__}.{name}" for module, names in BINDINGS.items()
                for name in names if not hasattr(module, name)]
     assert not missing
+    g = graphs.Graph.from_edges(5, ((0, 1), (1, 2), (3, 1)))
+    assert g == graphs.Graph(5, frozenset({(0, 1), (1, 2), (1, 3)}))
+    assert [g.degree(v) for v in range(5)] == [1, 3, 1, 1, 0]
+    components = graphs.connected_components(g)
+    assert isinstance(components, partitions.Partition) and components.blocks == ((0, 1, 2, 3), (4,))
     assert "nodes" in coloring.SEARCH_STATS
     variants = [cls.variant for cls in (adversaries.SeparabilityAdversary,
                                         adversaries.UnknownCountAdversary,

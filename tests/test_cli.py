@@ -219,8 +219,12 @@ def test_duel_grid_rejects_flags_it_would_drop(capsys, extra, flag):
       "--k", "2", "--seed", "9"], "ignores seed=9"),
     (["duel", "--learner", "reps-known", "--adversary", "separability", "--n", "4",
       "--grid", "--seed", "9"], "ignores seed=9"),
+    (["duel", "--learner", "reps-known", "--adversary", "separability", "--grid", "--n", "1"],
+     "grid over separability is empty: no cell has n = 2..1, k = 2..n"),
+    (["duel", "--learner", "reps-known", "--adversary", "separability", "--grid", "--n", "5",
+      "--k", "1"], "grid over separability is empty: no cell has n = 2..5, k = 2..1"),
 ], ids=["alpha_m-known", "alpha_m-prop1", "all-pairs-prop1", "adversary-m",
-        "adversary-seed", "adversary-grid-seed"])
+        "adversary-seed", "adversary-grid-seed", "empty-grid-n", "empty-grid-k"])
 def test_settings_a_run_would_ignore_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""

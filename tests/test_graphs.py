@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphquery.graphs import (
-    ContractionMap,
     Graph,
     VertexSet,
     connected_components,
@@ -51,17 +50,10 @@ def test_components_match_brute_force_and_are_canonical(g):
     got = connected_components(g)
     assert got == brute_force_components(g)
     assert got == Partition.from_blocks(got.blocks)
-
-
-def test_contraction_map_invariants():
-    cm = ContractionMap(5)
-    assert len(cm.classes()) == 5
-    cm.union(0, 3)
-    assert cm.classes() == [[0, 3], [1], [2], [4]]
-    rep = cm.find(3)
-    assert cm.find(rep) == rep
-    with pytest.raises(ValueError):
-        cm.union(0, 3)
+    for v in range(g.n):
+        nbrs = frozenset(w for e in g.edges if v in e for w in e if w != v)
+        assert g.neighbors(v) == nbrs and hash(g.neighbors(v)) == hash(nbrs)
+        assert g.degree(v) == len(nbrs)
 
 
 def test_edge_list_round_trip():

@@ -233,6 +233,43 @@ def test_set_query_transcripts_are_pinned():
     assert _set_query_transcripts(150, 2008) == SET_QUERY_TRANSCRIPT_DIGEST
 
 
+def _components_and_all_pairs(trials: int, seed: int) -> str:
+    """sha256 over `connected_components` on seeded graphs, path unions with
+    up to 800 vertices among them, and over the JSONL ledgers and answers of
+    `learn_partition_all_pairs` on seeded random-partition graphs with up to
+    40 vertices."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(trials):
+        n = rng.randint(1, 60)
+        top = n * (n - 1) // 2
+        hidden = random_edge_graph(n, rng.randint(0, min(top, 2 * n)), rng.randrange(1 << 30))
+        digest.update(connected_components(hidden).to_json().encode())
+    for n, k in ((200, 1), (400, 8), (600, 12), (800, 1), (800, 16)):
+        labels = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), k - 1))
+        blocks = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        # one path per block, in shuffled label order
+        hidden = Graph.from_edges(n, ((b[i], b[i + 1]) for b in blocks for i in range(len(b) - 1)))
+        digest.update(connected_components(hidden).to_json().encode())
+    for _ in range(trials):
+        n = rng.randint(1, 40)
+        session = HonestOracle(random_partition_graph(n, rng.randint(1, n), rng.randrange(1 << 30)))
+        result = learn_partition_all_pairs(session, n)
+        digest.update(f"{result.answer.to_json()}|{result.queries_used}\n".encode())
+        digest.update(session.ledger.to_jsonl().encode())
+    return digest.hexdigest()
+
+
+# components and the all-pairs learner's transcripts are independent of how
+# graphs store their neighbours and how the learner merges known classes
+COMPONENTS_AND_ALL_PAIRS_DIGEST = "48aa00e86e6997aa72d5de4da0bd214e671d4a0c62cef61a29c81a5c98bc9ebb"
+
+
+def test_components_and_all_pairs_transcripts_are_pinned():
+    assert _components_and_all_pairs(150, 2020) == COMPONENTS_AND_ALL_PAIRS_DIGEST
+
+
 # ---------------------------------------------------------------- neighborhood
 
 def star_session(n, neighbors):

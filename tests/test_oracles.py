@@ -112,6 +112,27 @@ def test_ledger_rejects_bad_entries():
     line = '{"kind": "alpha", "args": [0, 1], "answer": 0, "index": 1}'
     with pytest.raises(ValueError, match="entry index 1 does not match position 0"):
         QueryLedger.from_jsonl(line)
+    # entries no oracle records: each would fail to replay, replay wrongly,
+    # or write back other bytes
+    for kind, args, answer in [
+        ("alpha", [1, 2, 3], 0),
+        ("alpha", ["a", 2], 0),
+        ("alpha", [1, 1], 1),
+        ("alpha", [True, 2], 0),
+        ("alpha_m", [0, [0]], 1),
+        ("alpha_m", [-1, [0]], 1),
+        ("alpha_m", [1, [3, 0]], 0),
+        ("beta", [1, [0, 0]], 0),
+        ("beta", [1, 2], 0),
+        ("alpha", [0, 1], False),
+        ("alpha", [0, 1], 1.0),
+        ("gamma", [0, 1], 0),
+    ]:
+        line = json.dumps({"kind": kind, "args": args, "answer": answer, "index": 0})
+        with pytest.raises(ValueError):
+            QueryLedger.from_jsonl(line)
+    with pytest.raises(ValueError, match="needs exactly the keys"):
+        QueryLedger.from_jsonl('{"kind": "alpha", "args": [0, 1], "answer": 0}')
 
 
 def test_replay_against_partition(oracle):
@@ -136,6 +157,14 @@ def test_replay_partition_rejects_beta():
     ledger.append("beta", (0, frozenset({1})), 0)
     with pytest.raises(ValueError):
         replay_matches_partition(ledger.entries, Partition.singletons(2))
+    # an entry naming a vertex past the partition is an error, not a silent
+    # miss of the set member or a lookup that wraps around
+    for kind, args in [("alpha", (0, 4)), ("alpha", (4, 0)), ("alpha_m", (4, VertexSet.of([0]))),
+                       ("alpha_m", (0, VertexSet.of([1, 4]))), ("alpha_m", (0, frozenset({5})))]:
+        ledger = QueryLedger()
+        ledger.append(kind, args, 0)
+        with pytest.raises(ValueError, match="outside 0..3"):
+            replay_matches_partition(ledger.entries, Partition.singletons(4))
 
 
 def test_declare_checks_ground_truth(oracle):
