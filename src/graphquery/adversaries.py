@@ -35,12 +35,13 @@ from .coloring import Coloring, find_k_coloring, proper_partitions
 from .graphs import Edge, Graph, bits, connected_components, contract, normalize_edge
 from .ledger import QueryLedger
 from .oracles import AuditVerdict
-from .partitions import Partition
+from .partitions import Partition, check_vertex
 
 
 def _validated_pair(x: int, y: int, n: int) -> tuple[int, int]:
     if not (0 <= x < n and 0 <= y < n):
-        raise ValueError(f"vertices must lie in 0..{n - 1}")
+        check_vertex(x, n)
+        check_vertex(y, n)
     if x == y:
         raise ValueError("membership query needs two distinct vertices")
     return normalize_edge(x, y)
@@ -335,5 +336,5 @@ class ContractionAdversary:
         if claimed.n != self.n:
             raise ValueError("claimed partition is over the wrong vertex set")
         parts = proper_partitions(self.masks, self.k, limit=2)
-        lifted = [Partition.from_labels([p.block_index(c) for c in self.cls]) for p in parts]
+        lifted = [Partition.from_labels([p.block_mask(c) for c in self.cls]) for p in parts]
         return _audit(claimed, lifted, "contracted graph has a unique consistent partition")

@@ -209,7 +209,6 @@ def grid_duel(
     n_max: int,
     k_max: int | None = None,
     *,
-    n_min: int = 2,
     seed: int | None = None,
 ) -> tuple[list[DuelReport], dict]:
     """Sweep an (n, k) rectangle of independent duels, in (n, k) order.
@@ -225,13 +224,13 @@ def grid_duel(
     if opponent in INSTANCE_KINDS and "k" not in KIND_SETTINGS[opponent]:
         if k_max is not None:
             raise ValueError(f"the duel grid over {opponent} has no k to sweep, so it takes no k_max")
-        cells = [(n, None) for n in range(n_min, n_max + 1)]
-        span = f"n = {n_min}..{n_max}"
+        cells = [(n, None) for n in range(2, n_max + 1)]
+        span = f"n = 2..{n_max}"
     else:
         k_lo = 1 if opponent == "unknown-count" else 2
-        cells = [(n, k) for n in range(n_min, n_max + 1)
+        cells = [(n, k) for n in range(2, n_max + 1)
                  for k in range(k_lo, (n if k_max is None else min(n, k_max)) + 1)]
-        span = f"n = {n_min}..{n_max}, k = {k_lo}..{'n' if k_max is None else k_max}"
+        span = f"n = 2..{n_max}, k = {k_lo}..{'n' if k_max is None else k_max}"
     if not cells:
         # an empty sweep would report every cell satisfied having checked none
         raise ValueError(f"the duel grid over {opponent} is empty: no cell has {span}")

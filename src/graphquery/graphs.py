@@ -13,7 +13,7 @@ from functools import cached_property
 from operator import index
 from typing import Iterable, Sequence
 
-from .partitions import Partition
+from .partitions import Partition, check_vertex
 
 Edge = tuple[int, int]
 
@@ -62,6 +62,21 @@ class VertexSet(Set):
         except ValueError:  # a negative shift
             raise ValueError(f"vertex {v} is negative") from None
         return cls(mask)
+
+    @classmethod
+    def within(cls, vertices: Iterable[int], n: int) -> VertexSet:
+        """The given vertices, checked to lie in 0..n-1; an error names the least
+        member past n of a VertexSet, or else the first bad member."""
+        if isinstance(vertices, VertexSet):
+            beyond = vertices.mask >> n
+            if beyond:
+                check_vertex(n + (beyond & -beyond).bit_length() - 1, n)
+            return vertices
+        members = list(vertices)
+        if members and (min(members) < 0 or max(members) >= n):
+            for v in members:
+                check_vertex(v, n)
+        return cls.of(members)
 
     _from_iterable = of  # what the Set operators build their results with
 
@@ -121,10 +136,12 @@ class Graph:
         return list(self._masks)
 
     def neighbors(self, v: int) -> VertexSet:
-        return VertexSet(self._masks[v])
+        if 0 <= v < self.n:
+            return VertexSet(self._masks[v])
+        check_vertex(v, self.n)
 
     def degree(self, v: int) -> int:
-        return self._masks[v].bit_count()
+        return len(self.neighbors(v))
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)

@@ -23,14 +23,14 @@ class OracleInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class TraceNode:
-    """One probed vertex set in a neighbor-search recursion tree.
+    """One probed VertexSet in a neighbor-search recursion tree.
 
     answer 1 is "blue" (the set contains a neighbor), 0 is "red". The root
     of a multi-element search is never queried; its answer is deduced from
     its children and `queried` is False there.
     """
 
-    subset: tuple[int, ...]
+    subset: VertexSet
     answer: int
     queried: bool
     children: tuple[TraceNode, ...] = ()
@@ -199,12 +199,12 @@ def learn_components_multi(session, n) -> LearnResult:
     return LearnResult(Partition.from_blocks(blocks), session.ledger.count - start)
 
 
-def _split(part: list[int], mask: int) -> tuple[tuple[list[int], int], tuple[list[int], int]]:
-    """Halves of a sorted part with their masks; the first half takes the
-    ceil(|S|/2) lowest labels, so its mask is the bits below the second's."""
-    cut = (len(part) + 1) // 2
-    low = mask & ((1 << part[cut]) - 1)
-    return (part[:cut], low), (part[cut:], mask ^ low)
+def _halves(s: VertexSet) -> tuple[VertexSet, VertexSet]:
+    """The halves of s; the first takes its ceil(|s|/2) lowest members."""
+    high = s.mask
+    for _ in range((len(s) + 1) // 2):
+        high &= high - 1  # clears the lowest member
+    return VertexSet(s.mask ^ high), VertexSet(high)
 
 
 def find_neighbors(session, v, subset: Iterable[int]) -> LearnResult:
@@ -217,33 +217,29 @@ def find_neighbors(session, v, subset: Iterable[int]) -> LearnResult:
     singletons. The returned trace keeps one node per probed set plus a
     deduced root, and is empty when no neighbor was found.
     """
-    part = sorted(set(subset))
-    if not part:
+    s = VertexSet.of(subset)
+    if not s:
         raise ValueError("the probed set must be nonempty")
-    if v in part:
+    if v in s:
         raise ValueError("the probed set must not contain the vertex itself")
     start = session.ledger.count
     blue: list[int] = []
 
-    def probe(sub: list[int], mask: int) -> TraceNode:
-        bit = session.neighborhood_query(v, VertexSet(mask))
-        if bit == 0:
-            return TraceNode(tuple(sub), 0, True)
+    def probe(sub: VertexSet) -> TraceNode:
+        if session.neighborhood_query(v, sub) == 0:
+            return TraceNode(sub, 0, True)
         if len(sub) == 1:
-            blue.append(sub[0])
-            return TraceNode(tuple(sub), 1, True)
-        left, right = _split(sub, mask)
-        return TraceNode(tuple(sub), 1, True, (probe(*left), probe(*right)))
+            blue.append(sub.mask.bit_length() - 1)
+            return TraceNode(sub, 1, True)
+        return TraceNode(sub, 1, True, tuple(map(probe, _halves(sub))))
 
-    mask = VertexSet.of(part).mask
-    if len(part) == 1:
-        node = probe(part, mask)
+    if len(s) == 1:
+        node = probe(s)
         root = node if node.is_blue else None
     else:
-        left, right = _split(part, mask)
-        lnode, rnode = probe(*left), probe(*right)
+        lnode, rnode = map(probe, _halves(s))
         if lnode.is_blue or rnode.is_blue:
-            root = TraceNode(tuple(part), 1, False, (lnode, rnode))
+            root = TraceNode(s, 1, False, (lnode, rnode))
         else:
             root = None
     return LearnResult(
@@ -261,12 +257,10 @@ def learn_graph_neighborhood(session, n) -> LearnResult:
         raise ValueError("n must be positive")
     start = session.ledger.count
     neighbor_sets: dict[int, frozenset[int]] = {}
+    everyone = (1 << n) - 1
     for v in range(n):
-        rest = [u for u in range(n) if u != v]
-        if not rest:
-            neighbor_sets[v] = frozenset()
-            continue
-        neighbor_sets[v] = find_neighbors(session, v, rest).answer
+        rest = VertexSet(everyone ^ 1 << v)
+        neighbor_sets[v] = find_neighbors(session, v, rest).answer if rest else frozenset()
     for u in range(n):
         for v in neighbor_sets[u]:
             if u not in neighbor_sets[v]:

@@ -114,20 +114,15 @@ def _loaded_args(kind: str, args) -> tuple:
 def honest_answer(entry: LedgerEntry, partition: Partition) -> int:
     """Answer entry's query truthfully for a hidden graph with these
     components; an entry naming a vertex outside them raises ValueError."""
-    if entry.kind == "alpha":
-        u, v = entry.args
-        try:
-            return int(partition.same_block(u, v))
-        except KeyError:  # the block index holds exactly the vertices 0..n-1
-            pass
-    elif entry.kind == "alpha_m":
-        u, subset = entry.args
-        mask = VertexSet.of(subset).mask
-        if 0 <= u < partition.n and not mask >> partition.n:  # block_mask(-1) would wrap
-            return int(bool(mask & partition.block_mask(u)))
-    else:
-        raise ValueError("beta queries depend on edges, not components; cannot replay from a partition")
-    raise ValueError(f"{entry.kind} entry {entry.args} names a vertex outside 0..{partition.n - 1}")
+    u, other = entry.args
+    try:  # the accessors and VertexSet.within check every vertex
+        if entry.kind == "alpha":
+            return int(partition.same_block(u, other))
+        if entry.kind == "alpha_m":
+            return int(bool(VertexSet.within(other, partition.n).mask & partition.block_mask(u)))
+    except ValueError as exc:
+        raise ValueError(f"{entry.kind} entry {entry.args} names a vertex outside 0..{partition.n - 1}") from exc
+    raise ValueError("beta queries depend on edges, not components; cannot replay from a partition")
 
 
 def replay_matches_partition(entries: Sequence[LedgerEntry], partition: Partition) -> bool:

@@ -15,6 +15,13 @@ from functools import cached_property
 from typing import Hashable, Iterable
 
 
+def check_vertex(v: int, n: int) -> None:
+    """Raise ValueError unless v is one of the vertices 0..n-1; the one vertex
+    check, which a hot accessor calls only when its own comparison fails."""
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range for n={n}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Partition of {0..n-1} into disjoint nonempty blocks.
@@ -73,27 +80,30 @@ class Partition:
         return len(self.blocks)
 
     @cached_property
-    def _block_index(self) -> dict[int, int]:
-        return {v: i for i, block in enumerate(self.blocks) for v in block}
-
-    def block_index(self, v: int) -> int:
-        return self._block_index[v]
-
-    @cached_property
     def _block_masks(self) -> list[int]:
+        """The one per-vertex form: entry v is the mask of v's block."""
         masks = [0] * self.n
         for block in self.blocks:
-            mask = sum(1 << v for v in block)  # the members are distinct
+            mask = 0
+            for v in block:
+                mask |= 1 << v
             for v in block:
                 masks[v] = mask
         return masks
 
     def block_mask(self, v: int) -> int:
         """The bitmask of the block holding v (bit w set iff w is in it)."""
-        return self._block_masks[v]
+        if 0 <= v < self.n:
+            return self._block_masks[v]
+        check_vertex(v, self.n)
 
     def same_block(self, u: int, v: int) -> bool:
-        return self._block_index[u] == self._block_index[v]
+        n = self.n
+        if 0 <= u < n > v >= 0:  # both in 0..n-1
+            masks = self._block_masks
+            return masks[u] == masks[v]
+        check_vertex(u, n)
+        check_vertex(v, n)
 
     def to_json(self) -> str:
         """The blocks as JSON arrays of arrays in canonical form: the
@@ -111,11 +121,7 @@ def is_refinement(fine: Partition, coarse: Partition) -> bool:
     """True iff every block of fine lies inside some block of coarse."""
     if fine.n != coarse.n:
         raise ValueError("partitions are over different vertex sets")
-    for block in fine.blocks:
-        target = coarse.block_index(block[0])
-        if any(coarse.block_index(v) != target for v in block[1:]):
-            return False
-    return True
+    return not any(f & ~c for f, c in zip(fine._block_masks, coarse._block_masks))
 
 
 def stirling_partition_count(n: int, k: int) -> int:

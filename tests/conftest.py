@@ -98,7 +98,9 @@ def brute_force_minimax(n: int, k: int | None, kind: str,
         and (k is None or max(labels, default=-1) < k)
     ]
     if live is not None:
-        start = {tuple(p.block_index(v) for v in range(n)) for p in live}
+        # label each vertex with the index of its block in p.blocks
+        start = {tuple(i for _, i in sorted((v, i) for i, b in enumerate(p.blocks) for v in b))
+                 for p in live}
         if not start <= set(labelings):
             raise ValueError("live holds a partition outside the candidate universe")
         labelings = sorted(start)

@@ -5,7 +5,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from graphquery.graphs import Graph, VertexSet, empty_graph
+from graphquery.adversaries import ContractionAdversary, SeparabilityAdversary, UnknownCountAdversary
+from graphquery.graphs import Graph, VertexSet, connected_components, empty_graph
 from graphquery.instances import random_edge_graph, random_partition_exactly, random_partition_graph
 from graphquery.learners import (
     count_components_multi,
@@ -41,6 +42,47 @@ def test_membership_rejects_self_and_range(oracle):
         oracle.membership_query(5, 5)
     with pytest.raises(ValueError):
         oracle.membership_query(0, 6)
+
+
+def _vertex_calls(name: str, hidden: Graph, bad: int) -> tuple[list, object]:
+    """The calls of one entry point that take the vertex `bad`, in each
+    position it can take, and the session whose ledger they must not touch."""
+    partition = connected_components(hidden)
+    accessors = {
+        "Graph.neighbors": [lambda: hidden.neighbors(bad)],
+        "Graph.degree": [lambda: hidden.degree(bad)],
+        "Partition.block_mask": [lambda: partition.block_mask(bad)],
+        "Partition.same_block": [lambda: partition.same_block(bad, 0), lambda: partition.same_block(0, bad)],
+    }
+    if name in accessors:
+        return accessors[name], None
+    n = hidden.n
+    session = {
+        "HonestOracle": HonestOracle(hidden),
+        "SeparabilityAdversary": SeparabilityAdversary(n, 2),
+        "UnknownCountAdversary": UnknownCountAdversary(n, 2),
+        "ContractionAdversary": ContractionAdversary(n, 2),
+    }[name]
+    calls = [lambda: session.membership_query(bad, 0), lambda: session.membership_query(0, bad)]
+    if name == "HonestOracle":
+        calls += [lambda: session.multi_membership_query(bad, {0}),
+                  lambda: session.neighborhood_query(bad, {0})]
+    return calls, session
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+@pytest.mark.parametrize("name", [
+    "Graph.neighbors", "Graph.degree", "Partition.block_mask", "Partition.same_block",
+    "HonestOracle", "SeparabilityAdversary", "UnknownCountAdversary", "ContractionAdversary",
+])
+def test_every_vertex_check_rejects_minus_one_and_n(figure_partition_graph, name, bad):
+    # -1 must not wrap around to vertex n - 1, and n must not reach past the end
+    calls, session = _vertex_calls(name, figure_partition_graph, bad)
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n=6$"):
+            call()
+    if session is not None:
+        assert session.ledger.count == 0
 
 
 def test_multi_membership_examples(oracle):
