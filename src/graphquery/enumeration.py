@@ -53,12 +53,22 @@ def _code_edges(code: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple([p for bit, p in enumerate(pairs) if code >> (top - bit) & 1])
 
 
+@cache
+def _bit_edges(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    # bit b of a code, least significant first, as (i, 1 << j, j, 1 << i)
+    return tuple((i, 1 << j, j, 1 << i) for i, j in reversed(_pairs(n)))
+
+
 def _code_masks(code: int, n: int) -> list[int]:
     """The neighbour bitmasks of the graph whose bit string is `code`."""
     masks = [0] * n
-    for i, j in _code_edges(code, n):
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
+    edges = _bit_edges(n)
+    while code:
+        low = code & -code
+        i, j_bit, j, i_bit = edges[low.bit_length() - 1]
+        masks[i] |= j_bit
+        masks[j] |= i_bit
+        code ^= low
     return masks
 
 

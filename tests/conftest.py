@@ -131,6 +131,56 @@ def brute_force_minimax(n: int, k: int | None, kind: str,
     return value(frozenset(labelings))
 
 
+def reference_code(nbrs: list[int] | tuple[int, ...]) -> int:
+    """The canonical code by the plain partition search, kept as a test oracle.
+
+    The search of `_canon.code` without its tables, its single loop and its
+    tie bound: one recursive call per placed vertex, every row built with
+    bit_count, and the same twin pruning.
+    """
+    n = len(nbrs)
+    return _reference_best(nbrs, ((1 << n) - 1,), n)
+
+
+def _reference_split(nbr: int, cells: tuple[int, ...]) -> tuple[int, ...]:
+    out = []
+    for cell in cells:
+        ones = cell & nbr
+        if ones != cell:
+            out.append(cell ^ ones)
+        if ones:
+            out.append(ones)
+    return tuple(out)
+
+
+def _reference_best(nbrs, cells: tuple[int, ...], size: int) -> int:
+    if size <= 2:
+        if size < 2:
+            return 0
+        pair = cells[0] if len(cells) == 1 else cells[0] | cells[1]
+        low = pair & -pair
+        return 1 if nbrs[low.bit_length() - 1] & (pair ^ low) else 0
+    left = size - 1
+    first, rest = cells[0], cells[1:]
+    low_row = -1
+    ties: list[tuple[int, int]] = []
+    pending = first
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        nbr = nbrs[bit.bit_length() - 1]
+        row = (1 << (first & nbr).bit_count()) - 1
+        for cell in rest:
+            row = (row << cell.bit_count()) | ((1 << (cell & nbr).bit_count()) - 1)
+        if low_row < 0 or row < low_row:
+            low_row, ties = row, [(bit, nbr)]
+        elif row == low_row and all((nbr ^ other) & ~(bit | other_bit) for other_bit, other in ties):
+            ties.append((bit, nbr))
+    tail = min(_reference_best(nbrs, _reference_split(nbr, (first ^ bit,) + rest), left)
+               for bit, nbr in ties)
+    return (low_row << left * (left - 1) // 2) | tail
+
+
 @pytest.fixture
 def figure_partition_graph():
     """Cliques on {0,1,2}, {3,4}, {5}: the walkthrough's hidden partition."""

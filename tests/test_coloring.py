@@ -234,8 +234,11 @@ def test_search_order_matches_lexicographic_reference():
 
 
 def test_budget_aborts_with_distinct_error():
+    reset_search_stats()
     with pytest.raises(BudgetExceededError):
         find_k_coloring(empty_graph(12), 6, node_budget=10)
+    # the node that exceeds the budget is booked too
+    assert SEARCH_STATS == {"invocations": 1, "nodes": 11}
 
 
 def test_search_stats_count_invocations():
@@ -244,6 +247,19 @@ def test_search_stats_count_invocations():
     is_uniquely_k_colorable(path_graph(4), 2)
     assert SEARCH_STATS["invocations"] == 2
     assert SEARCH_STATS["nodes"] > 0
+
+
+@pytest.mark.parametrize("search, nodes", [
+    (lambda: find_k_coloring(empty_graph(12), 6), 12),
+    (lambda: is_uniquely_k_colorable(path_graph(4), 2), 4),
+    (lambda: proper_partitions(empty_graph(5), 3, limit=4), 9),
+])
+def test_search_node_accounting_is_pinned(search, nodes):
+    # a node is booked as a vertex takes a color, and none past the last
+    # solution read
+    reset_search_stats()
+    search()
+    assert SEARCH_STATS == {"invocations": 1, "nodes": nodes}
 
 
 def test_search_leaves_no_cyclic_garbage():
