@@ -23,16 +23,16 @@ high-degree ones. It keeps the contracted auxiliary graph densely labelled,
 in the one form the minimax alpha game uses, and contracts it with the
 same `graphs.contract`.
 
-A learner's final claim is audited by `declare`, and all three audits end in
-one rule: the claim is *forced* only if it is the single consistent
-partition, and otherwise the audit hands back a consistent partition other
-than the claim as a witness.
+A learner's final claim is audited by `declare`, and all three audits run
+through the one function `_audit`: the claim is *forced* only if it is the
+single consistent partition, and otherwise the audit hands back a
+consistent partition other than the claim as a witness.
 """
 
 from __future__ import annotations
 
 from .coloring import Coloring, find_k_coloring, proper_partitions
-from .graphs import Edge, Graph, bits, connected_components, contract, normalize_edge
+from .graphs import Edge, Graph, bits, connected_components, contract, mask_edges, normalize_edge
 from .ledger import QueryLedger
 from .oracles import AuditVerdict
 from .partitions import Partition, check_vertex
@@ -76,13 +76,25 @@ def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[lis
     return graph.adjacency_masks(), chi
 
 
-def _audit(claimed: Partition, parts: list[Partition], unique_detail: str) -> AuditVerdict:
-    """Verdict on a claim given up to two consistent partitions (a limit-2 search).
+def _audit(adv, claimed: Partition, unique_detail: str, cls=None,
+           certificate=None) -> AuditVerdict:
+    """The one audit: a limit-2 search of `adv`'s auxiliary graph, lifted
+    through `cls` (vertex v lies in class cls[v]) when given.
 
-    Forced iff `parts` is the single consistent partition and equals the
-    claim; otherwise the witness is a consistent partition other than the
-    claim, or the single one when the claim differs from it.
+    Forced iff the search finds a single consistent partition and it equals
+    the claim; otherwise the witness is a consistent partition other than
+    the claim, or the single one when the claim differs from it. A
+    `certificate` that differs from the claim refutes it before the search.
     """
+    if claimed.n != adv.n:
+        raise ValueError("claimed partition is over the wrong vertex set")
+    if certificate is not None and certificate != claimed:
+        return AuditVerdict(
+            False, certificate, "certificate components form a consistent refinement"
+        )
+    parts = proper_partitions(adv.masks, adv.k, limit=2)
+    if cls is not None:
+        parts = [Partition.from_labels([p.block_mask(c) for c in cls]) for p in parts]
     if len(parts) == 1:
         if claimed == parts[0]:
             return AuditVerdict(True, None, unique_detail)
@@ -115,19 +127,21 @@ class _SeparabilityRule:
       3. otherwise a cold search of G + uv decides, and the coloring it
          finds, if any, becomes the working one.
     Every change to the working coloring is checked against every edge.
+    `classes` is kept beside `color` rather than rebuilt, because that check
+    and every free-color move read it on each answer.
 
     The answers, masks and forced edges depend only on separability, not on
     which coloring is the working one, and neither does `chi`, the coloring
     reported to callers. It is the start coloring until the first answer-0
-    pair that the start colors alike, and from then on (`chi_is_first`) the
-    first proper coloring of G in the search order, computed when read and
-    cached. A new edge that the cached chi already separates keeps it
+    pair that the start colors alike, and from then on the first proper
+    coloring of G in the search order, computed when read and cached in
+    `_chi`. A new edge that the cached chi already separates keeps it
     first, because every coloring of G plus that edge is a coloring of G;
     so only an edge that chi colors alike drops the cache. An inseparable
     pair leaves G, and so chi, alone.
     """
 
-    def __init__(self, n: int, k: int, masks: list[int], chi: Coloring, chi_is_first: bool):
+    def __init__(self, n: int, k: int, masks: list[int], chi: Coloring):
         self.n = n
         self.k = k
         self.masks = masks
@@ -135,13 +149,12 @@ class _SeparabilityRule:
         self.color = list(chi.colors)
         self.classes = _class_masks(self.color, k)
         self._chi: Coloring | None = chi  # None: the next read searches
-        self.chi_is_first = chi_is_first
         self.ledger = QueryLedger()
 
     @property
     def edges(self) -> frozenset[Edge]:
         """The auxiliary graph's edges, read from the masks."""
-        return frozenset((u, v) for u, nbrs in enumerate(self.masks) for v in bits(nbrs) if u < v)
+        return frozenset(mask_edges(self.masks))
 
     @property
     def chi(self) -> Coloring:
@@ -201,7 +214,6 @@ class _SeparabilityRule:
             assert answer or _is_proper(masks, self.color, self.classes)
         if not answer and self._chi is not None and self._chi.colors[u] == self._chi.colors[v]:
             self._chi = None
-            self.chi_is_first = True
         self.ledger.append("alpha", (x, y), answer)
         return answer
 
@@ -219,7 +231,7 @@ class SeparabilityAdversary(_SeparabilityRule):
         if not 2 <= k <= n:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
         masks, chi = _initial_state(n, k, initial_coloring, initial_edges)
-        super().__init__(n, k, masks, chi, chi_is_first=False)
+        super().__init__(n, k, masks, chi)
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         """Forced iff the auxiliary graph pins down a single consistent partition.
@@ -228,10 +240,7 @@ class SeparabilityAdversary(_SeparabilityRule):
         partitions of the auxiliary graph (pairs answered 1 are inseparable,
         so every such partition keeps them together automatically).
         """
-        if claimed.n != self.n:
-            raise ValueError("claimed partition is over the wrong vertex set")
-        parts = proper_partitions(self.masks, self.k, limit=2)
-        return _audit(claimed, parts, "auxiliary graph has a unique consistent partition")
+        return _audit(self, claimed, "auxiliary graph has a unique consistent partition")
 
 
 class UnknownCountAdversary(_SeparabilityRule):
@@ -248,7 +257,7 @@ class UnknownCountAdversary(_SeparabilityRule):
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         # all-1 is the first coloring of the edgeless graph
-        super().__init__(n, k, [0] * n, Coloring((1,) * n, k), chi_is_first=True)
+        super().__init__(n, k, [0] * n, Coloring((1,) * n, k))
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         """Forced iff the claim is the only partition (of any block count) that fits.
@@ -257,15 +266,9 @@ class UnknownCountAdversary(_SeparabilityRule):
         partition, so the claim must equal them; the auxiliary graph must
         additionally admit no second proper partition.
         """
-        if claimed.n != self.n:
-            raise ValueError("claimed partition is over the wrong vertex set")
         certificate = connected_components(self.forced_graph_view())
-        if certificate != claimed:
-            return AuditVerdict(
-                False, certificate, "certificate components form a consistent refinement"
-            )
-        parts = proper_partitions(self.masks, self.k, limit=2)
-        return _audit(claimed, parts, "certificate components and auxiliary graph agree")
+        return _audit(self, claimed, "certificate components and auxiliary graph agree",
+                      certificate=certificate)
 
 
 class ContractionAdversary:
@@ -333,8 +336,5 @@ class ContractionAdversary:
         return Partition.from_labels([color[c] for c in self.cls])
 
     def declare(self, claimed: Partition) -> AuditVerdict:
-        if claimed.n != self.n:
-            raise ValueError("claimed partition is over the wrong vertex set")
-        parts = proper_partitions(self.masks, self.k, limit=2)
-        lifted = [Partition.from_labels([p.block_mask(c) for c in self.cls]) for p in parts]
-        return _audit(claimed, lifted, "contracted graph has a unique consistent partition")
+        return _audit(self, claimed, "contracted graph has a unique consistent partition",
+                      cls=self.cls)

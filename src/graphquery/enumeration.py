@@ -31,7 +31,7 @@ import numpy as np
 
 from ._canon import canonical_codes
 from .coloring import BudgetExceededError, is_uniquely_k_colorable
-from .graphs import Graph
+from .graphs import Graph, mask_edges
 from . import bounds
 
 ENUMERATION_MAX_N = 8
@@ -42,25 +42,16 @@ MAX_TIGHT_EXAMPLES = 4
 
 
 @cache
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(n - 1) for j in range(i + 1, n))
-
-
-def _code_edges(code: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The sorted edges of the graph whose row-major upper-triangle bit string is `code`."""
-    pairs = _pairs(n)
-    top = len(pairs) - 1
-    return tuple([p for bit, p in enumerate(pairs) if code >> (top - bit) & 1])
-
-
-@cache
 def _bit_edges(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    # bit b of a code, least significant first, as (i, 1 << j, j, 1 << i)
-    return tuple((i, 1 << j, j, 1 << i) for i, j in reversed(_pairs(n)))
+    # bit b of a code, least significant first, as (i, 1 << j, j, 1 << i);
+    # the most significant bit is the first pair (0, 1) in row-major order
+    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    return tuple((i, 1 << j, j, 1 << i) for i, j in reversed(pairs))
 
 
 def _code_masks(code: int, n: int) -> list[int]:
-    """The neighbour bitmasks of the graph whose bit string is `code`."""
+    """The neighbour bitmasks of the graph whose row-major upper-triangle bit
+    string is `code`: the one decoder of a canonical code."""
     masks = [0] * n
     edges = _bit_edges(n)
     while code:
@@ -155,7 +146,7 @@ def enumerate_graphs(n: int, graph_budget: int = DEFAULT_GRAPH_BUDGET) -> list[G
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
     for _, codes in _levels(n, graph_budget):
         pass
-    return [Graph(n, frozenset(_code_edges(code, n))) for code in codes]
+    return [Graph(n, frozenset(mask_edges(_code_masks(code, n)))) for code in codes]
 
 
 @dataclass(frozen=True)
@@ -219,16 +210,17 @@ def verify_unique_colorable_edge_bound(
         tight = []
         bad = []
         for code in codes:
-            if not is_uniquely_k_colorable(_code_masks(code, n), k):
+            masks = _code_masks(code, n)
+            if not is_uniquely_k_colorable(masks, k):
                 continue
             unique_count += 1
             m = code.bit_count()
             if min_edges is None or m < min_edges:
                 min_edges = m
             if m == bound and len(tight) < MAX_TIGHT_EXAMPLES:
-                tight.append(_code_edges(code, n))
+                tight.append(tuple(mask_edges(masks)))
             if m < bound:
-                bad.append(_code_edges(code, n))
+                bad.append(tuple(mask_edges(masks)))
         rows.append(
             EdgeBoundRow(n, len(codes), unique_count, bound, min_edges, tuple(tight), tuple(bad))
         )

@@ -186,6 +186,11 @@ def connected_components(g: Graph) -> Partition:
     return Partition(tuple(blocks))
 
 
+def mask_edges(masks: Sequence[int]) -> list[Edge]:
+    """The sorted edges of the graph whose neighbour bitmasks are `masks`."""
+    return [(u, v) for u, nbrs in enumerate(masks) for v in bits(nbrs) if u < v]
+
+
 def contract(h: Sequence[int], a: int, b: int) -> tuple[int, ...]:
     """H / ab for non-adjacent a < b: b merged into a, the vertices above b
     moved down one label.

@@ -84,14 +84,14 @@ def _as_order(n: int, order: Sequence[int] | None) -> list[int]:
 
 
 def learn_partition_representatives(session, n, k_known=None, order=None) -> LearnResult:
-    """Classify each vertex against a growing set of component representatives.
+    """Classify each vertex against the first vertex of every block found so far.
 
-    Vertices are processed in `order` (ascending by default). An unclassified
-    vertex is queried against the representatives in discovery order and
-    joins the first one that answers 1; if all answer 0 it becomes a new
-    representative. When `k_known` is given and all k representatives exist,
-    the final representative is never queried: k-1 zeros already pin the
-    vertex to it, and no further representative is ever hypothesized.
+    Vertices are processed in `order` (ascending by default). A block's first
+    vertex is its representative. An unclassified vertex is queried against
+    the blocks in discovery order and joins the first one that answers 1; if
+    all answer 0 it opens a new block. When `k_known` is given and k blocks
+    are open, the last block is never queried: k-1 zeros already pin the
+    vertex to it, and no further block is ever hypothesized.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -99,30 +99,21 @@ def learn_partition_representatives(session, n, k_known=None, order=None) -> Lea
         raise ValueError(f"k_known must lie in 1..{n}")
     order = _as_order(n, order)
     start = session.ledger.count
-    reps: list[int] = []
     blocks: list[list[int]] = []
     for v in order:
-        if not reps:
-            reps.append(v)
-            blocks.append([v])
-            continue
-        skip_last = k_known is not None and len(reps) == k_known
-        candidates = reps[:-1] if skip_last else reps
-        placed = False
-        for i, r in enumerate(candidates):
-            if session.membership_query(r, v):
-                blocks[i].append(v)
-                placed = True
+        full = len(blocks) == k_known
+        for block in blocks[:-1] if full else blocks:
+            if session.membership_query(block[0], v):
+                block.append(v)
                 break
-        if not placed:
-            if skip_last:
+        else:
+            if full:
                 blocks[-1].append(v)
             else:
-                reps.append(v)
                 blocks.append([v])
-    if k_known is not None and len(reps) != k_known:
+    if k_known is not None and len(blocks) != k_known:
         raise OracleInconsistencyError(
-            f"found {len(reps)} representatives but the oracle promised {k_known} components"
+            f"found {len(blocks)} representatives but the oracle promised {k_known} components"
         )
     return LearnResult(Partition.from_blocks(blocks), session.ledger.count - start)
 
@@ -184,17 +175,17 @@ def learn_components_multi(session, n) -> LearnResult:
         if session.multi_membership_query(v, VertexSet((1 << v) - 1)) == 0:
             classes.append(1 << v)
             continue
-        candidates = list(range(len(classes)))
-        while len(candidates) > 1:
-            half = candidates[: (len(candidates) + 1) // 2]
+        lo, hi = 0, len(classes)
+        while hi - lo > 1:
+            mid = (lo + hi + 1) // 2  # the first half takes the odd class
             pooled = 0
-            for i in half:
-                pooled |= classes[i]
+            for mask in classes[lo:mid]:
+                pooled |= mask
             if session.multi_membership_query(v, VertexSet(pooled)):
-                candidates = half
+                hi = mid
             else:
-                candidates = candidates[len(half):]
-        classes[candidates[0]] |= 1 << v
+                lo = mid
+        classes[lo] |= 1 << v
     blocks = [list(VertexSet(mask)) for mask in classes]
     return LearnResult(Partition.from_blocks(blocks), session.ledger.count - start)
 

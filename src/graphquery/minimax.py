@@ -43,7 +43,9 @@ Alpha_m (pooled) games keep bitmask states over the candidate list: a
 state is the mask of live candidates, its key is the mask itself, and its
 count is the mask's popcount. The candidate list is the colouring search on
 the edgeless graph, whose colour tuples are the partitions' restricted
-growth strings plus 1; a pair's mask marks the tuples giving it one colour.
+growth strings plus 1. One symmetric table, `together[u][v]`, holds the
+mask of the tuples giving u and v one colour, and a pool's mask is the OR
+of its members' entries in the query vertex's row.
 
 The search is windowed (alpha-beta; Knuth & Moore, "An analysis of
 alpha-beta pruning", 1975). `_Game.value(state, count, beta)` returns the
@@ -197,50 +199,43 @@ def _alpha_m_game(n: int, k: int | None) -> tuple[_Game, int, int]:
     the root's candidate count. Candidate i is the i-th colouring of the
     edgeless graph; listing them is one search in `SEARCH_STATS`."""
     cands = list(_search_colorings([0] * n, n if k is None else k, DEFAULT_NODE_BUDGET))
-    # for each vertex pair, the bitmask of candidates keeping it together
-    pair_masks = {}
+    # together[u][v], symmetric: the bitmask of candidates keeping u and v together
+    together = [[0] * n for _ in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
             m = 0
             for i, c in enumerate(cands):
                 if c[u] == c[v]:
                     m |= 1 << i
-            pair_masks[(u, v)] = m
+            together[u][v] = together[v][u] = m
 
-    def moves(mask):
+    def splits(mask: int, count: int) -> list:
         # One query vertex per known-together class, and pools built from one
         # representative per class: classmates answer identically on every
         # live candidate, so nothing else is informative. "Together on every
         # live candidate" is an intersection of equivalence relations, so it
         # is transitive, and a class's least member represents it.
-        vertices = [v for v in range(n) if all(mask & ~pair_masks[(u, v)] for u in range(v))]
+        vertices = [v for v in range(n) if all(mask & ~together[u][v] for u in range(v))]
         # every (v, S) with S a nonempty subset of the other representatives;
-        # each pool's mask extends the mask of S minus its lowest member
-        out = []
+        # each pool's mask extends the mask of S minus its lowest member, and
+        # each split is keyed by its larger half (the other is mask ^ large)
+        halves: dict[int, int] = {}
         for v in vertices:
-            others = [u for u in vertices if u != v]
-            partial = {0: 0}
+            others = [together[v][u] for u in vertices if u != v]
+            partial = [0]  # partial[choice]: the pool of the subset `choice`
             for choice in range(1, 1 << len(others)):
                 low = choice & -choice
-                u = others[low.bit_length() - 1]
-                pool = partial[choice ^ low] | pair_masks[(u, v) if u < v else (v, u)]
-                partial[choice] = pool
-                out.append(pool)
-        return out
-
-    def splits(mask: int, count: int) -> list:
-        # each split keyed by its larger half; the other half is mask ^ large
-        halves: dict[int, int] = {}
-        for move_mask in moves(mask):
-            one = mask & move_mask
-            if one == 0 or one == mask:
-                continue
-            zero = mask ^ one
-            ones = one.bit_count()
-            if ones * 2 > count or (ones * 2 == count and one > zero):
-                halves[one] = ones
-            else:
-                halves[zero] = count - ones
+                pool = partial[choice ^ low] | others[low.bit_length() - 1]
+                partial.append(pool)
+                one = mask & pool
+                if one == 0 or one == mask:
+                    continue
+                zero = mask ^ one
+                ones = one.bit_count()
+                if ones * 2 > count or (ones * 2 == count and one > zero):
+                    halves[one] = ones
+                else:
+                    halves[zero] = count - ones
         return [(size, large, count - size, mask ^ large) for large, size in halves.items()]
 
     return _Game(lambda mask: mask, splits), (1 << len(cands)) - 1, len(cands)

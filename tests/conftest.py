@@ -131,6 +131,28 @@ def brute_force_minimax(n: int, k: int | None, kind: str,
     return value(frozenset(labelings))
 
 
+def check_trace_invariants(trace, ell: int) -> None:
+    """The recursion-tree invariants of a neighbor search that found `ell`
+    neighbors: no tree without a hit; red (answer-0) nodes are leaves with
+    a blue parent; no node has two red children; and there are at most
+    twice as many nodes as blue ones."""
+    nodes = trace.nodes()
+    if ell == 0:
+        assert nodes == []
+        return
+    blue = trace.blue_nodes()
+    red = trace.red_nodes()
+    assert red == [node for node in nodes if not node.is_blue]
+    parent_of = {id(c): p for p in nodes for c in p.children}
+    for node in red:
+        assert not node.children
+        parent = parent_of.get(id(node))
+        assert parent is not None and parent.is_blue
+    for node in nodes:
+        assert sum(1 for c in node.children if not c.is_blue) <= 1
+    assert len(nodes) <= 2 * len(blue)
+
+
 def reference_code(nbrs: list[int] | tuple[int, ...]) -> int:
     """The canonical code by the plain partition search, kept as a test oracle.
 

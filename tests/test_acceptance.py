@@ -31,6 +31,8 @@ from graphquery.ledger import replay_matches_partition
 from graphquery.minimax import information_bound_check, minimax_query_complexity
 from graphquery.oracles import HonestOracle
 
+from conftest import check_trace_invariants
+
 
 def test_criterion_1_worst_case_exactness():
     for n in range(2, 26):
@@ -150,21 +152,6 @@ def _neighbor_session(size, hits):
     return HonestOracle(Graph.from_edges(size + 1, [(0, v) for v in hits]))
 
 
-def _check_trace(trace, ell):
-    nodes = trace.nodes()
-    if ell == 0:
-        assert nodes == []
-        return
-    blue = trace.blue_nodes()
-    parent_of = {id(c): p for p in nodes for c in p.children}
-    for node in nodes:
-        if not node.is_blue:
-            assert not node.children
-            assert parent_of[id(node)].is_blue
-        assert sum(1 for c in node.children if not c.is_blue) <= 1
-    assert len(nodes) <= 2 * len(blue)
-
-
 def test_criterion_8_neighborhood_learning_and_verification():
     # exhaustive: every neighbor subset for |S| <= 12
     for size in range(1, 13):
@@ -174,7 +161,7 @@ def test_criterion_8_neighborhood_learning_and_verification():
             res = find_neighbors(_neighbor_session(size, hits), 0, universe)
             assert res.answer == frozenset(hits)
             assert res.queries_used <= bounds.find_neighbors_ceiling(len(hits), size)
-            _check_trace(res.trace, len(hits))
+            check_trace_invariants(res.trace, len(hits))
     # sampled: larger sets up to |S| = 256
     rng = random.Random(99)
     for _ in range(60):
@@ -184,7 +171,7 @@ def test_criterion_8_neighborhood_learning_and_verification():
         res = find_neighbors(_neighbor_session(size, hits), 0, universe)
         assert res.answer == frozenset(hits)
         assert res.queries_used <= bounds.find_neighbors_ceiling(len(hits), size)
-        _check_trace(res.trace, len(hits))
+        check_trace_invariants(res.trace, len(hits))
     # 100 seeded random graphs, exact recovery
     rng = random.Random(7)
     for seed in range(100):

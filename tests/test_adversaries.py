@@ -669,7 +669,6 @@ def test_live_masks_and_coloring_track_the_auxiliary_graph(start):
             assert adv.masks == _quotient_masks(n, zeros, lambda v: v)
             assert all(adv.color[i] != adv.color[j] for i, j in graph.edges)
             switched = switched or (separable and start_colors[x] == start_colors[y])
-            assert adv.chi_is_first == switched
             assert adv.chi == (find_k_coloring(graph, k) if switched else start_chi)
             assert adv.chi.is_proper(graph)
     # a contraction stream contracts at most n - 1 times

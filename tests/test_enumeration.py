@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from itertools import combinations, permutations
 
@@ -139,6 +140,22 @@ def test_enumeration_order_is_frozen():
         for _, codes in enumeration._levels(7, 10**7)
     )
     assert digests == LEVEL_DIGESTS
+
+
+# sha256 of the (7, 3) edge-bound report as sorted JSON, with its tight
+# examples, and of the sorted edge list of every class on 6 vertices: the
+# edge lists read off the decoded codes must not move
+EDGE_LIST_DIGESTS = (
+    "b8387eb0cf2c434a7a69ce4477d51fa3ed1dd5660501f0994249ce623ac26c5a",
+    "27097d54943f5162ca3686bd635481e79c5e816b1d9ac24260a1d2a91993921f",
+)
+
+
+def test_edge_lists_are_pinned():
+    report = json.dumps(verify_unique_colorable_edge_bound(7, 3).to_dict(), sort_keys=True)
+    graphs = "\n".join(str(g.sorted_edges()) for g in enumerate_graphs(6))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (report, graphs))
+    assert digests == EDGE_LIST_DIGESTS
 
 
 def test_unique_coloring_search_nodes_are_pinned():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphquery import bounds
-from graphquery.adversaries import SeparabilityAdversary, UnknownCountAdversary
+from graphquery.adversaries import ContractionAdversary, SeparabilityAdversary, UnknownCountAdversary
 from graphquery.graphs import Graph, complete_graph, connected_components, empty_graph, format_edge_list
 from graphquery.instances import random_edge_graph, random_partition_graph, worst_case_graph
 from graphquery.learners import (
@@ -23,7 +23,7 @@ from graphquery.learners import (
 from graphquery.oracles import HonestOracle
 from graphquery.partitions import Partition
 
-from conftest import graphs, path_graph
+from conftest import check_trace_invariants, graphs, path_graph
 
 
 # ---------------------------------------------------------------- membership
@@ -101,6 +101,51 @@ def test_representatives_forced_against_unknown_count_adversary():
             res = learn_partition_representatives(adv, n)
             assert res.queries_used >= bounds.membership_unknown_count(n, k)
             assert adv.declare(res.answer).forced
+
+
+def _representative_transcripts(trials: int, seed: int) -> str:
+    """sha256 over the JSONL ledgers, answers and query counts of
+    `learn_partition_representatives` on seeded shuffled orders: honest
+    oracles on random partitions with up to 30 vertices, k known and
+    unknown; the separability and contraction adversaries for every
+    2 <= k <= n <= 14; and the unknown-count adversary for every
+    1 <= k <= n <= 12. Every adversary's verdict and its detail are
+    hashed too."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+
+    def record(session, result) -> None:
+        digest.update(f"{result.answer.to_json()}|{result.queries_used}\n".encode())
+        digest.update(session.ledger.to_jsonl().encode())
+
+    for _ in range(trials):
+        n = rng.randint(1, 30)
+        hidden = random_partition_graph(n, rng.randint(1, n), rng.randrange(1 << 30))
+        order = rng.sample(range(n), n)
+        for k_known in (connected_components(hidden).k, None):
+            session = HonestOracle(hidden)
+            record(session, learn_partition_representatives(session, n, k_known, order))
+    cells = [(cls, n, k) for n in range(2, 15) for k in range(2, n + 1)
+             for cls in (SeparabilityAdversary, ContractionAdversary)]
+    cells += [(UnknownCountAdversary, n, k) for n in range(1, 13) for k in range(1, n + 1)]
+    for cls, n, k in cells:
+        adv = cls(n, k)
+        k_known = None if cls is UnknownCountAdversary else k
+        result = learn_partition_representatives(adv, n, k_known, rng.sample(range(n), n))
+        record(adv, result)
+        verdict = adv.declare(result.answer)
+        witness = verdict.witness.to_json() if verdict.witness else "-"
+        digest.update(f"{verdict.forced}|{witness}|{verdict.detail}\n".encode())
+    return digest.hexdigest()
+
+
+# the representative learner's transcripts on shuffled orders are
+# independent of how it stores its blocks
+REPRESENTATIVE_TRANSCRIPT_DIGEST = "77e63cca372732365826ddadffe9dd19e5f4eb7b6e483d183796fe7d434e5f92"
+
+
+def test_representative_transcripts_are_pinned():
+    assert _representative_transcripts(150, 2023) == REPRESENTATIVE_TRANSCRIPT_DIGEST
 
 
 # ---------------------------------------------------------------- pooled
@@ -275,24 +320,6 @@ def test_components_and_all_pairs_transcripts_are_pinned():
 def star_session(n, neighbors):
     """Hidden graph where vertex 0's neighborhood is exactly `neighbors`."""
     return HonestOracle(Graph.from_edges(n, [(0, v) for v in neighbors]))
-
-
-def check_trace_invariants(trace, ell):
-    nodes = trace.nodes()
-    blue = trace.blue_nodes()
-    red = trace.red_nodes()
-    if ell == 0:
-        assert nodes == []
-        return
-    for node in red:
-        assert not node.children
-    by_id = {id(c): parent for parent in nodes for c in parent.children}
-    for node in red:
-        parent = by_id.get(id(node))
-        assert parent is not None and parent.is_blue
-    for parent in nodes:
-        assert sum(1 for c in parent.children if not c.is_blue) <= 1
-    assert len(nodes) <= 2 * len(blue)
 
 
 def test_find_neighbors_isolated_costs_two():
