@@ -32,7 +32,7 @@ consistent partition other than the claim as a witness.
 from __future__ import annotations
 
 from .coloring import Coloring, find_k_coloring, proper_partitions
-from .graphs import Edge, Graph, bits, connected_components, contract, mask_edges, normalize_edge
+from .graphs import Edge, Graph, bits, connected_components, contract, normalize_edge
 from .ledger import QueryLedger
 from .oracles import AuditVerdict
 from .partitions import Partition, check_vertex
@@ -118,9 +118,9 @@ class _SeparabilityRule:
     subclass this as siblings, so patching one variant's methods (as a
     tracer does) never reaches the other.
 
-    `masks` holds G's neighbour bitmasks, its only stored form; `edges` is
-    read from it. The decision is made against a *working* proper coloring
-    `color`, with `classes[c]` the bitmask of the vertices colored c:
+    `masks` holds G's neighbour bitmasks, its only form. The decision is
+    made against a *working* proper coloring `color`, with `classes[c]` the
+    bitmask of the vertices colored c:
       1. u and v have different colors: the pair is separated already;
       2. v, or failing that u, has a color that none of its neighbours in
          G + uv holds: move it there;
@@ -150,11 +150,6 @@ class _SeparabilityRule:
         self.classes = _class_masks(self.color, k)
         self._chi: Coloring | None = chi  # None: the next read searches
         self.ledger = QueryLedger()
-
-    @property
-    def edges(self) -> frozenset[Edge]:
-        """The auxiliary graph's edges, read from the masks."""
-        return frozenset(mask_edges(self.masks))
 
     @property
     def chi(self) -> Coloring:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._canon import canonical_codes
 from .coloring import BudgetExceededError, is_uniquely_k_colorable
-from .graphs import Graph, mask_edges
+from .graphs import Graph, mask_edges, twin_classes
 from . import bounds
 
 ENUMERATION_MAX_N = 8
@@ -69,17 +69,8 @@ def _twin_orbit_subsets(parent: tuple[int, ...]) -> list[int]:
     Each subset takes the lowest-labelled vertices of every twin class, any
     number of them from none to all (see the module docstring).
     """
-    classes: list[list[int]] = []  # vertices of each twin class, ascending
-    for v, nbrs in enumerate(parent):
-        for members in classes:
-            u = members[0]
-            if not (nbrs ^ parent[u]) & ~(1 << u | 1 << v):
-                members.append(v)
-                break
-        else:
-            classes.append([v])
     subsets = [0]
-    for members in classes:
+    for members in twin_classes(parent):
         prefixes = [0]
         for v in members:
             prefixes.append(prefixes[-1] | 1 << v)

@@ -191,6 +191,26 @@ def mask_edges(masks: Sequence[int]) -> list[Edge]:
     return [(u, v) for u, nbrs in enumerate(masks) for v in bits(nbrs) if u < v]
 
 
+def twin_classes(masks: Sequence[int]) -> list[list[int]]:
+    """The twin classes of the graph whose neighbour bitmasks are `masks`:
+    each class's members ascending, the classes in order of their least member.
+
+    u and v are twins when N(u) minus v equals N(v) minus u. Twinship is an
+    equivalence, each class is a clique or an independent set, and any
+    permutation inside a class is an automorphism of the graph.
+    """
+    classes: list[list[int]] = []
+    for v, nbrs in enumerate(masks):
+        for members in classes:
+            u = members[0]
+            if not (nbrs ^ masks[u]) & ~(1 << u | 1 << v):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
 def contract(h: Sequence[int], a: int, b: int) -> tuple[int, ...]:
     """H / ab for non-adjacent a < b: b merged into a, the vertices above b
     moved down one label.

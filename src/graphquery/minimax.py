@@ -11,7 +11,9 @@ is every partition.
 One windowed search, `_Game`, solves every game. It is generic over its
 states: a game supplies `key(state)`, which names a state in the memos, and
 `splits(state, count)`, which lists the informative queries on a state
-with `count` live candidates and the two states each leaves.
+with `count` live candidates and the two states each leaves. It may leave
+out a query whose two states have the same keys as a listed query's, as
+the alpha game does for twin swaps.
 
 Alpha (pairwise) games are played on the auxiliary graph H. Its vertices
 are the classes of vertices known to be together (the pairs answered 1,
@@ -34,6 +36,16 @@ The live count is the number of partitions of H into at most k
 independent sets, found by the colouring search and cached per labelled
 state. Deletion-contraction, count(H) = count(H + ab) + count(H / ab),
 makes each move cost one search.
+Moves are listed one per orbit of twin swaps. Swapping two twins of H
+(classes whose neighbourhoods agree apart from each other) is an
+automorphism of H, so the moves of one orbit leave isomorphic children,
+with the same counts and values. `splits` keeps (T[0], T[1]) inside an
+independent twin class T, and (S[0], T[0]) across twin classes S and T
+that are not adjacent (`graphs.twin_classes`). Each is its orbit's first
+move in the scan order (b ascending, then a), so the stable size sort
+keeps the kept moves in their old order. A dropped move's calls would all
+be memo hits, so the memos end the same. With k unknown at n = 6 the game
+makes 794 contractions and 598 `code` calls instead of 1,318 and 1,011.
 H is stored as a tuple of neighbour bitmasks over its classes, labelled in
 order of their least vertex, and H / ab is `graphs.contract`, which keeps
 that order. `ContractionAdversary` stores its quotient in the same form and
@@ -78,7 +90,7 @@ from operator import itemgetter
 
 from ._canon import code
 from .coloring import DEFAULT_NODE_BUDGET, _search_colorings
-from .graphs import contract
+from .graphs import contract, twin_classes
 from . import bounds
 
 ALPHA_MAX_N = 7
@@ -94,7 +106,10 @@ class _Game:
 
     `key(state)` names a state in the memos. `splits(state, count)` lists
     the informative queries on a state with `count` live candidates, each
-    as (larger count, larger half, smaller count, smaller half).
+    as (larger count, larger half, smaller count, smaller half). It may
+    list one query per orbit of the state's automorphisms, as the alpha
+    game does for twin swaps: a query left out leaves halves with the same
+    keys and counts as a listed one, so its calls would only hit the memos.
     """
 
     def __init__(self, key, splits):
@@ -159,27 +174,33 @@ def _alpha_game(n: int, k: int) -> tuple[_Game, tuple[int, ...], int]:
         return found
 
     def splits(h: tuple[int, ...], total: int) -> list:
+        # one move per orbit of twin swaps, the orbit's first in (b, a)
+        # order (see the module docstring)
+        moves = []
+        classes = twin_classes(h)
+        for i, members in enumerate(classes):
+            a = members[0]
+            if len(members) > 1 and not h[a] >> members[1] & 1:
+                moves.append((members[1], a))
+            moves += [(t[0], a) for t in classes[i + 1:] if not h[a] >> t[0] & 1]
+        moves.sort()
         out = []
-        for b in range(1, len(h)):
-            nbrs_b = h[b]
-            for a in range(b):
-                if nbrs_b >> a & 1:
-                    continue
-                merged = contract(h, a, b)
-                ones = count(merged)
-                # deletion-contraction: every live partition of H either
-                # separates a and b (H + ab) or joins them (H / ab)
-                zeros = total - ones
-                if not ones or not zeros:
-                    continue
-                plus = list(h)
-                plus[a] |= 1 << b
-                plus[b] |= 1 << a
-                plus = tuple(plus)
-                if ones > zeros:
-                    out.append((ones, merged, zeros, plus))
-                else:
-                    out.append((zeros, plus, ones, merged))
+        for b, a in moves:
+            merged = contract(h, a, b)
+            ones = count(merged)
+            # deletion-contraction: every live partition of H either
+            # separates a and b (H + ab) or joins them (H / ab)
+            zeros = total - ones
+            if not ones or not zeros:
+                continue
+            plus = list(h)
+            plus[a] |= 1 << b
+            plus[b] |= 1 << a
+            plus = tuple(plus)
+            if ones > zeros:
+                out.append((ones, merged, zeros, plus))
+            else:
+                out.append((zeros, plus, ones, merged))
         return out
 
     keys: dict[tuple[int, ...], tuple[int, int]] = {}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -36,6 +36,43 @@ def graphs(draw, min_n=1, max_n=8, max_density=1.0):
     pairs = list(combinations(range(n), 2))
     edges = draw(st.sets(st.sampled_from(pairs), max_size=int(len(pairs) * max_density)))if pairs else set()
     return Graph(n, frozenset(edges))
+
+
+def labelled_graphs(n: int) -> Iterator[tuple[int, ...]]:
+    """Every labelled graph on n vertices, as a tuple of neighbour bitmasks."""
+    pairs = list(combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        nbrs = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if chosen >> i & 1:
+                nbrs[u] |= 1 << v
+                nbrs[v] |= 1 << u
+        yield tuple(nbrs)
+
+
+def twin_swap_orbits(nbrs: Sequence[int]) -> list[set[int]]:
+    """Orbits of the neighbour subsets under swaps of twins, by closure."""
+    n = len(nbrs)
+    swaps = [(u, v) for u, v in combinations(range(n), 2)
+             if nbrs[u] & ~(1 << v) == nbrs[v] & ~(1 << u)]
+    orbit_of: dict[int, int] = {}
+    orbits: list[set[int]] = []
+    for start in range(1 << n):
+        if start in orbit_of:
+            continue
+        orbit, todo = {start}, [start]
+        while todo:
+            mask = todo.pop()
+            for u, v in swaps:
+                a, b = mask >> u & 1, mask >> v & 1
+                image = mask ^ ((a ^ b) << u | (a ^ b) << v)
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        for mask in orbit:
+            orbit_of[mask] = len(orbits)
+        orbits.append(orbit)
+    return orbits
 
 
 def brute_force_proper_partitions(g: Graph, k: int) -> set[Partition]:

@@ -16,7 +16,7 @@ from graphquery.adversaries import (
 )
 from graphquery.coloring import SEARCH_STATS, reset_search_stats
 from graphquery.enumeration import verify_unique_colorable_edge_bound
-from graphquery.graphs import Graph, connected_components
+from graphquery.graphs import Graph, connected_components, mask_edges
 from graphquery.instances import random_edge_graph, random_partition_graph, worst_case_graph
 from graphquery.learners import (
     count_components_multi,
@@ -62,8 +62,8 @@ def test_criterion_2_known_count_lower_bound():
                 verdict = adv.declare(result.answer)
                 assert verdict.forced, (n, k)
                 assert result.queries_used >= bounds.membership_known_count(n, k)
-                assert len(adv.edges) <= adv.ledger.answered(0)
-                assert len(adv.edges) >= bounds.membership_known_count(n, k)
+                assert len(mask_edges(adv.masks)) <= adv.ledger.answered(0)
+                assert len(mask_edges(adv.masks)) >= bounds.membership_known_count(n, k)
                 assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
     print("ACCEPTANCE 2 (separability adversary forces (k-1)n - C(k,2), n <= 9): PASS")
 

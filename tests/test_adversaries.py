@@ -18,7 +18,7 @@ from graphquery.coloring import (
     proper_partitions,
     reset_search_stats,
 )
-from graphquery.graphs import Graph, connected_components
+from graphquery.graphs import Graph, connected_components, mask_edges
 from graphquery.ledger import replay_matches_partition
 from graphquery.learners import learn_partition_all_pairs, learn_partition_representatives
 from graphquery.partitions import Partition
@@ -39,17 +39,17 @@ def test_separability_walkthrough_answers():
     adv = make_walkthrough_adversary()
     # different colors: answer 0 and record the edge
     assert adv.membership_query(0, 4) == 0
-    assert (0, 4) in adv.edges
+    assert (0, 4) in mask_edges(adv.masks)
     # same color but separable: answer 0, record, and re-separate the pair
     assert adv.chi.colors[1] == adv.chi.colors[2]
     assert adv.membership_query(1, 2) == 0
-    assert (1, 2) in adv.edges
+    assert (1, 2) in mask_edges(adv.masks)
     assert adv.chi.colors[1] != adv.chi.colors[2]
     assert adv.membership_query(0, 2) == 0
     # inseparable: answer 1 and leave the graph alone
-    edges_before = set(adv.edges)
+    edges_before = mask_edges(adv.masks)
     assert adv.membership_query(0, 1) == 1
-    assert set(adv.edges) == edges_before
+    assert mask_edges(adv.masks) == edges_before
     assert adv.ledger.count == 4
     assert [e.answer for e in adv.ledger] == [0, 0, 0, 1]
 
@@ -66,7 +66,7 @@ def test_separability_fresh_first_query():
     adv = SeparabilityAdversary(6, 3)
     assert adv.chi.colors[0] != adv.chi.colors[4]
     assert adv.membership_query(0, 4) == 0
-    assert (0, 4) in adv.edges
+    assert (0, 4) in mask_edges(adv.masks)
 
 
 def test_separability_repeats_are_consistent_and_ledgered():
@@ -143,10 +143,10 @@ def test_separability_random_stream_invariants(seed):
         if x == y:
             continue
         adv.membership_query(x, y)
-        assert adv.chi.is_proper(Graph(adv.n, adv.edges))
+        assert adv.chi.is_proper(Graph.from_edges(adv.n, mask_edges(adv.masks)))
         assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
     # edges only ever come from 0-answers
-    assert len(adv.edges) <= adv.ledger.answered(0)
+    assert len(mask_edges(adv.masks)) <= adv.ledger.answered(0)
 
 
 def test_separability_forced_runs_up_to_ten_vertices():
@@ -158,8 +158,8 @@ def test_separability_forced_runs_up_to_ten_vertices():
             result = learn_partition_representatives(adv, n, k_known=k)
             assert adv.declare(result.answer).forced
             floor = bounds.membership_known_count(n, k)
-            assert len(adv.edges) >= floor
-            assert len(adv.edges) <= adv.ledger.answered(0)
+            assert len(mask_edges(adv.masks)) >= floor
+            assert len(mask_edges(adv.masks)) <= adv.ledger.answered(0)
             assert result.queries_used >= floor
 
 
@@ -167,14 +167,14 @@ def test_unknown_count_fresh_pair_separates():
     adv = UnknownCountAdversary(4, 2)
     assert adv.chi.colors[0] == adv.chi.colors[1] == 1
     assert adv.membership_query(0, 1) == 0
-    assert (0, 1) in adv.edges and not adv.forced_edges
+    assert (0, 1) in mask_edges(adv.masks) and not adv.forced_edges
     assert adv.chi.colors[0] != adv.chi.colors[1]
 
 
 def test_unknown_count_single_color_always_yes():
     adv = UnknownCountAdversary(3, 1)
     assert adv.membership_query(0, 1) == 1
-    assert (0, 1) in adv.forced_edges and not adv.edges
+    assert (0, 1) in adv.forced_edges and not mask_edges(adv.masks)
 
 
 def test_unknown_count_forced_pair_after_near_clique():
@@ -194,7 +194,7 @@ def test_unknown_count_certificate_and_auxiliary_edges_disjoint():
     for _ in range(30):
         x, y = rng.sample(range(6), 2)
         adv.membership_query(x, y)
-        assert not (adv.edges & adv.forced_edges)
+        assert adv.forced_edges.isdisjoint(mask_edges(adv.masks))
         for u, v in adv.forced_edges:
             assert adv.chi.colors[u] == adv.chi.colors[v]
         assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
@@ -665,7 +665,7 @@ def test_live_masks_and_coloring_track_the_auxiliary_graph(start):
                     assert all(adv.color[i] != adv.color[j] for j in range(len(adv.masks)) if nbrs >> j & 1)
                 continue
             assert answer == (not separable)
-            graph = Graph(adv.n, adv.edges)
+            graph = Graph.from_edges(adv.n, mask_edges(adv.masks))
             assert adv.masks == _quotient_masks(n, zeros, lambda v: v)
             assert all(adv.color[i] != adv.color[j] for i, j in graph.edges)
             switched = switched or (separable and start_colors[x] == start_colors[y])
@@ -738,7 +738,7 @@ def test_a_search_that_gives_up_leaves_the_state_alone(monkeypatch):
     assert SEARCH_STATS["invocations"] == 0
 
     adv = _adversary_at_a_search()
-    state = list(adv.masks), set(adv.edges), list(adv.color), list(adv.classes), adv.chi
+    state = list(adv.masks), list(adv.color), list(adv.classes), adv.chi
 
     def give_up(*args, **kwargs):
         raise BudgetExceededError("stub search gave up")
@@ -746,7 +746,7 @@ def test_a_search_that_gives_up_leaves_the_state_alone(monkeypatch):
     monkeypatch.setattr(adversaries, "find_k_coloring", give_up)
     with pytest.raises(BudgetExceededError):
         adv.membership_query(0, 2)
-    assert (adv.masks, adv.edges, adv.color, adv.classes, adv.chi) == state
+    assert (adv.masks, adv.color, adv.classes, adv.chi) == state
     assert adv.forced_edges == set() and adv.ledger.count == 2
 
 

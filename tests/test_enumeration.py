@@ -13,7 +13,7 @@ from graphquery.enumeration import enumerate_graphs, verify_unique_colorable_edg
 from graphquery.graphs import Graph, complete_graph, empty_graph
 from graphquery import bounds
 
-from conftest import cycle_graph
+from conftest import cycle_graph, labelled_graphs, twin_swap_orbits
 
 
 def brute_force_classes(n):
@@ -225,44 +225,16 @@ def test_edge_bound_rows_at_eight_vertices_for_more_colors():
         assert report.ok
 
 
-def _twin_swap_orbits(nbrs: list[int]) -> list[set[int]]:
-    """Orbits of the neighbour subsets under swaps of twins, by closure."""
-    n = len(nbrs)
-    swaps = [(u, v) for u, v in combinations(range(n), 2)
-             if nbrs[u] & ~(1 << v) == nbrs[v] & ~(1 << u)]
-    orbit_of: dict[int, int] = {}
-    orbits: list[set[int]] = []
-    for start in range(1 << n):
-        if start in orbit_of:
-            continue
-        orbit, todo = {start}, [start]
-        while todo:
-            mask = todo.pop()
-            for u, v in swaps:
-                a, b = mask >> u & 1, mask >> v & 1
-                image = mask ^ ((a ^ b) << u | (a ^ b) << v)
-                if image not in orbit:
-                    orbit.add(image)
-                    todo.append(image)
-        for mask in orbit:
-            orbit_of[mask] = len(orbits)
-        orbits.append(orbit)
-    return orbits
-
-
 def test_twin_orbit_subsets_pick_one_per_orbit():
     # for every labelled parent on at most 5 vertices, the subsets `_levels`
     # tries are ascending and hit every twin-swap orbit exactly once
     for n in range(1, 6):
-        pairs = list(combinations(range(n), 2))
-        for code_bits in range(1 << len(pairs)):
-            nbrs = Graph(n, frozenset(p for i, p in enumerate(pairs) if code_bits >> i & 1)) \
-                .adjacency_masks()
-            subsets = enumeration._twin_orbit_subsets(tuple(nbrs))
-            assert subsets == sorted(subsets), (n, code_bits)
+        for nbrs in labelled_graphs(n):
+            subsets = enumeration._twin_orbit_subsets(nbrs)
+            assert subsets == sorted(subsets), nbrs
             hits = sorted(sum(1 for mask in subsets if mask in orbit)
-                          for orbit in _twin_swap_orbits(nbrs))
-            assert hits == [1] * len(hits) and len(subsets) == len(hits), (n, code_bits)
+                          for orbit in twin_swap_orbits(nbrs))
+            assert hits == [1] * len(hits) and len(subsets) == len(hits), nbrs
 
 
 def test_enumeration_guards():

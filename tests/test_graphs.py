@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,10 +9,11 @@ from graphquery.graphs import (
     connected_components,
     format_edge_list,
     parse_edge_list,
+    twin_classes,
 )
 from graphquery.partitions import Partition
 
-from conftest import brute_force_components, graphs, path_graph
+from conftest import brute_force_components, graphs, labelled_graphs, path_graph
 
 
 def test_graph_rejects_self_loops_and_out_of_range():
@@ -110,3 +113,20 @@ def test_vertex_set_rejects_negatives_and_keeps_set_operators():
     both = VertexSet.of([1, 2, 3]) & {2, 3, 4}
     assert isinstance(both, VertexSet) and both == {2, 3}
     assert VertexSet() == frozenset() and len(VertexSet()) == 0
+
+
+def test_twin_classes_on_every_labelled_graph_up_to_five_vertices():
+    # the classes partition the vertices, in order of their least member;
+    # two vertices share one exactly when they are twins; and each class is
+    # a clique or an independent set
+    for n in range(1, 6):
+        for nbrs in labelled_graphs(n):
+            classes = twin_classes(nbrs)
+            assert sorted(v for members in classes for v in members) == list(range(n))
+            assert classes == sorted(map(sorted, classes)), nbrs
+            class_of = {v: i for i, members in enumerate(classes) for v in members}
+            for u, v in combinations(range(n), 2):
+                twins = nbrs[u] & ~(1 << v) == nbrs[v] & ~(1 << u)
+                assert twins == (class_of[u] == class_of[v]), (nbrs, u, v)
+            for members in classes:
+                assert len({nbrs[u] >> v & 1 for u, v in combinations(members, 2)}) <= 1, nbrs

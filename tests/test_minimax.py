@@ -5,7 +5,9 @@ import pytest
 
 from graphquery import bounds
 from graphquery.coloring import SEARCH_STATS, proper_partitions, reset_search_stats
+from graphquery._canon import code
 from graphquery.graphs import Graph
+from graphquery import minimax
 from graphquery.minimax import (
     InstanceTooLargeError,
     _new_game,
@@ -13,7 +15,7 @@ from graphquery.minimax import (
     minimax_query_complexity,
 )
 
-from conftest import brute_force_minimax
+from conftest import brute_force_minimax, labelled_graphs, twin_swap_orbits
 
 
 def test_alpha_spot_values():
@@ -73,7 +75,7 @@ def test_alpha_at_seven_with_large_or_unknown_k_meets_the_formulas():
 @pytest.mark.parametrize("k, value", [(2, 7), (3, 13), (4, 18)])
 def test_alpha_at_eight_with_small_k_meets_the_formula(k, value):
     # n=8 is past the guard, so the game is played directly; (8, 4) takes
-    # about two seconds
+    # about a second
     game, root, count = _new_game(8, k, "alpha")
     assert game.value(root, count) == bounds.minimax_known_formula(8, k) == value
 
@@ -219,9 +221,9 @@ def test_alpha_m_values_at_six_and_seven_are_frozen(n, values):
 @pytest.mark.parametrize(
     "n, k, kind, counts",
     [
-        (6, 3, "alpha", (19, 490)),
-        (6, None, "alpha", (169, 2878)),
-        (7, 3, "alpha", (43, 2196)),
+        (6, 3, "alpha", (18, 462)),
+        (6, None, "alpha", (159, 2682)),
+        (7, 3, "alpha", (36, 1878)),
         (5, None, "alpha_m", (1, 75)),
     ],
 )
@@ -231,6 +233,65 @@ def test_minimax_search_counts_are_pinned(n, k, kind, counts):
     reset_search_stats()
     minimax_query_complexity(n, k, kind)
     assert (SEARCH_STATS["invocations"], SEARCH_STATS["nodes"]) == counts
+
+
+@pytest.mark.parametrize("n, k, calls, memos", [
+    (6, 3, 17, (16, 1)),
+    (6, None, 598, (26, 151)),
+    (7, 3, 37, (25, 7)),
+])
+def test_alpha_code_calls_and_memo_sizes_are_pinned(monkeypatch, n, k, calls, memos):
+    # one move per twin orbit keys fewer labelled states (52, 1011 and 156
+    # with every pair), and the memos it ends with keep their sizes
+    coded = []
+
+    def counted(h):
+        coded.append(h)
+        return code(h)
+
+    monkeypatch.setattr(minimax, "code", counted)
+    game, root, count = _new_game(n, k, "alpha")
+    game.value(root, count)
+    assert len(coded) == calls
+    assert (len(game.exact), len(game.lower)) == memos
+
+
+def _plain_splits(h, k):
+    """{pair bitmask: (larger count, smaller count)} of every informative
+    pair of H, each half counted by its own colouring search."""
+    total = len(proper_partitions(h, k))
+    out = {}
+    for a, b in combinations(range(len(h)), 2):
+        if h[a] >> b & 1:
+            continue
+        plus = list(h)
+        plus[a] |= 1 << b
+        plus[b] |= 1 << a
+        zeros = len(proper_partitions(plus, k))
+        if 0 < zeros < total:
+            out[1 << a | 1 << b] = (max(zeros, total - zeros), min(zeros, total - zeros))
+    return total, out
+
+
+def test_alpha_moves_hit_each_informative_twin_orbit_once():
+    # swapping twins of H is an automorphism, so `splits` keeps one move per
+    # orbit of twin swaps; every dropped move has a kept move's counts
+    for n in range(2, 6):
+        games = {k: _new_game(n, k, "alpha")[0] for k in (2, 3, None) if k is None or k <= n}
+        for h in labelled_graphs(n):
+            pair_orbits = [orbit for orbit in twin_swap_orbits(h)
+                           if next(iter(orbit)).bit_count() == 2]
+            for k, game in games.items():
+                total, plain = _plain_splits(h, n if k is None else k)
+                kept = []
+                for size, large, small_size, small in game.splits(h, total):
+                    plus = large if len(large) == n else small
+                    pair = sum(1 << v for v in range(n) if plus[v] != h[v])
+                    assert (size, small_size) == plain[pair], (h, k)
+                    kept.append(pair)
+                for orbit in pair_orbits:
+                    hits = sum(pair in orbit for pair in kept)
+                    assert hits == (not orbit.isdisjoint(plain)), (h, k, orbit)
 
 
 def test_pooled_queries_beat_pairwise_information():
