@@ -1,12 +1,15 @@
 """Exhaustive graph enumeration up to isomorphism and the unique-coloring edge bound.
 
-Each level grows from the one below by max-degree augmentation: a new
-vertex joins a representative only where it ends up with maximum degree.
-That still reaches every class. Deleting a maximum-degree vertex from any
-graph on n vertices leaves a graph isomorphic to some representative R on
-n-1 vertices; adding the vertex back to R with the matching neighbours
-gives a child of R isomorphic to the graph, in which the new vertex again
-has maximum degree. The graph budget still counts every neighbour subset
+Each level grows from the one below by augmentation: a new vertex joins a
+representative only where it ends up maximising the pair (degree, sum of
+its neighbours' degrees), compared lexicographically, ties allowed. Any
+vertex invariant would do (McKay, J. Algorithms 1998); this one is cheap
+and rejects more children than degree alone. It still reaches every
+class. Deleting a vertex that maximises the pair from any graph on n
+vertices leaves a graph isomorphic to some representative R on n-1
+vertices; adding the vertex back to R with the matching neighbours gives
+a child of R isomorphic to the graph, in which the new vertex again
+maximises the pair. The graph budget still counts every neighbour subset
 of every representative, as when all of them were built.
 
 A representative's neighbour subsets are also taken one per twin orbit.
@@ -16,10 +19,17 @@ set, and any permutation inside a class is an automorphism of R. An
 automorphism of R maps the child with subset S onto the child with its
 image of S, so the child depends, up to isomorphism, only on how many
 vertices of each class the new vertex sees. One subset per count vector
-suffices: the lowest-labelled vertices of each class. The max-degree test
-reads only degrees, which automorphisms keep, so it passes on the orbit's
-chosen subset whenever it passes anywhere on the orbit, and every class is
-still reached.
+suffices: the lowest-labelled vertices of each class. That map of children
+fixes the new vertex and keeps every vertex invariant, so the augmentation
+test passes on the orbit's chosen subset whenever it passes anywhere on
+the orbit, and every class is still reached.
+
+The uniqueness check of `verify_unique_colorable_edge_bound` runs on each
+class relabelled v -> n-1-v. Canonical order puts a minimum-degree vertex
+first, and the colouring search places vertices in label order, so the
+reversal starts it on the high-degree vertices, where a dead branch shows
+soonest (Brélaz, CACM 1979). A verdict does not depend on labels; tight
+examples and counterexamples are read off the canonical masks.
 """
 
 from __future__ import annotations
@@ -42,18 +52,22 @@ MAX_TIGHT_EXAMPLES = 4
 
 
 @cache
-def _bit_edges(n: int) -> tuple[tuple[int, int, int, int], ...]:
+def _bit_edges(n: int, reverse: bool) -> tuple[tuple[int, int, int, int], ...]:
     # bit b of a code, least significant first, as (i, 1 << j, j, 1 << i);
-    # the most significant bit is the first pair (0, 1) in row-major order
+    # the most significant bit is the first pair (0, 1) in row-major order,
+    # or (n-1, n-2) when every vertex v is relabelled n-1-v
     pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    if reverse:
+        pairs = [(n - 1 - i, n - 1 - j) for i, j in pairs]
     return tuple((i, 1 << j, j, 1 << i) for i, j in reversed(pairs))
 
 
-def _code_masks(code: int, n: int) -> list[int]:
+def _code_masks(code: int, n: int, reverse: bool = False) -> list[int]:
     """The neighbour bitmasks of the graph whose row-major upper-triangle bit
-    string is `code`: the one decoder of a canonical code."""
+    string is `code`, with vertex v relabelled n-1-v if `reverse`: the one
+    decoder of a canonical code."""
     masks = [0] * n
-    edges = _bit_edges(n)
+    edges = _bit_edges(n, reverse)
     while code:
         low = code & -code
         i, j_bit, j, i_bit = edges[low.bit_length() - 1]
@@ -79,18 +93,63 @@ def _twin_orbit_subsets(parent: tuple[int, ...]) -> list[int]:
     return subsets
 
 
+def _augmenting_subsets(parent: tuple[int, ...]) -> list[int]:
+    """The neighbour subsets, one per twin orbit and ascending, whose child
+    of `parent` gives the new vertex a maximal (degree, sum of neighbours'
+    degrees) pair, ties allowed (see the module docstring).
+
+    The new vertex's degree w = popcount(mask) is maximal iff w > top, the
+    parent's maximum degree, or w == top and `mask` avoids the vertices of
+    degree top. Only rivals, the vertices whose child degree is also w, can
+    then beat its sum: those of degree w outside `mask` and of degree w - 1
+    inside it. A rival's sum in the child is its parent sum, plus its
+    neighbours in `mask`, plus w when it is in `mask`; the new vertex's sum
+    is the parent degrees over `mask`, plus w.
+    """
+    degrees = [nbrs.bit_count() for nbrs in parent]
+    top = max(degrees)
+    # by_degree[d]: the vertices of degree d; by_degree[top + 1] stays empty
+    by_degree = [0] * (top + 2)
+    for v, d in enumerate(degrees):
+        by_degree[d] |= 1 << v
+    sums = [sum([d for u, d in enumerate(degrees) if nbrs >> u & 1]) for nbrs in parent]
+    kept = []
+    for mask in _twin_orbit_subsets(parent):
+        w = mask.bit_count()
+        if w < top or w == top and mask & by_degree[top]:
+            continue
+        if w <= top + 1:
+            rivals = by_degree[w] & ~mask | by_degree[w - 1] & mask
+            own = 0
+            for v, d in enumerate(degrees):
+                if mask >> v & 1:
+                    own += d
+            # plain loops: this test runs on most candidates of a level
+            while rivals:
+                low = rivals & -rivals
+                v = low.bit_length() - 1
+                if sums[v] + (parent[v] & mask).bit_count() > (own if mask & low else own + w):
+                    break
+                rivals ^= low
+            if rivals:  # one beat the new vertex
+                continue
+        kept.append(mask)
+    return kept
+
+
 def _levels(n_max: int, graph_budget: int):
     """Yield (n, codes) for n = 1..n_max: the sorted canonical codes of every
     isomorphism class on exactly n vertices.
 
     Built level by level. A child of a representative on i vertices attaches
     one new vertex to a neighbour subset. Only one subset per twin orbit is
-    tried, and of those only the ones in which the new vertex has maximum
-    degree are built; deduplicating the children by canonical code is
-    exhaustive (see the module docstring). With `top` the parent's maximum
-    degree and `tops` the bitmask of vertices that have it, subset `mask`
-    qualifies iff popcount(mask) > top, or popcount(mask) == top and `mask`
-    avoids `tops`. A representative is a tuple of neighbour bitmasks.
+    tried, and of those only the ones in which the new vertex maximises
+    (degree, sum of neighbours' degrees) are built (`_augmenting_subsets`).
+    Deleting a vertex that maximises the pair from any graph leaves a graph
+    isomorphic to a representative, and adding it back gives a child that
+    passes, so deduplicating the children by canonical code is exhaustive
+    (see the module docstring). A representative is a tuple of neighbour
+    bitmasks.
 
     The graph budget counts every neighbour subset of every parent, built or
     not, and is checked before a level is built.
@@ -107,14 +166,10 @@ def _levels(n_max: int, graph_budget: int):
             )
         children = []
         for parent in level:
-            degrees = [nbrs.bit_count() for nbrs in parent]
-            top = max(degrees)
-            tops = sum(1 << v for v, d in enumerate(degrees) if d == top)
             # child `mask`: the new vertex is adjacent to the set bits
             children += [
                 tuple([nbrs | (mask >> v & 1) << new for v, nbrs in enumerate(parent)]) + (mask,)
-                for mask in _twin_orbit_subsets(parent)
-                if (w := mask.bit_count()) > top or w == top and not mask & tops
+                for mask in _augmenting_subsets(parent)
             ]
         # (B, size, size) 0/1 matrices for the batch kernel, which the
         # benchmark times; without it each child would go to code() directly
@@ -201,17 +256,17 @@ def verify_unique_colorable_edge_bound(
         tight = []
         bad = []
         for code in codes:
-            masks = _code_masks(code, n)
-            if not is_uniquely_k_colorable(masks, k):
+            # high-degree vertices first; see the module docstring
+            if not is_uniquely_k_colorable(_code_masks(code, n, reverse=True), k):
                 continue
             unique_count += 1
             m = code.bit_count()
             if min_edges is None or m < min_edges:
                 min_edges = m
             if m == bound and len(tight) < MAX_TIGHT_EXAMPLES:
-                tight.append(tuple(mask_edges(masks)))
+                tight.append(tuple(mask_edges(_code_masks(code, n))))
             if m < bound:
-                bad.append(tuple(mask_edges(masks)))
+                bad.append(tuple(mask_edges(_code_masks(code, n))))
         rows.append(
             EdgeBoundRow(n, len(codes), unique_count, bound, min_edges, tuple(tight), tuple(bad))
         )

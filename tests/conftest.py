@@ -8,6 +8,8 @@ from typing import Iterable, Iterator, Sequence
 import pytest
 from hypothesis import strategies as st
 
+from graphquery import enumeration
+from graphquery._canon import code
 from graphquery.coloring import proper_partitions
 from graphquery.graphs import Graph
 from graphquery.partitions import Partition
@@ -73,6 +75,35 @@ def twin_swap_orbits(nbrs: Sequence[int]) -> list[set[int]]:
             orbit_of[mask] = len(orbits)
         orbits.append(orbit)
     return orbits
+
+
+def max_degree_levels(n_max: int) -> Iterator[tuple[int, list[tuple[int, ...]], list[int]]]:
+    """Yield (n, candidates, codes) for n = 2..n_max by plain max-degree
+    augmentation, kept as a reference for `enumeration._levels`.
+
+    A representative's child takes one neighbour subset per twin orbit, and
+    is a candidate iff its new vertex has maximum degree; the codes are the
+    sorted distinct codes of the candidates, and each code's first candidate
+    is the representative the next level grows from. Degree is a vertex
+    invariant, so this reaches every class, with more candidates than the
+    finer test of `_levels`.
+    """
+    level = [(0,)]
+    for size in range(2, n_max + 1):
+        new = size - 1
+        candidates = []
+        for parent in level:
+            for mask in enumeration._twin_orbit_subsets(parent):
+                child = tuple(nbrs | (mask >> v & 1) << new
+                              for v, nbrs in enumerate(parent)) + (mask,)
+                if max(nbrs.bit_count() for nbrs in child) == mask.bit_count():
+                    candidates.append(child)
+        first: dict[int, tuple[int, ...]] = {}
+        for child in candidates:
+            first.setdefault(code(child), child)
+        codes = sorted(first)
+        level = [first[c] for c in codes]
+        yield size, candidates, codes
 
 
 def brute_force_proper_partitions(g: Graph, k: int) -> set[Partition]:

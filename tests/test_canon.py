@@ -8,11 +8,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from graphquery import _canon, enumeration
+from graphquery import _canon
 from graphquery._canon import canonical_codes, code
 from graphquery.graphs import Graph
 
-from conftest import reference_code
+from conftest import max_degree_levels, reference_code
 
 
 def test_codes_match_the_reference_on_every_labelled_graph_up_to_six_vertices():
@@ -23,22 +23,14 @@ def test_codes_match_the_reference_on_every_labelled_graph_up_to_six_vertices():
             assert code(nbrs) == reference_code(nbrs), (n, mask)
 
 
-def test_codes_match_the_reference_on_every_level_seven_candidate(monkeypatch):
-    candidates = []
-    kernel = enumeration.canonical_codes
-
-    def recording(batch):
-        if batch.shape[1] == 7:
-            candidates.extend(batch)
-        return kernel(batch)
-
-    monkeypatch.setattr(enumeration, "canonical_codes", recording)
-    list(enumeration._levels(7, 10**7))
+def test_codes_match_the_reference_on_every_level_seven_candidate():
+    # the candidates of plain max-degree augmentation, more than `_levels`
+    # codes with its finer rule
+    candidates = next(found for n, found, _ in max_degree_levels(7) if n == 7)
     assert len(candidates) == 1808
-    codes = canonical_codes(np.stack(candidates)).tolist()
-    weights = 1 << np.arange(7)
-    assert codes == [reference_code((adj.astype(np.int64) @ weights).tolist())
-                     for adj in candidates]
+    bits = np.arange(7, dtype=np.int64)
+    batch = (np.array(candidates, dtype=np.int64)[:, :, None] >> bits & 1).astype(np.uint8)
+    assert canonical_codes(batch).tolist() == [reference_code(nbrs) for nbrs in candidates]
 
 
 @pytest.mark.parametrize("n", [7, 8])

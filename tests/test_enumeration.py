@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from graphquery._canon import canonical_codes, code
-from graphquery.coloring import SEARCH_STATS, BudgetExceededError, reset_search_stats
+from graphquery.coloring import (
+    SEARCH_STATS, BudgetExceededError, is_uniquely_k_colorable, reset_search_stats,
+)
 from graphquery import enumeration
 from graphquery.enumeration import enumerate_graphs, verify_unique_colorable_edge_bound
-from graphquery.graphs import Graph, complete_graph, empty_graph
+from graphquery.graphs import Graph, complete_graph, empty_graph, mask_edges
 from graphquery import bounds
 
-from conftest import cycle_graph, labelled_graphs, twin_swap_orbits
+from conftest import cycle_graph, labelled_graphs, max_degree_levels, twin_swap_orbits
 
 
 def brute_force_classes(n):
@@ -161,11 +163,11 @@ def test_edge_lists_are_pinned():
 def test_unique_coloring_search_nodes_are_pinned():
     reset_search_stats()
     verify_unique_colorable_edge_bound(7, 3)
-    assert SEARCH_STATS == {"invocations": 1252, "nodes": 19395}
+    assert SEARCH_STATS == {"invocations": 1252, "nodes": 8825}
 
 
 def test_levels_match_brute_force_codes():
-    # the max-degree filter must still reach every class: each level's codes
+    # the augmentation filter must still reach every class: each level's codes
     # are exactly the codes of all labelled graphs on that many vertices
     levels = dict(enumeration._levels(6, 10**7))
     for n in range(1, 7):
@@ -176,6 +178,56 @@ def test_levels_match_brute_force_codes():
             for mask in range(1 << len(pairs))
         }
         assert levels[n] == sorted(codes), n
+
+
+def test_levels_match_the_max_degree_rule():
+    # the finer rule codes fewer candidates and reaches the same classes
+    levels = dict(enumeration._levels(7, 10**7))
+    for n, _, codes in max_degree_levels(7):
+        assert levels[n] == codes, n
+
+
+def _pair(nbrs, v) -> tuple[int, int]:
+    """(degree, sum of neighbours' degrees) of v."""
+    return nbrs[v].bit_count(), sum(nbrs[u].bit_count() for u in range(len(nbrs)) if nbrs[v] >> u & 1)
+
+
+def test_augmenting_subsets_keep_exactly_the_maximal_children():
+    # for every labelled parent on at most 5 vertices, a twin-orbit subset
+    # is kept iff its new vertex's pair is at least every other vertex's
+    for n in range(1, 6):
+        for nbrs in labelled_graphs(n):
+            kept = set(enumeration._augmenting_subsets(nbrs))
+            for mask in enumeration._twin_orbit_subsets(nbrs):
+                child = tuple(m | (mask >> v & 1) << n for v, m in enumerate(nbrs)) + (mask,)
+                own = _pair(child, n)
+                assert (mask in kept) == all(_pair(child, v) <= own for v in range(n)), (nbrs, mask)
+
+
+def _relabel(masks, perm) -> list[int]:
+    """The neighbour masks with vertex v renamed perm[v]."""
+    return Graph.from_edges(len(masks), [(perm[u], perm[v]) for u, v in mask_edges(masks)]).adjacency_masks()
+
+
+def test_relabelling_never_changes_a_uniqueness_verdict():
+    # the edge-bound check runs on the reversed masks; canonical, reversed
+    # and seeded random labels must agree on every class up to 6 vertices
+    rng = random.Random(6)
+    verdicts = set()
+    for n, codes in enumeration._levels(6, 10**7):
+        for c in codes:
+            masks = enumeration._code_masks(c, n)
+            flipped = enumeration._code_masks(c, n, reverse=True)
+            assert flipped == _relabel(masks, range(n - 1, -1, -1)), c
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled = _relabel(masks, perm)
+            for k in (2, 3, 4):
+                verdict = is_uniquely_k_colorable(masks, k)
+                assert is_uniquely_k_colorable(flipped, k) == verdict, (c, k)
+                assert is_uniquely_k_colorable(shuffled, k) == verdict, (c, k, perm)
+                verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def _count_batches(monkeypatch) -> list[int]:
@@ -192,18 +244,18 @@ def _count_batches(monkeypatch) -> list[int]:
 
 
 def test_candidates_per_level_are_pinned(monkeypatch):
-    # children of one subset per twin orbit in which the new vertex has
-    # maximum degree, not every subset
+    # children of one subset per twin orbit in which the new vertex has a
+    # maximal (degree, neighbour-degree sum), not every subset
     sizes = _count_batches(monkeypatch)
     for _ in enumeration._levels(7, 10**7):
         pass
-    assert tuple(sizes) == (2, 4, 11, 42, 221, 1808)
+    assert tuple(sizes) == (2, 4, 11, 39, 193, 1436)
 
 
 def test_edge_bound_row_at_eight_vertices(monkeypatch):
     sizes = _count_batches(monkeypatch)
     report = verify_unique_colorable_edge_bound(8, 3)
-    assert sizes[-1] == 22194
+    assert sizes[-1] == 16373
     row = report.rows[-1]
     assert (row.n, row.graphs_total, row.unique_count) == (8, 12346, 856)
     assert row.min_edges == row.bound == 13
