@@ -12,12 +12,11 @@ from .graphs import (
     format_edge_list,
     parse_edge_list,
 )
-from .partitions import Partition, is_refinement, stirling_partition_count
+from .partitions import Partition, stirling_partition_count
 from .coloring import (
     BudgetExceededError,
     Coloring,
     find_k_coloring,
-    is_k_separable,
     is_uniquely_k_colorable,
 )
 from .ledger import LedgerEntry, QueryLedger
@@ -68,8 +67,6 @@ __all__ = [
     "generate_instance",
     "grid_duel",
     "information_bound_check",
-    "is_k_separable",
-    "is_refinement",
     "is_uniquely_k_colorable",
     "learn_components_multi",
     "learn_graph_neighborhood",

@@ -17,7 +17,7 @@ from .duel import ADVERSARY_IDS, CSV_HEADER, LEARNER_IDS, ORDERS, grid_duel, run
 from .enumeration import verify_unique_colorable_edge_bound
 from .graphs import Graph, format_edge_list, read_graph
 from .instances import KINDS as INSTANCE_KINDS, generate_instance
-from .minimax import minimax_query_complexity
+from .minimax import information_bound_check, minimax_query_complexity
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,14 +182,13 @@ def _cmd_duel(args) -> int:
 def _cmd_minimax(args) -> int:
     if args.n is None:
         raise ValueError("minimax needs --n")
-    value = minimax_query_complexity(args.n, args.k, args.oracle)
     if args.oracle == "alpha":
+        value = minimax_query_complexity(args.n, args.k, args.oracle)
         formula = (bounds.minimax_known_formula(args.n, args.k) if args.k is not None
                    else bounds.minimax_unknown_formula(args.n))
         match = value == formula
     else:
-        formula = (bounds.information_lower(args.n, args.k) if args.k is not None
-                   else bounds.information_lower_unknown(args.n))
+        formula, value = information_bound_check(args.n, args.k)
         match = value >= formula
     payload = {
         "n": args.n,

@@ -21,9 +21,9 @@ needs (`find_k_coloring` after one coloring, `proper_partitions` after
 `limit` partitions), and the search spends no node past the last solution
 read.
 
-The searches are still exponential and intended for desk-scale inputs only;
-every entry point takes a node budget and aborts with BudgetExceededError
-when the search tree outgrows it.
+The searches are still exponential and intended for desk-scale inputs only.
+Every search reads the module constant `DEFAULT_NODE_BUDGET` when it starts
+and aborts with BudgetExceededError once it expands more nodes than that.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .graphs import Graph, normalize_edge
+from .graphs import Graph
 from .partitions import Partition
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -42,13 +42,8 @@ DEFAULT_NODE_BUDGET = 5_000_000
 SEARCH_STATS = {"invocations": 0, "nodes": 0}
 
 
-def reset_search_stats() -> None:
-    SEARCH_STATS["invocations"] = 0
-    SEARCH_STATS["nodes"] = 0
-
-
 class BudgetExceededError(RuntimeError):
-    """The configured node-expansion budget was exhausted."""
+    """A search expanded more than `DEFAULT_NODE_BUDGET` nodes."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class Coloring:
         return all(self.colors[u] != self.colors[v] for u, v in g.edges)
 
 
-def _search_colorings(masks: list[int], k: int, node_budget):
+def _search_colorings(masks: list[int], k: int):
     """Backtracking over color-class partitions, with forward checking.
 
     `masks[v]` is the bitmask of v's neighbors. Vertices are assigned in
@@ -110,7 +105,8 @@ def _search_colorings(masks: list[int], k: int, node_budget):
         yield ()
         return
 
-    budget = node_budget
+    # read as the search starts, so that a test can patch the constant
+    node_budget = budget = DEFAULT_NODE_BUDGET
     v = 0
     while v >= 0:
         c = colors[v]
@@ -149,26 +145,19 @@ def _search_colorings(masks: list[int], k: int, node_budget):
             used[v] = now_used
 
 
-def find_k_coloring(
-    g: Graph | list[int],
-    k: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Coloring | None:
+def find_k_coloring(g: Graph | list[int], k: int) -> Coloring | None:
     """First proper k-coloring of g in the fixed search order, or None.
 
     g is a Graph or its list of adjacency bitmasks (which is only read).
     """
     masks = g.adjacency_masks() if isinstance(g, Graph) else g
-    for colors in _search_colorings(masks, k, node_budget):
+    for colors in _search_colorings(masks, k):
         return Coloring(colors, k)
     return None
 
 
 def proper_partitions(
-    g: Graph | list[int],
-    k: int,
-    limit: int | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    g: Graph | list[int], k: int, limit: int | None = None
 ) -> list[Partition]:
     """Distinct proper color-class partitions of g with at most k classes.
 
@@ -176,13 +165,11 @@ def proper_partitions(
     With `limit` set, stops as soon as that many have been found.
     """
     masks = g.adjacency_masks() if isinstance(g, Graph) else g
-    search = _search_colorings(masks, k, node_budget)
+    search = _search_colorings(masks, k)
     return [Partition.from_labels(colors) for colors in islice(search, limit)]
 
 
-def is_uniquely_k_colorable(
-    g: Graph | list[int], k: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> bool:
+def is_uniquely_k_colorable(g: Graph | list[int], k: int) -> bool:
     """True iff g has exactly one proper k-coloring up to palette permutation.
 
     Equivalently: exactly one induced color-class partition. g is a Graph or
@@ -190,24 +177,4 @@ def is_uniquely_k_colorable(
     early after a second partition turns up, and builds no Partition.
     """
     masks = g.adjacency_masks() if isinstance(g, Graph) else g
-    return sum(1 for _ in islice(_search_colorings(masks, k, node_budget), 2)) == 1
-
-
-def is_k_separable(
-    g: Graph,
-    i: int,
-    j: int,
-    k: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Coloring | None:
-    """A k-coloring separating the nonadjacent pair {i, j}, or None if inseparable.
-
-    Separating i and j is the constraint of an edge i-j, so this colors g
-    with that edge added.
-    """
-    if i == j:
-        raise ValueError("separability needs two distinct vertices")
-    pair = normalize_edge(i, j)
-    if pair in g.edges:
-        raise ValueError(f"pair ({i}, {j}) is an edge; separability is undefined")
-    return find_k_coloring(Graph(g.n, g.edges | {pair}), k, node_budget=node_budget)
+    return sum(1 for _ in islice(_search_colorings(masks, k), 2)) == 1

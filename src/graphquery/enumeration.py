@@ -9,8 +9,7 @@ class. Deleting a vertex that maximises the pair from any graph on n
 vertices leaves a graph isomorphic to some representative R on n-1
 vertices; adding the vertex back to R with the matching neighbours gives
 a child of R isomorphic to the graph, in which the new vertex again
-maximises the pair. The graph budget still counts every neighbour subset
-of every representative, as when all of them were built.
+maximises the pair.
 
 A representative's neighbour subsets are also taken one per twin orbit.
 Vertices u and v of R are twins when N(u) minus v equals N(v) minus u.
@@ -40,13 +39,12 @@ from functools import cache
 import numpy as np
 
 from ._canon import canonical_codes
-from .coloring import BudgetExceededError, is_uniquely_k_colorable
+from .coloring import is_uniquely_k_colorable
 from .graphs import Graph, mask_edges, twin_classes
 from . import bounds
 
 ENUMERATION_MAX_N = 8
 EDGE_BOUND_MAX_K = ENUMERATION_MAX_N
-DEFAULT_GRAPH_BUDGET = 10_000_000
 # uniquely colorable graphs at the edge floor listed per row of the report
 MAX_TIGHT_EXAMPLES = 4
 
@@ -137,7 +135,7 @@ def _augmenting_subsets(parent: tuple[int, ...]) -> list[int]:
     return kept
 
 
-def _levels(n_max: int, graph_budget: int):
+def _levels(n_max: int):
     """Yield (n, codes) for n = 1..n_max: the sorted canonical codes of every
     isomorphism class on exactly n vertices.
 
@@ -150,20 +148,11 @@ def _levels(n_max: int, graph_budget: int):
     passes, so deduplicating the children by canonical code is exhaustive
     (see the module docstring). A representative is a tuple of neighbour
     bitmasks.
-
-    The graph budget counts every neighbour subset of every parent, built or
-    not, and is checked before a level is built.
     """
     level = [(0,)]
-    produced = 1
     yield 1, [0]
     for size in range(2, n_max + 1):
         new = size - 1
-        produced += len(level) << new
-        if produced > graph_budget:
-            raise BudgetExceededError(
-                f"enumeration generated more than {graph_budget} candidate graphs"
-            )
         children = []
         for parent in level:
             # child `mask`: the new vertex is adjacent to the set bits
@@ -185,12 +174,12 @@ def _levels(n_max: int, graph_budget: int):
         yield size, [code for code, _ in items]
 
 
-def enumerate_graphs(n: int, graph_budget: int = DEFAULT_GRAPH_BUDGET) -> list[Graph]:
+def enumerate_graphs(n: int) -> list[Graph]:
     """All graphs on exactly n vertices, one representative per isomorphism
     class, in canonical-code order."""
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
-    for _, codes in _levels(n, graph_budget):
+    for _, codes in _levels(n):
         pass
     return [Graph(n, frozenset(mask_edges(_code_masks(code, n)))) for code in codes]
 
@@ -236,11 +225,7 @@ class EdgeBoundReport:
         }
 
 
-def verify_unique_colorable_edge_bound(
-    n_max: int,
-    k: int,
-    graph_budget: int = DEFAULT_GRAPH_BUDGET,
-) -> EdgeBoundReport:
+def verify_unique_colorable_edge_bound(n_max: int, k: int) -> EdgeBoundReport:
     """Enumerate all graphs with at most n_max vertices (up to isomorphism),
     filter the uniquely k-colorable ones, and check each against the
     (k-1)n - k(k-1)/2 edge floor."""
@@ -249,7 +234,7 @@ def verify_unique_colorable_edge_bound(
     if not 1 <= k <= EDGE_BOUND_MAX_K:
         raise ValueError(f"need 1 <= k <= {EDGE_BOUND_MAX_K}")
     rows = []
-    for n, codes in _levels(n_max, graph_budget):
+    for n, codes in _levels(n_max):
         bound = bounds.membership_known_count(n, k)
         unique_count = 0
         min_edges = None

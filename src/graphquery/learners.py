@@ -57,15 +57,6 @@ class RecursionTrace:
             stack.extend(node.children)
         return out
 
-    def blue_nodes(self) -> list[TraceNode]:
-        """Nodes answered 1; public because the paper's recursion-tree
-        analysis counts blue and red nodes."""
-        return [nd for nd in self.nodes() if nd.is_blue]
-
-    def red_nodes(self) -> list[TraceNode]:
-        """Nodes answered 0, the paper's red nodes (see `blue_nodes`)."""
-        return [nd for nd in self.nodes() if not nd.is_blue]
-
 
 @dataclass(frozen=True)
 class LearnResult:

@@ -62,9 +62,6 @@ class QueryLedger:
     def __iter__(self) -> Iterator[LedgerEntry]:
         return iter(self._entries)
 
-    def answered(self, bit: int) -> int:
-        return sum(1 for e in self._entries if e.answer == bit)
-
     def to_jsonl(self) -> str:
         """One JSON object per entry, in the JSONL format the README
         documents; public so that a run can be stored as a replayable fixture."""
@@ -87,8 +84,9 @@ class QueryLedger:
             if type(obj["answer"]) is not int:  # JSON false would load as 0 and write back as false
                 raise ValueError(f"entry {position} has answer {obj['answer']!r}, not 0 or 1")
             ledger.append(obj["kind"], _loaded_args(obj["kind"], obj["args"]), obj["answer"])
-            if obj["index"] != position:
-                raise ValueError(f"entry index {obj['index']} does not match position {position}")
+            # JSON true or 2.0 equals a position but writes back as 1 or 2
+            if type(obj["index"]) is not int or obj["index"] != position:
+                raise ValueError(f"entry index {obj['index']!r} does not match position {position}")
         return ledger
 
 
@@ -128,22 +126,3 @@ def honest_answer(entry: LedgerEntry, partition: Partition) -> int:
 def replay_matches_partition(entries: Sequence[LedgerEntry], partition: Partition) -> bool:
     """True iff every recorded answer matches the honest answer for `partition`."""
     return all(honest_answer(e, partition) == e.answer for e in entries)
-
-
-def replay_on_session(entries: Sequence[LedgerEntry], session) -> bool:
-    """Re-issue every recorded query against a fresh session; True iff answers agree.
-
-    The session must expose the query method matching each entry's kind.
-    Public so that a stored ledger (`QueryLedger.from_jsonl`) can be
-    replayed against any oracle or adversary session.
-    """
-    method = {
-        "alpha": "membership_query",
-        "alpha_m": "multi_membership_query",
-        "beta": "neighborhood_query",
-    }
-    for e in entries:
-        fn = getattr(session, method[e.kind])
-        if fn(*e.args) != e.answer:
-            return False
-    return True

@@ -89,7 +89,7 @@ import math
 from operator import itemgetter
 
 from ._canon import code
-from .coloring import DEFAULT_NODE_BUDGET, _search_colorings
+from .coloring import _search_colorings
 from .graphs import contract, twin_classes
 from . import bounds
 
@@ -170,7 +170,7 @@ def _alpha_game(n: int, k: int) -> tuple[_Game, tuple[int, ...], int]:
         # partitions of H into at most k independent sets
         found = counts.get(h)
         if found is None:
-            found = counts[h] = sum(1 for _ in _search_colorings(h, k, DEFAULT_NODE_BUDGET))
+            found = counts[h] = sum(1 for _ in _search_colorings(h, k))
         return found
 
     def splits(h: tuple[int, ...], total: int) -> list:
@@ -219,7 +219,7 @@ def _alpha_m_game(n: int, k: int | None) -> tuple[_Game, int, int]:
     """The pooled game on candidate bitmasks, its root (every candidate) and
     the root's candidate count. Candidate i is the i-th colouring of the
     edgeless graph; listing them is one search in `SEARCH_STATS`."""
-    cands = list(_search_colorings([0] * n, n if k is None else k, DEFAULT_NODE_BUDGET))
+    cands = list(_search_colorings([0] * n, n if k is None else k))
     # together[u][v], symmetric: the bitmask of candidates keeping u and v together
     together = [[0] * n for _ in range(n)]
     for u in range(n):
@@ -306,14 +306,16 @@ def _new_game(n: int, k: int | None, oracle_kind: str) -> tuple[_Game, object, i
     return _alpha_m_game(n, k)
 
 
-def information_bound_check(n: int, k: int) -> tuple[int, int]:
-    """(ceil(log2 #k-block-partitions), exact pooled-query minimax).
+def information_bound_check(n: int, k: int | None) -> tuple[int, int]:
+    """(ceil(log2 #candidate partitions), exact pooled-query minimax).
 
-    The first can never exceed the second; a violation would falsify the
-    solver and raises immediately.
+    The candidates are the partitions into exactly k blocks, or into any
+    number of blocks when k is None. The first number can never exceed the
+    second; a violation would falsify the solver and raises immediately.
+    The game is solved first, so a bad n or k fails with its message.
     """
-    lower = bounds.information_lower(n, k)
     value = minimax_query_complexity(n, k, "alpha_m")
+    lower = bounds.information_lower_unknown(n) if k is None else bounds.information_lower(n, k)
     if lower > value:
         raise RuntimeError(
             f"information bound {lower} exceeds computed minimax {value} at n={n}, k={k}"

@@ -1,7 +1,7 @@
-"""Set partitions in canonical form, refinement checks and counting.
+"""Set partitions in canonical form, and counting.
 
 Partitions are enumerated by the colouring search: on the edgeless graph,
-`coloring._search_colorings([0] * n, k, budget)` yields every partition into
+`coloring._search_colorings([0] * n, k)` yields every partition into
 at most k blocks once, as its restricted growth string plus 1, in
 lexicographic order; `coloring.proper_partitions([0] * n, k)` returns them
 as `Partition`s.
@@ -55,10 +55,6 @@ class Partition:
         return cls(tuple(canon))
 
     @classmethod
-    def singletons(cls, n: int) -> Partition:
-        return cls(tuple((v,) for v in range(n)))
-
-    @classmethod
     def from_labels(cls, labels: Iterable[Hashable]) -> Partition:
         """The partition whose blocks hold the vertices sharing a label;
         vertex v has label labels[v].
@@ -109,19 +105,6 @@ class Partition:
         """The blocks as JSON arrays of arrays in canonical form: the
         partition format the README documents for storing partitions."""
         return json.dumps([list(b) for b in self.blocks])
-
-    @classmethod
-    def from_json(cls, text: str) -> Partition:
-        """Inverse of `to_json`, so that partitions stored in the README's
-        format load back."""
-        return cls.from_blocks(json.loads(text))
-
-
-def is_refinement(fine: Partition, coarse: Partition) -> bool:
-    """True iff every block of fine lies inside some block of coarse."""
-    if fine.n != coarse.n:
-        raise ValueError("partitions are over different vertex sets")
-    return not any(f & ~c for f, c in zip(fine._block_masks, coarse._block_masks))
 
 
 def stirling_partition_count(n: int, k: int) -> int:

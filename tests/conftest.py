@@ -10,9 +10,49 @@ from hypothesis import strategies as st
 
 from graphquery import enumeration
 from graphquery._canon import code
-from graphquery.coloring import proper_partitions
-from graphquery.graphs import Graph
+from graphquery.coloring import SEARCH_STATS, Coloring, find_k_coloring, proper_partitions
+from graphquery.graphs import Graph, normalize_edge
+from graphquery.ledger import LedgerEntry
 from graphquery.partitions import Partition
+
+
+def reset_search_stats() -> None:
+    """Zero `coloring.SEARCH_STATS` in place: the benchmark reads the same dict."""
+    for key in SEARCH_STATS:
+        SEARCH_STATS[key] = 0
+
+
+def is_k_separable(g: Graph, i: int, j: int, k: int) -> Coloring | None:
+    """A k-coloring separating the nonadjacent pair {i, j}, or None if inseparable.
+
+    Separating i and j is the constraint of an edge i-j, so this colors g
+    with that edge added.
+    """
+    if i == j:
+        raise ValueError("separability needs two distinct vertices")
+    pair = normalize_edge(i, j)
+    if pair in g.edges:
+        raise ValueError(f"pair ({i}, {j}) is an edge; separability is undefined")
+    return find_k_coloring(Graph(g.n, g.edges | {pair}), k)
+
+
+def is_refinement(fine: Partition, coarse: Partition) -> bool:
+    """True iff every block of fine lies inside some block of coarse."""
+    if fine.n != coarse.n:
+        raise ValueError("partitions are over different vertex sets")
+    return all(fine.block_mask(v) & ~coarse.block_mask(v) == 0 for v in range(fine.n))
+
+
+def replay_on_session(entries: Sequence[LedgerEntry], session) -> bool:
+    """Re-issue every recorded query against a fresh session; True iff
+    every answer agrees. The session needs the query method of each
+    entry's kind."""
+    method = {
+        "alpha": "membership_query",
+        "alpha_m": "multi_membership_query",
+        "beta": "neighborhood_query",
+    }
+    return all(getattr(session, method[e.kind])(*e.args) == e.answer for e in entries)
 
 
 def path_graph(n: int) -> Graph:
@@ -208,9 +248,8 @@ def check_trace_invariants(trace, ell: int) -> None:
     if ell == 0:
         assert nodes == []
         return
-    blue = trace.blue_nodes()
-    red = trace.red_nodes()
-    assert red == [node for node in nodes if not node.is_blue]
+    blue = [node for node in nodes if node.is_blue]
+    red = [node for node in nodes if not node.is_blue]
     parent_of = {id(c): p for p in nodes for c in p.children}
     for node in red:
         assert not node.children

@@ -16,13 +16,14 @@ from graphquery.coloring import (
     SEARCH_STATS,
     find_k_coloring,
     proper_partitions,
-    reset_search_stats,
 )
 from graphquery.graphs import Graph, connected_components, mask_edges
 from graphquery.ledger import replay_matches_partition
 from graphquery.learners import learn_partition_all_pairs, learn_partition_representatives
 from graphquery.partitions import Partition
 from graphquery import adversaries, bounds
+
+from conftest import is_refinement, replay_on_session, reset_search_stats
 
 # State midway through the known-count walkthrough: n=6, k=3, six edges
 # already recorded, coloring classes {0,1,2} / {3,4} / {5}.
@@ -121,7 +122,7 @@ def test_audit_zero_queries_is_refuted():
 def test_audit_rejects_malformed_partition():
     adv = SeparabilityAdversary(5, 3)
     with pytest.raises(ValueError):
-        adv.declare(Partition.singletons(4))
+        adv.declare(Partition.from_labels(range(4)))
 
 
 def test_audit_refutes_wrong_claim_even_when_forced_possible():
@@ -146,7 +147,7 @@ def test_separability_random_stream_invariants(seed):
         assert adv.chi.is_proper(Graph.from_edges(adv.n, mask_edges(adv.masks)))
         assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
     # edges only ever come from 0-answers
-    assert len(mask_edges(adv.masks)) <= adv.ledger.answered(0)
+    assert len(mask_edges(adv.masks)) <= sum(1 for e in adv.ledger if e.answer == 0)
 
 
 def test_separability_forced_runs_up_to_ten_vertices():
@@ -159,7 +160,7 @@ def test_separability_forced_runs_up_to_ten_vertices():
             assert adv.declare(result.answer).forced
             floor = bounds.membership_known_count(n, k)
             assert len(mask_edges(adv.masks)) >= floor
-            assert len(mask_edges(adv.masks)) <= adv.ledger.answered(0)
+            assert len(mask_edges(adv.masks)) <= sum(1 for e in adv.ledger if e.answer == 0)
             assert result.queries_used >= floor
 
 
@@ -318,8 +319,6 @@ def test_unknown_count_certificate_refines_every_consistent_partition():
         consistent = _consistent_partitions(n, no_pairs, yes_pairs)
         assert adv.chi_partition() in consistent
         assert certificate in consistent
-        from graphquery.partitions import is_refinement
-
         for p in consistent:
             assert is_refinement(certificate, p)
 
@@ -364,7 +363,7 @@ def test_adversary_transcript_replays_from_jsonl():
     adv = SeparabilityAdversary(6, 3)
     learn_partition_all_pairs(adv, 6)
     text = adv.ledger.to_jsonl()
-    from graphquery.ledger import QueryLedger, replay_on_session
+    from graphquery.ledger import QueryLedger
 
     restored = QueryLedger.from_jsonl(text)
     assert restored.entries == adv.ledger.entries
@@ -445,7 +444,7 @@ def test_learner_transcripts_are_frozen(case):
     assert result.answer.blocks == claim
     verdict = adv.declare(result.answer)
     assert (verdict.forced, verdict.witness, verdict.detail) == (True, None, detail)
-    wrong = adv.declare(Partition.singletons(n))
+    wrong = adv.declare(Partition.from_labels(range(n)))
     assert (wrong.forced, wrong.witness.blocks, wrong.detail) == (False, wrong_witness, wrong_detail)
 
 
@@ -484,7 +483,7 @@ def test_random_pair_stream_transcripts_are_frozen(variant):
     assert adv.chi_partition().blocks == chi
     verdict = adv.declare(adv.chi_partition())
     assert (verdict.forced, verdict.witness.blocks, verdict.detail) == (False, witness, detail)
-    wrong = adv.declare(Partition.singletons(9))
+    wrong = adv.declare(Partition.from_labels(range(9)))
     assert (wrong.forced, wrong.witness.blocks, wrong.detail) == (False, wrong_witness, wrong_detail)
 
 

@@ -6,16 +6,16 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphquery import coloring
+from graphquery.adversaries import SeparabilityAdversary
 from graphquery.coloring import (
     BudgetExceededError,
     Coloring,
     SEARCH_STATS,
     _search_colorings,
     find_k_coloring,
-    is_k_separable,
     is_uniquely_k_colorable,
     proper_partitions,
-    reset_search_stats,
 )
 from graphquery.graphs import (
     Graph,
@@ -30,7 +30,9 @@ from conftest import (
     brute_force_separable,
     cycle_graph,
     graphs,
+    is_k_separable,
     path_graph,
+    reset_search_stats,
 )
 
 
@@ -233,10 +235,20 @@ def test_search_order_matches_lexicographic_reference():
                 assert ([got.colors] if got is not None else []) == first
 
 
-def test_budget_aborts_with_distinct_error():
+@pytest.mark.parametrize("search", [
+    lambda: find_k_coloring(empty_graph(12), 6),
+    lambda: proper_partitions(empty_graph(12), 6),
+    lambda: is_uniquely_k_colorable(empty_graph(12), 6),
+    lambda: SeparabilityAdversary(12, 6).declare(Partition.from_labels(range(12))),
+], ids=["find_k_coloring", "proper_partitions", "is_uniquely_k_colorable", "declare"])
+def test_budget_aborts_with_distinct_error(search, monkeypatch):
+    # every search reads the module budget as it starts; the first coloring
+    # of the edgeless graph on 12 vertices takes 12 nodes
+    monkeypatch.setattr(coloring, "DEFAULT_NODE_BUDGET", 10)
     reset_search_stats()
-    with pytest.raises(BudgetExceededError):
-        find_k_coloring(empty_graph(12), 6, node_budget=10)
+    with pytest.raises(BudgetExceededError) as err:
+        search()
+    assert str(err.value) == "coloring search exceeded 10 node expansions"
     # the node that exceeds the budget is booked too
     assert SEARCH_STATS == {"invocations": 1, "nodes": 11}
 
@@ -273,7 +285,7 @@ def test_search_leaves_no_cyclic_garbage():
         find_k_coloring(g, 2)
         proper_partitions(g, 3, limit=2)
         is_k_separable(g, 0, 2, 3)
-        next(_search_colorings(g.adjacency_masks(), 3, 100))
+        next(_search_colorings(g.adjacency_masks(), 3))
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -173,7 +173,7 @@ def test_learn_components_extreme_instances():
     res = learn_components_multi(HonestOracle(complete_graph(n)), n)
     assert res.queries_used == n - 1 and res.answer == Partition.from_blocks([range(n)])
     res = learn_components_multi(HonestOracle(empty_graph(n)), n)
-    assert res.queries_used == n - 1 and res.answer == Partition.singletons(n)
+    assert res.queries_used == n - 1 and res.answer == Partition.from_labels(range(n))
 
 
 def test_learn_components_walkthrough_partition(figure_partition_graph):

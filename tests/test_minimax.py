@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from graphquery import bounds
-from graphquery.coloring import SEARCH_STATS, proper_partitions, reset_search_stats
+from graphquery.coloring import SEARCH_STATS, proper_partitions
 from graphquery._canon import code
 from graphquery.graphs import Graph
 from graphquery import minimax
@@ -15,7 +15,7 @@ from graphquery.minimax import (
     minimax_query_complexity,
 )
 
-from conftest import brute_force_minimax, labelled_graphs, twin_swap_orbits
+from conftest import brute_force_minimax, labelled_graphs, reset_search_stats, twin_swap_orbits
 
 
 def test_alpha_spot_values():
@@ -307,6 +307,16 @@ def test_information_bound_all_small_cases():
         for k in range(1, n + 1):
             lower, value = information_bound_check(n, k)
             assert lower <= value
+        # with k unknown every partition is a candidate: Bell(n) of them
+        lower, value = information_bound_check(n, None)
+        assert lower == bounds.information_lower_unknown(n)
+        assert value == minimax_query_complexity(n, None, "alpha_m") >= lower
+    # the game is solved first, so bad input fails with the solver's message
+    for n, k in [(0, None), (-1, 2)]:
+        with pytest.raises(ValueError, match="n must be positive"):
+            information_bound_check(n, k)
+    with pytest.raises(ValueError, match="k must lie in 1..3"):
+        information_bound_check(3, 4)
 
 
 def test_pooled_queries_never_worse_than_pairwise():

@@ -18,12 +18,11 @@ from graphquery.ledger import (
     QueryLedger,
     honest_answer,
     replay_matches_partition,
-    replay_on_session,
 )
 from graphquery.oracles import HonestOracle
 from graphquery.partitions import Partition
 
-from conftest import graphs
+from conftest import graphs, replay_on_session
 
 
 @pytest.fixture
@@ -154,6 +153,16 @@ def test_ledger_rejects_bad_entries():
     line = '{"kind": "alpha", "args": [0, 1], "answer": 0, "index": 1}'
     with pytest.raises(ValueError, match="entry index 1 does not match position 0"):
         QueryLedger.from_jsonl(line)
+    # an index that equals its position but is no JSON integer writes back
+    # other bytes
+    first = '{"kind": "alpha", "args": [0, 1], "answer": 0, "index": 0}\n'
+    second = '{"kind": "alpha", "args": [0, 2], "answer": 0, "index": 1}\n'
+    for text, bad in [
+        (first + '{"kind": "alpha", "args": [0, 2], "answer": 0, "index": true}', "True"),
+        (first + second + '{"kind": "alpha", "args": [1, 2], "answer": 0, "index": 2.0}', "2.0"),
+    ]:
+        with pytest.raises(ValueError, match=f"entry index {bad} does not match position"):
+            QueryLedger.from_jsonl(text)
     # entries no oracle records: each would fail to replay, replay wrongly,
     # or write back other bytes
     for kind, args, answer in [
@@ -198,7 +207,7 @@ def test_replay_partition_rejects_beta():
     ledger = QueryLedger()
     ledger.append("beta", (0, frozenset({1})), 0)
     with pytest.raises(ValueError):
-        replay_matches_partition(ledger.entries, Partition.singletons(2))
+        replay_matches_partition(ledger.entries, Partition.from_labels(range(2)))
     # an entry naming a vertex past the partition is an error, not a silent
     # miss of the set member or a lookup that wraps around
     for kind, args in [("alpha", (0, 4)), ("alpha", (4, 0)), ("alpha_m", (4, VertexSet.of([0]))),
@@ -206,13 +215,13 @@ def test_replay_partition_rejects_beta():
         ledger = QueryLedger()
         ledger.append(kind, args, 0)
         with pytest.raises(ValueError, match="outside 0..3"):
-            replay_matches_partition(ledger.entries, Partition.singletons(4))
+            replay_matches_partition(ledger.entries, Partition.from_labels(range(4)))
 
 
 def test_declare_checks_ground_truth(oracle):
     truth = oracle.hidden_partition
     assert oracle.declare(truth).forced
-    verdict = oracle.declare(Partition.singletons(6))
+    verdict = oracle.declare(Partition.from_labels(range(6)))
     assert not verdict.forced and verdict.witness == truth
 
 

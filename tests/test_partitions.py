@@ -1,12 +1,13 @@
+import json
 from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from graphquery.coloring import DEFAULT_NODE_BUDGET, _search_colorings, proper_partitions
-from graphquery.partitions import Partition, is_refinement, stirling_partition_count
+from graphquery.coloring import _search_colorings, proper_partitions
+from graphquery.partitions import Partition, stirling_partition_count
 
-from conftest import partitions_with_exactly
+from conftest import is_refinement, partitions_with_exactly
 
 
 def brute_force_partitions(n):
@@ -39,7 +40,7 @@ def test_partition_validation():
 def test_partition_json_round_trip():
     p = Partition.from_blocks([[0, 2], [1]])
     assert p.to_json() == "[[0, 2], [1]]"
-    assert Partition.from_json(p.to_json()) == p
+    assert Partition.from_blocks(json.loads(p.to_json())) == p
 
 
 def test_refinement_basics():
@@ -54,7 +55,7 @@ def test_refinement_basics():
 
 def test_refinement_rejects_mismatched_sets():
     with pytest.raises(ValueError):
-        is_refinement(Partition.singletons(3), Partition.singletons(4))
+        is_refinement(Partition.from_labels(range(3)), Partition.from_labels(range(4)))
 
 
 def test_stirling_small_values():
@@ -104,7 +105,7 @@ def test_enumerators_complete_and_distinct(n):
     for k in range(1, n + 1):
         exact = list(partitions_with_exactly(n, k))
         assert len(exact) == stirling_partition_count(n, k)
-        at_most = list(_search_colorings([0] * n, k, DEFAULT_NODE_BUDGET))
+        at_most = list(_search_colorings([0] * n, k))
         assert len(at_most) == sum(stirling_partition_count(n, j) for j in range(1, k + 1))
         # the alpha_m minimax game indexes its candidates in this order
         assert at_most == sorted(tuple(c + 1 for c in s) for s in growth if max(s) < k)
@@ -115,7 +116,7 @@ def test_refinement_reflexive_property(n, data):
     parts = proper_partitions([0] * n, n)
     p = data.draw(st.sampled_from(parts))
     assert is_refinement(p, p)
-    assert is_refinement(Partition.singletons(n), p)
+    assert is_refinement(Partition.from_labels(range(n)), p)
     assert is_refinement(p, Partition.from_blocks([range(n)]))
 
 
