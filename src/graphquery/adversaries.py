@@ -31,14 +31,19 @@ consistent partition other than the claim as a witness.
 
 from __future__ import annotations
 
+from operator import and_
+
 from .coloring import Coloring, find_k_coloring, proper_partitions
-from .graphs import Edge, Graph, bits, connected_components, contract, normalize_edge
+from .graphs import Edge, Graph, connected_components, contract, normalize_edge
 from .ledger import QueryLedger
 from .oracles import AuditVerdict
 from .partitions import Partition, check_vertex
 
 
 def _validated_pair(x: int, y: int, n: int) -> tuple[int, int]:
+    """The pair as an edge; the one place a bad membership query raises. The
+    query methods test `0 <= x < n > y >= 0 and x != y` inline and call
+    this only when that fails."""
     if not (0 <= x < n and 0 <= y < n):
         check_vertex(x, n)
         check_vertex(y, n)
@@ -56,8 +61,9 @@ def _class_masks(colors, k: int) -> list[int]:
 
 
 def _is_proper(masks: list[int], colors, classes: list[int]) -> bool:
-    """True iff no vertex has a neighbour inside its own color class."""
-    return not any(nbrs & classes[c] for nbrs, c in zip(masks, colors))
+    """True iff no vertex has a neighbour inside its own color class: every
+    vertex's neighbour mask is ANDed with its class mask, at C level."""
+    return not any(map(and_, masks, map(classes.__getitem__, colors)))
 
 
 def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[list[int], Coloring]:
@@ -126,9 +132,11 @@ class _SeparabilityRule:
          G + uv holds: move it there;
       3. otherwise a cold search of G + uv decides, and the coloring it
          finds, if any, becomes the working one.
-    Every change to the working coloring is checked against every edge.
-    `classes` is kept beside `color` rather than rebuilt, because that check
-    and every free-color move read it on each answer.
+    After every change to the working coloring, each vertex's neighbour mask
+    is checked against its own color class, so a clash anywhere in G fails,
+    not only one at the moved vertex. `classes` is kept beside `color` rather
+    than rebuilt, because that check and every free-color move read it on
+    each answer.
 
     The answers, masks and forced edges depend only on separability, not on
     which coloring is the working one, and neither does `chi`, the coloring
@@ -180,7 +188,11 @@ class _SeparabilityRule:
         return False
 
     def membership_query(self, x: int, y: int) -> int:
-        pair = _validated_pair(x, y, self.n)
+        n = self.n
+        if 0 <= x < n > y >= 0 and x != y:
+            pair = (x, y) if x < y else (y, x)
+        else:
+            pair = _validated_pair(x, y, n)
         u, v = pair
         same = self.color[u] == self.color[v]  # never true of a recorded edge
         if same and pair in self.forced_edges:  # G only grows: still inseparable
@@ -297,7 +309,9 @@ class ContractionAdversary:
         self.ledger = QueryLedger()
 
     def membership_query(self, x: int, y: int) -> int:
-        _validated_pair(x, y, self.n)
+        n = self.n
+        if not (0 <= x < n > y >= 0 and x != y):
+            _validated_pair(x, y, n)
         cx, cy = self.cls[x], self.cls[y]
         masks, color = self.masks, self.color
         answer = int(cx == cy)
@@ -308,8 +322,11 @@ class ContractionAdversary:
                 # other endpoint, which shares small's color. Fewer than k-1
                 # neighbors leave one free (bit 0 stands for the unused 0).
                 blocked = 1 | 1 << color[small]
-                for w in bits(masks[small]):
-                    blocked |= 1 << color[w]
+                nbrs = masks[small]
+                while nbrs:
+                    low = nbrs & -nbrs
+                    blocked |= 1 << color[low.bit_length() - 1]
+                    nbrs ^= low
                 color[small] = (~blocked & (blocked + 1)).bit_length() - 1
                 assert color[small] <= self.k, "small vertex lost all admissible colors"
             else:

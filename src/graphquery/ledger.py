@@ -4,6 +4,13 @@ An alpha entry holds the queried pair; an alpha_m or beta entry holds
 (v, set), the set as the `graphs.VertexSet` bitmask the oracle normalised
 it to. JSONL writes every set as a sorted list of vertices and loads it
 back as a VertexSet.
+
+`to_jsonl` formats the entries the oracles record itself: an alpha entry
+whose two vertices are plain ints, and a set entry whose vertex is a plain
+int and whose set is a VertexSet, its members listed from the mask. Any
+other entry, say one with a bool vertex or a frozenset, falls back to
+`LedgerEntry.to_json`, one `json.dumps` per entry. Both write the same
+bytes for the same entry.
 """
 
 from __future__ import annotations
@@ -15,6 +22,9 @@ from .graphs import VertexSet
 from .partitions import Partition
 
 KINDS = ("alpha", "alpha_m", "beta")
+# the set bits of each byte value: the writer lists a mask's members a byte
+# at a time, with small-int arithmetic only
+_BYTE_MEMBERS = tuple(tuple(j for j in range(8) if byte >> j & 1) for byte in range(256))
 
 
 class LedgerEntry(NamedTuple):
@@ -25,6 +35,7 @@ class LedgerEntry(NamedTuple):
     answer: int
 
     def to_json(self, index: int) -> str:
+        """The entry as `json.dumps` writes it: the writer's fallback."""
         if self.kind == "alpha":
             args = list(self.args)
         else:
@@ -42,9 +53,11 @@ class QueryLedger:
     def append(self, kind: str, args: tuple, answer: int) -> LedgerEntry:
         if kind not in KINDS:
             raise ValueError(f"unknown oracle kind {kind!r}")
-        if answer not in (0, 1):
+        # True and 1.0 equal 1 but write JSON that from_jsonl rejects
+        if type(answer) is not int or answer not in (0, 1):
             raise ValueError("answer must be a bit")
-        entry = LedgerEntry(kind, args, answer)
+        # the NamedTuple's own __new__ is one more Python frame per query
+        entry = tuple.__new__(LedgerEntry, (kind, args, answer))
         self._entries.append(entry)
         return entry
 
@@ -65,7 +78,26 @@ class QueryLedger:
     def to_jsonl(self) -> str:
         """One JSON object per entry, in the JSONL format the README
         documents; public so that a run can be stored as a replayable fixture."""
-        return "".join(e.to_json(i) + "\n" for i, e in enumerate(self._entries))
+        lines = []
+        for i, entry in enumerate(self._entries):
+            kind, args, answer = entry  # append lets only the ints 0 and 1 in
+            if type(args) is tuple and len(args) == 2 and type(args[0]) is int:
+                v, other = args
+                if kind == "alpha" and type(other) is int:
+                    lines.append(f'{{"kind": "alpha", "args": [{v}, {other}], '
+                                 f'"answer": {answer}, "index": {i}}}\n')
+                    continue
+                if kind != "alpha" and type(other) is VertexSet:
+                    mask, members, base = other.mask, [], 0
+                    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+                        for j in _BYTE_MEMBERS[byte]:
+                            members.append(base + j)
+                        base += 8
+                    lines.append(f'{{"kind": "{kind}", "args": [{v}, [{", ".join(map(str, members))}]], '
+                                 f'"answer": {answer}, "index": {i}}}\n')
+                    continue
+            lines.append(entry.to_json(i) + "\n")
+        return "".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> QueryLedger:
@@ -124,5 +156,18 @@ def honest_answer(entry: LedgerEntry, partition: Partition) -> int:
 
 
 def replay_matches_partition(entries: Sequence[LedgerEntry], partition: Partition) -> bool:
-    """True iff every recorded answer matches the honest answer for `partition`."""
-    return all(honest_answer(e, partition) == e.answer for e in entries)
+    """True iff every recorded answer matches the honest answer for `partition`.
+
+    An alpha entry inside 0..n-1 compares the two vertices' block masks in
+    place; every other entry goes through `honest_answer`, which raises for
+    an entry it cannot answer."""
+    n = partition.n
+    block = partition._block_masks  # entry w is the mask of w's block
+    for entry in entries:
+        kind, (u, v), answer = entry
+        if kind == "alpha" and 0 <= u < n > v >= 0:
+            if (block[u] == block[v]) != answer:
+                return False
+        elif honest_answer(entry, partition) != answer:
+            return False
+    return True

@@ -100,6 +100,30 @@ def test_separability_rejects_self_query():
         adv.membership_query(2, 2)
 
 
+def _adversary_state(adv) -> tuple:
+    extra = (list(adv.cls),) if adv.variant == "contraction" else (list(adv.classes), set(adv.forced_edges))
+    return (adv.ledger.count, list(adv.masks), list(adv.color), *extra)
+
+
+@pytest.mark.parametrize("make", [lambda: SeparabilityAdversary(5, 3),
+                                  lambda: UnknownCountAdversary(5, 3),
+                                  lambda: ContractionAdversary(5, 3)],
+                         ids=["separability", "unknown-count", "contraction"])
+def test_rejected_queries_leave_no_trace(make):
+    adv = make()
+    for pair in [(0, 1), (1, 2), (0, 2), (3, 4), (0, 3)]:
+        adv.membership_query(*pair)
+    state = _adversary_state(adv)
+    for (x, y), message in [((-1, 2), "vertex -1 out of range for n=5"),
+                            ((2, -1), "vertex -1 out of range for n=5"),
+                            ((5, 2), "vertex 5 out of range for n=5"),
+                            ((2, 5), "vertex 5 out of range for n=5"),
+                            ((3, 3), "membership query needs two distinct vertices")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            adv.membership_query(x, y)
+        assert _adversary_state(adv) == state
+
+
 def test_separability_walkthrough_saturation_forces():
     adv = make_walkthrough_adversary()
     scripted = [(0, 4), (1, 2), (0, 2), (0, 1)]
@@ -759,3 +783,17 @@ def test_a_new_coloring_is_checked_against_every_old_edge(monkeypatch):
     monkeypatch.setattr(adversaries, "find_k_coloring", improper)
     with pytest.raises(AssertionError):
         adv.membership_query(0, 2)
+
+
+def test_a_free_color_move_is_checked_against_every_vertex():
+    # plant a clash on the edge 0-3, away from the queried pair: both ends
+    # keep color 1, so `color` and `classes` still agree with each other
+    adv = SeparabilityAdversary(6, 3)
+    assert adv.color == [1, 2, 3, 1, 2, 3]
+    adv.masks[0] |= 1 << 3
+    adv.masks[3] |= 1 << 0
+    # 1 and 4 share color 2, and 4 moves to its free color 1: a check of the
+    # moved vertex alone sees no clash
+    with pytest.raises(AssertionError):
+        adv.membership_query(1, 4)
+    assert adv.color[4] == 1

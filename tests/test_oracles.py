@@ -148,8 +148,11 @@ def test_ledger_rejects_bad_entries():
     ledger = QueryLedger()
     with pytest.raises(ValueError):
         ledger.append("gamma", (0, 1), 0)
-    with pytest.raises(ValueError):
-        ledger.append("alpha", (0, 1), 2)
+    for answer in (2, -1, True, 1.0, False, 0.0):
+        # True and 1.0 equal 1, but would write JSON that from_jsonl rejects
+        with pytest.raises(ValueError, match="^answer must be a bit$"):
+            ledger.append("alpha", (0, 1), answer)
+    assert ledger.count == 0
     line = '{"kind": "alpha", "args": [0, 1], "answer": 0, "index": 1}'
     with pytest.raises(ValueError, match="entry index 1 does not match position 0"):
         QueryLedger.from_jsonl(line)
@@ -184,6 +187,60 @@ def test_ledger_rejects_bad_entries():
             QueryLedger.from_jsonl(line)
     with pytest.raises(ValueError, match="needs exactly the keys"):
         QueryLedger.from_jsonl('{"kind": "alpha", "args": [0, 1], "answer": 0}')
+
+
+def test_jsonl_writer_writes_what_json_dumps_writes():
+    # the entries an oracle records take the writer's own formatting; a
+    # bool vertex or a frozenset takes the json.dumps fallback
+    ledger = QueryLedger()
+    for kind, args, answer in [
+        ("alpha", (3, 1), 0),
+        ("alpha", (True, 2), 1),
+        ("alpha_m", (2, VertexSet.of([0, 5, 130])), 1),
+        ("beta", (0, VertexSet()), 0),
+        ("beta", (4, VertexSet.of([1, 3])), 1),
+        ("beta", (0, frozenset({1, 7, 2})), 0),
+        ("alpha_m", (False, VertexSet.of([1])), 0),
+    ]:
+        ledger.append(kind, args, answer)
+    expected = "".join(
+        json.dumps({"kind": e.kind,
+                    "args": list(e.args) if e.kind == "alpha" else [e.args[0], sorted(e.args[1])],
+                    "answer": e.answer, "index": i}) + "\n"
+        for i, e in enumerate(ledger))
+    assert ledger.to_jsonl() == expected
+
+
+def test_every_query_appends_one_ledger_entry(monkeypatch, figure_partition_graph):
+    # perfbench's ledger.* metrics wrap QueryLedger.append, so every query
+    # method must reach it exactly once, on every answer path
+    calls = []
+    original = QueryLedger.append
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(QueryLedger, "append", counting)
+    oracle = HonestOracle(figure_partition_graph)
+    session_calls = [lambda: oracle.membership_query(0, 4), lambda: oracle.membership_query(1, 0),
+                     lambda: oracle.multi_membership_query(5, {0, 3}),
+                     lambda: oracle.neighborhood_query(0, [1, 5])]
+    for call in session_calls:
+        before = len(calls)
+        call()
+        assert len(calls) == before + 1
+    # every pair twice covers each adversary's paths: a separated pair, a
+    # free-color move, a search, an inseparable pair and its repeat, a
+    # recoloring and a contraction
+    for adv in (SeparabilityAdversary(5, 3), UnknownCountAdversary(5, 2), ContractionAdversary(5, 3)):
+        start = len(calls)
+        for pair in [(x, y) for x in range(5) for y in range(5) if x != y] * 2:
+            before = len(calls)
+            adv.membership_query(*pair)
+            assert len(calls) == before + 1
+        assert len(calls) - start == adv.ledger.count == 40
+    assert len(calls) == 4 + 3 * 40
 
 
 def test_replay_against_partition(oracle):
