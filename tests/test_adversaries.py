@@ -538,6 +538,35 @@ def test_search_node_counts_are_pinned(variant):
     assert (answers, audits) == PINNED_SEARCH_NODES[variant]
 
 
+# variant -> SHA-256 over each run's JSONL ledger, claim, verdict on the
+# claim and chi partition, for the reps learner at n = 8..14, k = 2..4 on the
+# orders random.Random(s).shuffle, s = 0..3
+PINNED_SHUFFLED_DIGESTS = {
+    "separability": "be98c9062af7d49caa42e7e0109a091efd27d9b05ae72ce5df2a85ec5d2a9fac",
+    "unknown-count": "521c916474bc8e36cfa0978de4bcb18d5d70129453185cda6966474f92309b5b",
+    "contraction": "2cf4e305215dca42f89f803e0225154556059c9c8975ec1c80aed5d6f8295bbd",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_SHUFFLED_DIGESTS))
+def test_shuffled_adversary_transcripts_are_pinned(variant):
+    # a change to how an adversary stores its state must not move a byte
+    digest = hashlib.sha256()
+    for n in range(8, 15):
+        for k in range(2, 5):
+            for seed in range(4):
+                order = list(range(n))
+                random.Random(seed).shuffle(order)
+                adv = ADVERSARY_CLASSES[variant](n, k)
+                k_known = None if variant == "unknown-count" else k
+                result = learn_partition_representatives(adv, n, k_known=k_known, order=order)
+                verdict = adv.declare(result.answer)
+                digest.update(adv.ledger.to_jsonl().encode())
+                digest.update(f"{result.answer.blocks}|{(verdict.forced, verdict.witness, verdict.detail)}"
+                              f"|{adv.chi_partition().blocks}\n".encode())
+    assert digest.hexdigest() == PINNED_SHUFFLED_DIGESTS[variant]
+
+
 def test_shuffled_order_contraction_audit_stays_small():
     # the failure frontier of plain backtracking: this audit used to exhaust
     # the default 5M-node budget, and forward checking ends it in ~262k nodes
