@@ -1,27 +1,34 @@
 """Adaptive adversaries that answer membership queries while committing to nothing.
 
-The two search adversaries share one separability rule. It keeps an
-auxiliary simple graph whose edges record "different component" answers,
-and answers a pair 0 iff the pair is k-separable there, that is, iff some
-proper k-coloring of the auxiliary graph gives its endpoints different
-colors. A separable pair becomes an edge; an inseparable one is answered 1
-and recorded once as a forced edge. The color classes of every proper
-k-coloring are then a real partition consistent with everything said so
-far, and the adversary reports one of them, chi, which depends on the
-auxiliary graph alone. The rule has two sibling variants, which differ
-only in what the learner knows and in where chi starts:
+Every adversary keeps one auxiliary graph, whose edges record "different
+component" answers, in one form: its quotient by the pairs answered 1, the
+form in which the minimax alpha game stores its auxiliary graph. Classes
+are labelled 0, 1, ... in order of their least vertex, `cls[v]` is the
+class of vertex v, `masks[i]` holds the classes adjacent to class i, and
+`color[i]` is class i's working color, proper on the quotient. A pair
+inside one class is answered 1. A pair across two differently colored
+classes becomes an edge and is answered 0. A contraction is
+`graphs.contract`, which keeps the labelling order, so searches and audits
+read the masks as stored and lift what they find through `cls`.
+
+The variants differ only in the rule for a pair of two same-colored
+classes. Two of them answer a pair 0 iff it is k-separable, that is, iff
+some proper k-coloring of the auxiliary graph gives its endpoints different
+colors, and contract an inseparable pair. Every proper k-coloring colors an
+inseparable pair alike, so the contraction keeps every coloring, answer
+and audit. The color classes of every proper k-coloring are then a real
+partition consistent with everything said so far, and the adversary
+reports one of them, chi, which depends on the auxiliary graph alone:
 
 - SeparabilityAdversary: the component count k is public, 2 <= k <= n, and
   chi starts balanced.
 - UnknownCountAdversary: k is fixed at construction but hidden, 1 <= k <= n,
   and every vertex starts with color 1. Its audit additionally requires the
-  claim to equal the components of the forced edges.
+  claim to equal the classes.
 
 ContractionAdversary is the polynomial-time alternative: instead of
-separability searches it recolors low-degree endpoints and contracts
-high-degree ones. It keeps the contracted auxiliary graph densely labelled,
-in the one form the minimax alpha game uses, and contracts it with the
-same `graphs.contract`.
+separability searches it recolors low-degree classes and contracts
+high-degree ones.
 
 A learner's final claim is audited by `declare`, and all three audits run
 through the one function `_audit`: the claim is *forced* only if it is the
@@ -34,26 +41,24 @@ from __future__ import annotations
 from operator import and_
 
 from .coloring import Coloring, find_k_coloring, proper_partitions
-from .graphs import Edge, Graph, connected_components, contract, normalize_edge
+from .graphs import Graph, contract
 from .ledger import QueryLedger
 from .oracles import AuditVerdict
 from .partitions import Partition, check_vertex
 
 
-def _validated_pair(x: int, y: int, n: int) -> tuple[int, int]:
-    """The pair as an edge; the one place a bad membership query raises. The
-    query methods test `0 <= x < n > y >= 0 and x != y` inline and call
-    this only when that fails."""
+def _reject_pair(x: int, y: int, n: int) -> None:
+    """The one place a bad membership query raises. The query method tests
+    `0 <= x < n > y >= 0 and x != y` inline and calls this only when that
+    fails."""
     if not (0 <= x < n and 0 <= y < n):
         check_vertex(x, n)
         check_vertex(y, n)
-    if x == y:
-        raise ValueError("membership query needs two distinct vertices")
-    return normalize_edge(x, y)
+    raise ValueError("membership query needs two distinct vertices")
 
 
 def _class_masks(colors, k: int) -> list[int]:
-    """classes[c] is the bitmask of the vertices colored c; classes[0] is empty."""
+    """classes[c] is the bitmask of the entries colored c; classes[0] is empty."""
     classes = [0] * (k + 1)
     for w, c in enumerate(colors):
         classes[c] |= 1 << w
@@ -61,8 +66,8 @@ def _class_masks(colors, k: int) -> list[int]:
 
 
 def _is_proper(masks: list[int], colors, classes: list[int]) -> bool:
-    """True iff no vertex has a neighbour inside its own color class: every
-    vertex's neighbour mask is ANDed with its class mask, at C level."""
+    """True iff no entry has a neighbour inside its own color class: every
+    neighbour mask is ANDed with its class mask, at C level."""
     return not any(map(and_, masks, map(classes.__getitem__, colors)))
 
 
@@ -82,10 +87,9 @@ def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[lis
     return graph.adjacency_masks(), chi
 
 
-def _audit(adv, claimed: Partition, unique_detail: str, cls=None,
-           certificate=None) -> AuditVerdict:
-    """The one audit: a limit-2 search of `adv`'s auxiliary graph, lifted
-    through `cls` (vertex v lies in class cls[v]) when given.
+def _audit(adv, claimed: Partition, unique_detail: str, certificate=None) -> AuditVerdict:
+    """The one audit: a limit-2 search of `adv`'s quotient, lifted through
+    `adv.cls` (vertex v lies in class cls[v]).
 
     Forced iff the search finds a single consistent partition and it equals
     the claim; otherwise the witness is a consistent partition other than
@@ -98,9 +102,9 @@ def _audit(adv, claimed: Partition, unique_detail: str, cls=None,
         return AuditVerdict(
             False, certificate, "certificate components form a consistent refinement"
         )
-    parts = proper_partitions(adv.masks, adv.k, limit=2)
-    if cls is not None:
-        parts = [Partition.from_labels([p.block_mask(c) for c in cls]) for p in parts]
+    cls = adv.cls
+    parts = [Partition.from_labels([p.block_mask(c) for c in cls])
+             for p in proper_partitions(adv.masks, adv.k, limit=2)]
     if len(parts) == 1:
         if claimed == parts[0]:
             return AuditVerdict(True, None, unique_detail)
@@ -109,120 +113,144 @@ def _audit(adv, claimed: Partition, unique_detail: str, cls=None,
     return AuditVerdict(False, witness, "a second consistent partition exists")
 
 
-class _SeparabilityRule:
-    """State and answer rule shared by the two search adversaries.
+class _QuotientAdversary:
+    """State and query path shared by the three adversaries.
 
-    The rule rests on one lemma: the answer is 0 iff the pair is
-    k-separable in the auxiliary graph G, that is, iff G plus the pair is
-    k-colorable. On a query (u, v):
-      - separable: record the edge uv, answer 0;
-      - inseparable: leave G alone, record the pair (once) as a forced
-        edge, answer 1.
-    Re-asking an edge answers 0 again and re-asking an inseparable pair
-    answers 1 again, from `forced_edges` and without a search, since G only
-    grows; duplicates still count in the ledger. The two variants
+    The state is the quotient (`masks`, `cls`) and its working proper
+    coloring `color`, with `classes[c]` the bitmask of the classes colored
+    c. `classes` is kept beside `color` rather than rebuilt, because the
+    properness check and every free-color move read it. On a query (x, y)
+    with classes a and b:
+      1. a == b: answer 1 and change nothing;
+      2. a and b have different colors: record the edge ab, answer 0;
+      3. otherwise record the edge and ask the variant's `_separates`. If
+         it recolors the quotient so that a and b differ, answer 0. If not,
+         take the edge back, contract a and b, and answer 1.
+    After every recoloring, each class's neighbour mask is checked against
+    its own color class, so a clash anywhere fails, not only one at a moved
+    class. A repeat counts in the ledger like any other query. The variants
     subclass this as siblings, so patching one variant's methods (as a
-    tracer does) never reaches the other.
-
-    `masks` holds G's neighbour bitmasks, its only form. The decision is
-    made against a *working* proper coloring `color`, with `classes[c]` the
-    bitmask of the vertices colored c:
-      1. u and v have different colors: the pair is separated already;
-      2. v, or failing that u, has a color that none of its neighbours in
-         G + uv holds: move it there;
-      3. otherwise a cold search of G + uv decides, and the coloring it
-         finds, if any, becomes the working one.
-    After every change to the working coloring, each vertex's neighbour mask
-    is checked against its own color class, so a clash anywhere in G fails,
-    not only one at the moved vertex. `classes` is kept beside `color` rather
-    than rebuilt, because that check and every free-color move read it on
-    each answer.
-
-    The answers, masks and forced edges depend only on separability, not on
-    which coloring is the working one, and neither does `chi`, the coloring
-    reported to callers. It is the start coloring until the first answer-0
-    pair that the start colors alike, and from then on the first proper
-    coloring of G in the search order, computed when read and cached in
-    `_chi`. A new edge that the cached chi already separates keeps it
-    first, because every coloring of G plus that edge is a coloring of G;
-    so only an edge that chi colors alike drops the cache. An inseparable
-    pair leaves G, and so chi, alone.
+    tracer does) never reaches another.
     """
 
-    def __init__(self, n: int, k: int, masks: list[int], chi: Coloring):
+    def __init__(self, n: int, k: int, masks: list[int], start: Coloring):
         self.n = n
         self.k = k
         self.masks = masks
-        self.forced_edges: set[Edge] = set()
-        self.color = list(chi.colors)
+        self.color = list(start.colors)
         self.classes = _class_masks(self.color, k)
-        self._chi: Coloring | None = chi  # None: the next read searches
+        self.cls = list(range(n))
         self.ledger = QueryLedger()
+
+    def _recolor(self, i: int) -> bool:
+        """Move class i to the least color that none of its neighbours holds, if any."""
+        nbrs, classes = self.masks[i], self.classes
+        for c in range(1, self.k + 1):
+            if not nbrs & classes[c]:
+                bit = 1 << i
+                classes[self.color[i]] ^= bit
+                classes[c] |= bit
+                self.color[i] = c
+                return True
+        return False
+
+    def _contract(self, a: int, b: int) -> None:
+        """Merge two non-adjacent, same-colored classes into the lower label."""
+        if a > b:
+            a, b = b, a
+        self.masks = list(contract(self.masks, a, b))
+        del self.color[b]
+        # class b becomes a, and the classes above it move down one label,
+        # in cls and, as `contract` relabels them, in the color class masks
+        relabel = [*range(b), a, *range(b, len(self.color))]
+        self.cls = list(map(relabel.__getitem__, self.cls))
+        low = (1 << b) - 1
+        self.classes = [m & low | m >> 1 & ~low for m in self.classes]
+
+    def membership_query(self, x: int, y: int) -> int:
+        n = self.n
+        if not (0 <= x < n > y >= 0 and x != y):
+            _reject_pair(x, y, n)
+        a, b = self.cls[x], self.cls[y]
+        if a == b:
+            answer = 1
+        else:
+            answer = 0
+            masks = self.masks
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+            if self.color[a] == self.color[b]:
+                separated = False
+                try:
+                    separated = self._separates(x, y)
+                finally:
+                    if not separated:  # inseparable, or the search gave up
+                        masks[a] &= ~(1 << b)
+                        masks[b] &= ~(1 << a)
+                if separated:
+                    assert _is_proper(masks, self.color, self.classes)
+                else:
+                    self._contract(a, b)
+                    answer = 1
+        self.ledger.append("alpha", (x, y), answer)
+        return answer
+
+
+class _SeparabilityRule(_QuotientAdversary):
+    """The rule of the two search adversaries: the answer is 0 iff the pair
+    is k-separable in the auxiliary graph G, that is, iff G plus the pair is
+    k-colorable. With the edge between the two same-colored classes added,
+    the class of the pair's larger vertex, or failing that the other class,
+    moves to a color that none of its neighbours holds; otherwise a cold
+    search of the quotient decides, and the coloring it finds, if any,
+    becomes the working one.
+
+    The answers and the quotient depend only on separability, not on which
+    coloring is the working one, and neither does `chi`, the coloring of
+    the vertices reported to callers. It is the start coloring until the
+    first answer-0 pair that the start colors alike, and from then on the
+    first proper coloring of G in the search order. Lifting through `cls`
+    keeps the search order, so that is the first coloring of the quotient,
+    lifted. G only grows, so a cached chi that is still proper on it is
+    still first; `chi` searches only when it is read and the cached one is
+    no longer proper.
+    """
+
+    def __init__(self, n: int, k: int, masks: list[int], start: Coloring):
+        super().__init__(n, k, masks, start)
+        self._chi = start
 
     @property
     def chi(self) -> Coloring:
-        if self._chi is None:
-            chi = find_k_coloring(self.masks, self.k)
+        cls, cached = self.cls, self._chi.colors
+        # one cached color per class, in label order: cls meets class i
+        # before class i + 1
+        colors = list(dict(zip(cls, cached)).values())
+        # proper on G iff alike on every class and proper on the quotient
+        if (tuple([colors[c] for c in cls]) != cached
+                or not _is_proper(self.masks, colors, _class_masks(colors, self.k))):
+            first = find_k_coloring(self.masks, self.k)
             # the working coloring is proper, so G has a first coloring
-            assert chi is not None
-            assert _is_proper(self.masks, chi.colors, _class_masks(chi.colors, self.k))
-            self._chi = chi
+            assert first is not None
+            self._chi = Coloring(tuple([first.colors[c] for c in cls]), self.k)
         return self._chi
-
-    def forced_graph_view(self) -> Graph:
-        return Graph(self.n, frozenset(self.forced_edges))
 
     def chi_partition(self) -> Partition:
         return self.chi.classes()
 
-    def _recolor(self, w: int) -> bool:
-        """Move w to the least color that none of its neighbours holds, if any."""
-        nbrs, classes = self.masks[w], self.classes
-        for c in range(1, self.k + 1):
-            if not nbrs & classes[c]:
-                bit = 1 << w
-                classes[self.color[w]] ^= bit
-                classes[c] |= bit
-                self.color[w] = c
-                return True
-        return False
-
-    def membership_query(self, x: int, y: int) -> int:
-        n = self.n
-        if 0 <= x < n > y >= 0 and x != y:
-            pair = (x, y) if x < y else (y, x)
-        else:
-            pair = _validated_pair(x, y, n)
-        u, v = pair
-        same = self.color[u] == self.color[v]  # never true of a recorded edge
-        if same and pair in self.forced_edges:  # G only grows: still inseparable
-            self.ledger.append("alpha", (x, y), 1)
-            return 1
-        masks = self.masks
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        answer = 0
-        if same:
-            # the other endpoint blocks the shared color, so a move leaves it
-            if not (self._recolor(v) or self._recolor(u)):
-                separating = None
-                try:
-                    separating = find_k_coloring(masks, self.k)
-                finally:
-                    if separating is None:  # inseparable, or the search gave up
-                        masks[u] &= ~(1 << v)
-                        masks[v] &= ~(1 << u)
-                if separating is None:
-                    self.forced_edges.add(pair)
-                    answer = 1
-                else:
-                    self.color = list(separating.colors)
-                    self.classes = _class_masks(self.color, self.k)
-            assert answer or _is_proper(masks, self.color, self.classes)
-        if not answer and self._chi is not None and self._chi.colors[u] == self._chi.colors[v]:
-            self._chi = None
-        self.ledger.append("alpha", (x, y), answer)
-        return answer
+    def _separates(self, x: int, y: int) -> bool:
+        a, b = self.cls[x], self.cls[y]
+        if x > y:
+            a, b = b, a
+        # the other class blocks the shared color, so a move leaves it
+        if self._recolor(b) or self._recolor(a):
+            return True
+        separating = find_k_coloring(self.masks, self.k)
+        if separating is None:
+            return False
+        self.color = list(separating.colors)
+        self.classes = _class_masks(self.color, self.k)
+        return True
 
 
 class SeparabilityAdversary(_SeparabilityRule):
@@ -237,8 +265,7 @@ class SeparabilityAdversary(_SeparabilityRule):
     def __init__(self, n: int, k: int, initial_coloring=None, initial_edges=None):
         if not 2 <= k <= n:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-        masks, chi = _initial_state(n, k, initial_coloring, initial_edges)
-        super().__init__(n, k, masks, chi)
+        super().__init__(n, k, *_initial_state(n, k, initial_coloring, initial_edges))
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         """Forced iff the auxiliary graph pins down a single consistent partition.
@@ -254,8 +281,9 @@ class UnknownCountAdversary(_SeparabilityRule):
     """Variant for learners that do not know the component count.
 
     k is a construction parameter the learner never sees, 1 <= k <= n. The
-    coloring starts with every vertex colored 1, and the forced edges form
-    the certificate graph whose components the audit inspects.
+    coloring starts with every vertex colored 1, and the classes, the
+    components of the pairs answered 1, are the certificate the audit
+    inspects.
     """
 
     variant = "unknown-count"
@@ -273,27 +301,18 @@ class UnknownCountAdversary(_SeparabilityRule):
         partition, so the claim must equal them; the auxiliary graph must
         additionally admit no second proper partition.
         """
-        certificate = connected_components(self.forced_graph_view())
         return _audit(self, claimed, "certificate components and auxiliary graph agree",
-                      certificate=certificate)
+                      certificate=Partition.from_labels(self.cls))
 
 
-class ContractionAdversary:
+class ContractionAdversary(_QuotientAdversary):
     """Polynomial-time adversary: no coloring search, only degree bookkeeping.
 
-    Works on the contracted auxiliary graph. A vertex is *big* when its
-    degree in the current simple quotient is at least k-1, else *small*. On a
-    same-colored query, a small endpoint (the first argument when both are
-    small) is recolored to another admissible color; when both endpoints are
-    big they are contracted and the answer is 1. A pair inside one class was
-    contracted before, and answers 1 again.
-
-    The quotient is stored the way the minimax alpha game stores its
-    auxiliary graph: classes are labelled 0, 1, ... in order of their least
-    vertex, `masks[i]` holds the classes adjacent to class i, `color[i]` is
-    its color, and `cls[v]` is the class of vertex v. A contraction is
-    `graphs.contract`, which keeps that order, so `declare` searches the
-    masks as stored.
+    A class is *big* when its degree in the quotient, not counting the
+    queried pair, is at least k-1, else *small*. On a same-colored query, a
+    small class (the first argument's when both are small) moves to another
+    admissible color; when both classes are big they are contracted and the
+    answer is 1.
     """
 
     variant = "contraction"
@@ -301,46 +320,14 @@ class ContractionAdversary:
     def __init__(self, n: int, k: int, initial_coloring=None, initial_edges=None):
         if not 2 <= k <= n:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-        self.n = n
-        self.k = k
-        self.masks, chi = _initial_state(n, k, initial_coloring, initial_edges)
-        self.color = list(chi.colors)
-        self.cls = list(range(n))
-        self.ledger = QueryLedger()
+        super().__init__(n, k, *_initial_state(n, k, initial_coloring, initial_edges))
 
-    def membership_query(self, x: int, y: int) -> int:
-        n = self.n
-        if not (0 <= x < n > y >= 0 and x != y):
-            _validated_pair(x, y, n)
-        cx, cy = self.cls[x], self.cls[y]
-        masks, color = self.masks, self.color
-        answer = int(cx == cy)
-        if not answer and color[cx] == color[cy]:
-            small = cx if masks[cx].bit_count() < self.k - 1 else cy
-            if masks[small].bit_count() < self.k - 1:
-                # recolor: the least color held by no neighbor and not by the
-                # other endpoint, which shares small's color. Fewer than k-1
-                # neighbors leave one free (bit 0 stands for the unused 0).
-                blocked = 1 | 1 << color[small]
-                nbrs = masks[small]
-                while nbrs:
-                    low = nbrs & -nbrs
-                    blocked |= 1 << color[low.bit_length() - 1]
-                    nbrs ^= low
-                color[small] = (~blocked & (blocked + 1)).bit_length() - 1
-                assert color[small] <= self.k, "small vertex lost all admissible colors"
-            else:
-                # contract: same-colored classes are not adjacent, as contract needs
-                a, b = min(cx, cy), max(cx, cy)
-                self.masks = list(contract(masks, a, b))
-                del color[b]
-                self.cls = [a if c == b else c - (c > b) for c in self.cls]
-                answer = 1
-        if not answer:
-            masks[cx] |= 1 << cy
-            masks[cy] |= 1 << cx
-        self.ledger.append("alpha", (x, y), answer)
-        return answer
+    def _separates(self, x: int, y: int) -> bool:
+        # the new edge counts in both degrees, so small means below k here;
+        # fewer than k neighbours always leave a small class a free color
+        masks, k = self.masks, self.k
+        small = self.cls[x] if masks[self.cls[x]].bit_count() < k else self.cls[y]
+        return masks[small].bit_count() < k and self._recolor(small)
 
     def chi_partition(self) -> Partition:
         """Color classes lifted through `cls` to original labels."""
@@ -348,5 +335,4 @@ class ContractionAdversary:
         return Partition.from_labels([color[c] for c in self.cls])
 
     def declare(self, claimed: Partition) -> AuditVerdict:
-        return _audit(self, claimed, "contracted graph has a unique consistent partition",
-                      cls=self.cls)
+        return _audit(self, claimed, "contracted graph has a unique consistent partition")

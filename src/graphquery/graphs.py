@@ -215,8 +215,8 @@ def contract(h: Sequence[int], a: int, b: int) -> tuple[int, ...]:
     """H / ab for non-adjacent a < b: b merged into a, the vertices above b
     moved down one label.
 
-    H is a graph as neighbour bitmasks. The minimax alpha game and
-    `ContractionAdversary` both contract their auxiliary graph with it.
+    H is a graph as neighbour bitmasks. The minimax alpha game and every
+    adversary contract their auxiliary graph with it.
     """
     low = (1 << b) - 1
     bit_a, bit_b = 1 << a, 1 << b

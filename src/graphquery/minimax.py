@@ -48,7 +48,7 @@ be memo hits, so the memos end the same. With k unknown at n = 6 the game
 makes 794 contractions and 598 `code` calls instead of 1,318 and 1,011.
 H is stored as a tuple of neighbour bitmasks over its classes, labelled in
 order of their least vertex, and H / ab is `graphs.contract`, which keeps
-that order. `ContractionAdversary` stores its quotient in the same form and
+that order. Every adversary stores its quotient in the same form and
 contracts it with the same function.
 
 Alpha_m (pooled) games keep bitmask states over the candidate list: a

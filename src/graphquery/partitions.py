@@ -33,20 +33,33 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
+        # one pass: each block ascends inside 0..n-1, the blocks' first
+        # members ascend, and the bitmask `seen` of the vertices so far
+        # catches a repeat, so n distinct vertices below n cover 0..n-1.
+        # A vertex becomes a bit only once it lies between its block's
+        # ends, so a stray huge label is rejected, never allocated.
+        n = sum(map(len, self.blocks))
+        seen = 0
+        first = -1
+        ordered = True
         for block in self.blocks:
             if not block:
                 raise ValueError("empty block")
-            if list(block) != sorted(block):
-                raise ValueError("blocks must be sorted; use from_blocks()")
+            if block[0] <= first:
+                ordered = False
+            first = prev = block[0]
+            last = block[-1]
+            if first < 0 or last >= n:
+                raise ValueError("blocks must cover 0..n-1 exactly")
             for v in block:
-                if v in seen:
+                if not prev <= v <= last:
+                    raise ValueError("blocks must be sorted; use from_blocks()")
+                bit = 1 << v
+                if seen & bit:
                     raise ValueError(f"vertex {v} appears twice")
-                seen.add(v)
-        n = len(seen)
-        if seen != set(range(n)):
-            raise ValueError("blocks must cover 0..n-1 exactly")
-        if [b[0] for b in self.blocks] != sorted(b[0] for b in self.blocks):
+                seen |= bit
+                prev = v
+        if not ordered:
             raise ValueError("blocks must be ordered by smallest element; use from_blocks()")
 
     @classmethod

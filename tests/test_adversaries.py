@@ -47,10 +47,11 @@ def test_separability_walkthrough_answers():
     assert (1, 2) in mask_edges(adv.masks)
     assert adv.chi.colors[1] != adv.chi.colors[2]
     assert adv.membership_query(0, 2) == 0
-    # inseparable: answer 1 and leave the graph alone
+    # inseparable: answer 1 and contract the pair, keeping every edge
     edges_before = mask_edges(adv.masks)
     assert adv.membership_query(0, 1) == 1
-    assert mask_edges(adv.masks) == edges_before
+    assert adv.cls == [0, 0, 1, 2, 3, 4]
+    assert adv.masks == _quotient_masks(5, edges_before, adv.cls.__getitem__)
     assert adv.ledger.count == 4
     assert [e.answer for e in adv.ledger] == [0, 0, 0, 1]
 
@@ -80,7 +81,7 @@ def test_separability_repeats_are_consistent_and_ledgered():
     searches, masks = SEARCH_STATS["invocations"], list(adv.masks)
     assert adv.membership_query(0, 1) == 1  # inseparable repeats answer 1
     assert adv.ledger.count == 6
-    # a repeat is answered from the forced edges, without a search
+    # a repeat inside one class is answered without a search
     assert SEARCH_STATS["invocations"] == searches and adv.masks == masks
     unknown = UnknownCountAdversary(4, 3)
     for pair in [(2, 3), (0, 2), (0, 3), (1, 2), (1, 3)]:
@@ -90,7 +91,7 @@ def test_separability_repeats_are_consistent_and_ledgered():
     for _ in range(3):
         assert unknown.membership_query(1, 0) == 1
     assert SEARCH_STATS["invocations"] == searches and unknown.masks == masks
-    assert unknown.forced_edges == {(0, 1)}
+    assert unknown.cls == [0, 0, 1, 2]
     assert [e.answer for e in unknown.ledger][-4:] == [1, 1, 1, 1]
 
 
@@ -101,8 +102,7 @@ def test_separability_rejects_self_query():
 
 
 def _adversary_state(adv) -> tuple:
-    extra = (list(adv.cls),) if adv.variant == "contraction" else (list(adv.classes), set(adv.forced_edges))
-    return (adv.ledger.count, list(adv.masks), list(adv.color), *extra)
+    return adv.ledger.count, list(adv.masks), list(adv.color), list(adv.classes), list(adv.cls)
 
 
 @pytest.mark.parametrize("make", [lambda: SeparabilityAdversary(5, 3),
@@ -168,7 +168,9 @@ def test_separability_random_stream_invariants(seed):
         if x == y:
             continue
         adv.membership_query(x, y)
-        assert adv.chi.is_proper(Graph.from_edges(adv.n, mask_edges(adv.masks)))
+        zeros = [e.args for e in adv.ledger if not e.answer]
+        assert adv.masks == _quotient_masks(len(adv.masks), zeros, adv.cls.__getitem__)
+        assert adv.chi.is_proper(Graph.from_edges(adv.n, zeros))
         assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
     # edges only ever come from 0-answers
     assert len(mask_edges(adv.masks)) <= sum(1 for e in adv.ledger if e.answer == 0)
@@ -192,14 +194,14 @@ def test_unknown_count_fresh_pair_separates():
     adv = UnknownCountAdversary(4, 2)
     assert adv.chi.colors[0] == adv.chi.colors[1] == 1
     assert adv.membership_query(0, 1) == 0
-    assert (0, 1) in mask_edges(adv.masks) and not adv.forced_edges
+    assert (0, 1) in mask_edges(adv.masks) and adv.cls == [0, 1, 2, 3]
     assert adv.chi.colors[0] != adv.chi.colors[1]
 
 
 def test_unknown_count_single_color_always_yes():
     adv = UnknownCountAdversary(3, 1)
     assert adv.membership_query(0, 1) == 1
-    assert (0, 1) in adv.forced_edges and not mask_edges(adv.masks)
+    assert adv.cls == [0, 0, 1] and adv.masks == [0, 0]
 
 
 def test_unknown_count_forced_pair_after_near_clique():
@@ -208,20 +210,22 @@ def test_unknown_count_forced_pair_after_near_clique():
         assert adv.membership_query(*pair) == 0
     # the auxiliary graph is now a 4-clique minus {0,1}; the pair is stuck
     assert adv.membership_query(0, 1) == 1
-    assert (0, 1) in adv.forced_edges
+    assert adv.cls == [0, 0, 1, 2]  # contracted into one class
     assert adv.membership_query(0, 1) == 1
-    assert len(adv.forced_edges) == 1  # recorded at most once
+    assert adv.cls == [0, 0, 1, 2] and adv.masks == [0b110, 0b101, 0b011]
 
 
 def test_unknown_count_certificate_and_auxiliary_edges_disjoint():
+    # no pair inside a certificate class was answered 0, no class is its own
+    # neighbour, and chi colors each class alike
     rng = random.Random(7)
     adv = UnknownCountAdversary(6, 2)
     for _ in range(30):
         x, y = rng.sample(range(6), 2)
         adv.membership_query(x, y)
-        assert adv.forced_edges.isdisjoint(mask_edges(adv.masks))
-        for u, v in adv.forced_edges:
-            assert adv.chi.colors[u] == adv.chi.colors[v]
+        assert all(adv.cls[e.args[0]] != adv.cls[e.args[1]] for e in adv.ledger if not e.answer)
+        assert not any(nbrs >> i & 1 for i, nbrs in enumerate(adv.masks))
+        assert all(adv.chi.colors[v] == adv.chi.colors[adv.cls.index(adv.cls[v])] for v in range(6))
         assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
 
 
@@ -233,7 +237,7 @@ def test_unknown_count_refutes_finer_certificate():
     assert adv.membership_query(1, 2) == 0
     assert adv.membership_query(2, 3) == 0
     assert adv.membership_query(0, 2) == 1
-    certificate = connected_components(adv.forced_graph_view())
+    certificate = Partition.from_labels(adv.cls)
     assert certificate.k == 3  # {0,2} plus two singletons
     verdict = adv.declare(certificate)
     assert not verdict.forced
@@ -246,7 +250,7 @@ def test_unknown_count_forced_run():
     verdict = adv.declare(result.answer)
     assert verdict.forced
     assert result.queries_used >= bounds.membership_unknown_count(6, 3)
-    assert connected_components(adv.forced_graph_view()) == result.answer
+    assert Partition.from_labels(adv.cls) == result.answer
 
 
 # Contraction walkthrough: n=6, k=3, four edges already down, same coloring
@@ -337,7 +341,9 @@ def test_unknown_count_certificate_refines_every_consistent_partition():
         for _ in range(rng.randint(0, 10)):
             x, y = rng.sample(range(n), 2)
             adv.membership_query(x, y)
-        certificate = connected_components(adv.forced_graph_view())
+        certificate = Partition.from_labels(adv.cls)
+        yes_graph = Graph.from_edges(n, [e.args for e in adv.ledger if e.answer])
+        assert certificate == connected_components(yes_graph)
         no_pairs = [(e.args[0], e.args[1]) for e in adv.ledger if e.answer == 0]
         yes_pairs = [(e.args[0], e.args[1]) for e in adv.ledger if e.answer == 1]
         consistent = _consistent_partitions(n, no_pairs, yes_pairs)
@@ -515,7 +521,7 @@ def test_random_pair_stream_transcripts_are_frozen(variant):
 # learner at n=12, k=3 on the orders random.Random(s).shuffle, s = 0..3
 PINNED_SEARCH_NODES = {
     "separability": (0, 1308),
-    "unknown-count": (37288, 1308),
+    "unknown-count": (16485, 12),
     "contraction": (0, 1308),
 }
 
@@ -622,8 +628,8 @@ def _raw_streams(draw):
 @settings(max_examples=150, deadline=None)
 @given(_raw_streams())
 def test_any_valid_query_stream(run):
-    # after every query the ledger replays on the coloring's classes and the
-    # coloring is proper on the stored masks; the final audit of those
+    # after every query the ledger replays on the reported classes and the
+    # working coloring is proper on the stored masks; the final audit of those
     # classes is forced iff brute force finds them the only partition that
     # fits the ledger, with at most k blocks when k is public
     variant, n, k, stream = run
@@ -631,10 +637,8 @@ def test_any_valid_query_stream(run):
     for x, y in stream:
         adv.membership_query(x, y)
         assert replay_matches_partition(adv.ledger.entries, adv.chi_partition())
-        colors = adv.color if variant == "contraction" else adv.chi.colors
-        assert len(colors) == len(adv.masks) and all(1 <= c <= k for c in colors)
-        assert all(colors[i] != colors[j] for i, nbrs in enumerate(adv.masks)
-                   for j in range(len(adv.masks)) if nbrs >> j & 1)
+        assert len(adv.color) == len(adv.masks) and all(1 <= c <= k for c in adv.color)
+        assert all(adv.color[i] != adv.color[j] for i, j in mask_edges(adv.masks))
     claim = adv.chi_partition()
     no_pairs = [e.args for e in adv.ledger if e.answer == 0]
     yes_pairs = [e.args for e in adv.ledger if e.answer == 1]
@@ -664,14 +668,14 @@ def _quotient_masks(n: int, pairs, find) -> list[int]:
 
 @pytest.mark.parametrize("start", ["separability", "separability-initial", "unknown-count", "contraction"])
 def test_live_masks_and_coloring_track_the_auxiliary_graph(start):
-    # seeded pair streams with repeats and inseparable pairs; each answer is
-    # 0 iff brute force finds the pair separable, and after every query the
-    # masks hold exactly the starting edges and the pairs answered 0, the
-    # working coloring is proper on them, and chi is the start coloring up to
-    # the first separable pair the start colors alike, and the cold search's
-    # first coloring of the auxiliary graph from then on. The contraction
-    # adversary keeps the quotient: each class's mask holds the classes it
-    # was answered 0 against, and its streams re-ask pairs inside a class.
+    # seeded pair streams with repeats, inseparable pairs and pairs inside a
+    # class. After every query each adversary's masks hold the quotient, by
+    # the classes `cls`, of the starting edges and the pairs answered 0; the
+    # classes are the components of the pairs answered 1; and the working
+    # coloring is proper on the masks. The search adversaries answer 0 iff
+    # brute force finds the pair separable in the vertex graph G of those
+    # edges, and chi is the start coloring up to the first separable pair the
+    # start colors alike, and the cold search's first coloring of G from then on.
     rng = random.Random(f"live-masks/{start}")
     repeats = ones = inside = 0
     for _ in range(40):
@@ -689,43 +693,58 @@ def test_live_masks_and_coloring_track_the_auxiliary_graph(start):
             adv = SeparabilityAdversary(n, k, initial_coloring=start_colors, initial_edges=edges)
         else:
             k = rng.randint(2, min(4, n))
-            colors, edges = _random_start(n, k, rng) if rng.random() < 0.5 else (None, [])
-            adv = ContractionAdversary(n, k, initial_coloring=colors, initial_edges=edges)
-        if start != "contraction":
-            start_chi = Coloring(tuple(start_colors), k)
-            # the all-1 start is already the first coloring of the edgeless graph
-            switched = start == "unknown-count"
+            start_colors, edges = _random_start(n, k, rng) if rng.random() < 0.5 else (None, [])
+            adv = ContractionAdversary(n, k, initial_coloring=start_colors, initial_edges=edges)
+        start_chi = Coloring(tuple(start_colors), k) if start_colors else None
+        # the all-1 start is already the first coloring of the edgeless graph
+        switched = start == "unknown-count"
         asked = set()
         for _ in range(3 * n * n):
             x, y = rng.sample(range(n), 2)
             pair = (min(x, y), max(x, y))
             repeats += pair in asked
             asked.add(pair)
-            inside += start == "contraction" and adv.cls[x] == adv.cls[y]
-            if start != "contraction":
-                plus = list(adv.masks)
-                plus[x] |= 1 << y
-                plus[y] |= 1 << x
-                separable = bool(proper_partitions(plus, k, limit=1))
+            inside += adv.cls[x] == adv.cls[y]
+            zeros = edges + [e.args for e in adv.ledger if not e.answer]
+            separable = bool(proper_partitions(Graph.from_edges(n, zeros + [pair]), k, limit=1))
             answer = adv.membership_query(x, y)
             ones += answer
             zeros = edges + [e.args for e in adv.ledger if not e.answer]
+            assert adv.masks == _quotient_masks(len(adv.masks), zeros, adv.cls.__getitem__)
+            assert Partition.from_labels(adv.cls) == connected_components(
+                Graph.from_edges(n, [e.args for e in adv.ledger if e.answer]))
+            assert len(adv.color) == len(adv.masks) and all(1 <= c <= k for c in adv.color)
+            assert all(adv.color[i] != adv.color[j] for i, j in mask_edges(adv.masks))
             if start == "contraction":
-                assert adv.masks == _quotient_masks(len(adv.masks), zeros, adv.cls.__getitem__)
-                for i, nbrs in enumerate(adv.masks):
-                    assert 1 <= adv.color[i] <= adv.k
-                    assert all(adv.color[i] != adv.color[j] for j in range(len(adv.masks)) if nbrs >> j & 1)
                 continue
             assert answer == (not separable)
-            graph = Graph.from_edges(adv.n, mask_edges(adv.masks))
-            assert adv.masks == _quotient_masks(n, zeros, lambda v: v)
-            assert all(adv.color[i] != adv.color[j] for i, j in graph.edges)
+            graph = Graph.from_edges(n, zeros)
             switched = switched or (separable and start_colors[x] == start_colors[y])
             assert adv.chi == (find_k_coloring(graph, k) if switched else start_chi)
             assert adv.chi.is_proper(graph)
-    # a contraction stream contracts at most n - 1 times
-    assert repeats > 1000 and ones > (50 if start == "contraction" else 100)
-    assert (inside > 100) == (start == "contraction")
+    # a stream contracts at most n - 1 times
+    assert repeats > 1000 and ones > (50 if start == "contraction" else 100) and inside > 100
+
+
+@pytest.mark.parametrize("variant", ["separability", "unknown-count"])
+def test_chi_read_late_is_the_first_coloring_of_the_auxiliary_graph(variant):
+    # chi is read only once a stream ends, so a 0-answer may have made the
+    # cached coloring improper and a contraction may since have merged two
+    # classes it colors apart; chi must still be the start coloring while
+    # that is proper on the vertex graph G, and G's first coloring otherwise
+    rng = random.Random(f"late-chi/{variant}")
+    stale = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        k = rng.randint(1 if variant == "unknown-count" else 2, min(4, n))
+        adv = ADVERSARY_CLASSES[variant](n, k)
+        for _ in range(rng.randint(0, n * n)):
+            adv.membership_query(*rng.sample(range(n), 2))
+        graph = Graph.from_edges(n, [e.args for e in adv.ledger if not e.answer])
+        start = Coloring(tuple([1] * n if variant == "unknown-count" else [v % k + 1 for v in range(n)]), k)
+        stale += not start.is_proper(graph) and max(adv.cls) < n - 1
+        assert adv.chi == (start if start.is_proper(graph) else find_k_coloring(graph, k))
+    assert stale > 50
 
 
 # SHA-256 over every query, its answer and the coloring after it (contraction:
@@ -790,7 +809,7 @@ def test_a_search_that_gives_up_leaves_the_state_alone(monkeypatch):
     assert SEARCH_STATS["invocations"] == 0
 
     adv = _adversary_at_a_search()
-    state = list(adv.masks), list(adv.color), list(adv.classes), adv.chi
+    state = list(adv.masks), list(adv.color), list(adv.classes), list(adv.cls), adv.chi
 
     def give_up(*args, **kwargs):
         raise BudgetExceededError("stub search gave up")
@@ -798,8 +817,8 @@ def test_a_search_that_gives_up_leaves_the_state_alone(monkeypatch):
     monkeypatch.setattr(adversaries, "find_k_coloring", give_up)
     with pytest.raises(BudgetExceededError):
         adv.membership_query(0, 2)
-    assert (adv.masks, adv.color, adv.classes, adv.chi) == state
-    assert adv.forced_edges == set() and adv.ledger.count == 2
+    assert (adv.masks, adv.color, adv.classes, adv.cls, adv.chi) == state
+    assert adv.ledger.count == 2
 
 
 def test_a_new_coloring_is_checked_against_every_old_edge(monkeypatch):

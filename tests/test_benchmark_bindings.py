@@ -117,3 +117,36 @@ def test_traced_set_queries_pass_the_set_at_index_two(monkeypatch):
     for name, args, kwargs in calls:
         assert not kwargs and len(args) == 3
         assert len(args[2]) == sum(1 for _ in args[2])
+
+
+def test_wrapping_one_variant_leaves_the_others_alone():
+    # perfbench's adversaries.*.answer_s metrics wrap each variant's inherited
+    # membership_query on that variant's class, with setattr, and restore it
+    # with delattr; all three inherit one method, so a wrapper set on one
+    # variant must count only that variant's answers
+    variants = (adversaries.SeparabilityAdversary, adversaries.UnknownCountAdversary,
+                adversaries.ContractionAdversary)
+    wrapped = adversaries.UnknownCountAdversary
+    owner = next(cls for cls in wrapped.__mro__ if "membership_query" in vars(cls))
+    shared = vars(owner)["membership_query"]
+    assert all("membership_query" not in vars(cls) and cls.membership_query is shared
+               for cls in variants)
+    calls = []
+
+    def traced(*args, **kwargs):
+        calls.append(args[1:])
+        return shared(*args, **kwargs)
+
+    setattr(wrapped, "membership_query", traced)
+    try:
+        for cls in variants:
+            adv = cls(4, 2)
+            for pair in [(0, 1), (2, 3), (0, 2), (1, 3)]:
+                adv.membership_query(*pair)
+            assert adv.ledger.count == 4
+        assert calls == [(0, 1), (2, 3), (0, 2), (1, 3)]
+        assert all(cls.membership_query is shared for cls in variants if cls is not wrapped)
+        assert vars(owner)["membership_query"] is shared
+    finally:
+        delattr(wrapped, "membership_query")
+    assert all(cls.membership_query is shared for cls in variants)

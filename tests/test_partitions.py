@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import product
 
 import pytest
@@ -35,6 +36,21 @@ def test_partition_validation():
         Partition.from_blocks([[0], [2]])  # gap
     with pytest.raises(ValueError):
         Partition.from_blocks([[0], []])  # empty block
+    # the raw constructor takes canonical form only
+    for blocks, message in [
+        (((0, 2, 1), (3,)), "blocks must be sorted; use from_blocks()"),
+        (((1,), (0, 2)), "blocks must be ordered by smallest element; use from_blocks()"),
+        (((0, 1, 1), (2,)), "vertex 1 appears twice"),
+        (((0, 2), (1, 2)), "vertex 2 appears twice"),
+        (((-1, 0), (1,)), "blocks must cover 0..n-1 exactly"),
+        (((0, 1), (3,)), "blocks must cover 0..n-1 exactly"),
+        (((0,), ()), "empty block"),
+        (((0, 1 << 62, 2), (1,)), "blocks must be sorted; use from_blocks()"),
+        (((0, 1 << 62),), "blocks must cover 0..n-1 exactly"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Partition(blocks)
+    assert Partition(((0, 2), (1, 3), (4,))).n == 5
 
 
 def test_partition_json_round_trip():
