@@ -8,8 +8,11 @@ class of vertex v, `masks[i]` holds the classes adjacent to class i, and
 `color[i]` is class i's working color, proper on the quotient. A pair
 inside one class is answered 1. A pair across two differently colored
 classes becomes an edge and is answered 0. A contraction is
-`graphs.contract`, which keeps the labelling order, so searches and audits
-read the masks as stored and lift what they find through `cls`.
+`graphs.contract`, which keeps the labelling order, so `chi` and the audits
+read the masks as stored and lift what they find through `cls`. The cold
+search behind an answer only decides whether a coloring exists, so it runs
+high-degree first (`find_k_coloring(..., high_degree_first=True)`), which
+proves an inseparable pair in far fewer nodes than label order.
 
 The variants differ only in the rule for a pair of two same-colored
 classes. Two of them answer a pair 0 iff it is k-separable, that is, iff
@@ -89,7 +92,8 @@ def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[lis
 
 def _audit(adv, claimed: Partition, unique_detail: str, certificate=None) -> AuditVerdict:
     """The one audit: a limit-2 search of `adv`'s quotient, lifted through
-    `adv.cls` (vertex v lies in class cls[v]).
+    `adv.cls` (vertex v lies in class cls[v]) once some pair was contracted;
+    before that the quotient is the vertex graph itself.
 
     Forced iff the search finds a single consistent partition and it equals
     the claim; otherwise the witness is a consistent partition other than
@@ -102,9 +106,9 @@ def _audit(adv, claimed: Partition, unique_detail: str, certificate=None) -> Aud
         return AuditVerdict(
             False, certificate, "certificate components form a consistent refinement"
         )
-    cls = adv.cls
-    parts = [Partition.from_labels([p.block_mask(c) for c in cls])
-             for p in proper_partitions(adv.masks, adv.k, limit=2)]
+    parts = proper_partitions(adv.masks, adv.k, limit=2)
+    if len(adv.masks) < adv.n:  # some classes were contracted
+        parts = [Partition.from_labels([p.block_mask(c) for c in adv.cls]) for p in parts]
     if len(parts) == 1:
         if claimed == parts[0]:
             return AuditVerdict(True, None, unique_detail)
@@ -203,17 +207,20 @@ class _SeparabilityRule(_QuotientAdversary):
     the class of the pair's larger vertex, or failing that the other class,
     moves to a color that none of its neighbours holds; otherwise a cold
     search of the quotient decides, and the coloring it finds, if any,
-    becomes the working one.
+    becomes the working one. That search only decides colorability, so it
+    places the classes in non-increasing degree order, ties by label: with
+    the isolated classes last, a proof that no coloring exists ends soon.
 
     The answers and the quotient depend only on separability, not on which
     coloring is the working one, and neither does `chi`, the coloring of
     the vertices reported to callers. It is the start coloring until the
     first answer-0 pair that the start colors alike, and from then on the
-    first proper coloring of G in the search order. Lifting through `cls`
-    keeps the search order, so that is the first coloring of the quotient,
-    lifted. G only grows, so a cached chi that is still proper on it is
-    still first; `chi` searches only when it is read and the cached one is
-    no longer proper.
+    first proper coloring of G in label order. Lifting through `cls` keeps
+    label order, so that is the first coloring of the quotient, lifted. G
+    only grows, so a cached chi that is still proper on it is still first;
+    `chi` searches, in label order, only when it is read and the cached one
+    is no longer proper. The answer search's order thus moves only the
+    working coloring and the nodes spent.
     """
 
     def __init__(self, n: int, k: int, masks: list[int], start: Coloring):
@@ -245,7 +252,7 @@ class _SeparabilityRule(_QuotientAdversary):
         # the other class blocks the shared color, so a move leaves it
         if self._recolor(b) or self._recolor(a):
             return True
-        separating = find_k_coloring(self.masks, self.k)
+        separating = find_k_coloring(self.masks, self.k, high_degree_first=True)
         if separating is None:
             return False
         self.color = list(separating.colors)

@@ -521,7 +521,7 @@ def test_random_pair_stream_transcripts_are_frozen(variant):
 # learner at n=12, k=3 on the orders random.Random(s).shuffle, s = 0..3
 PINNED_SEARCH_NODES = {
     "separability": (0, 1308),
-    "unknown-count": (16485, 12),
+    "unknown-count": (108, 12),
     "contraction": (0, 1308),
 }
 
@@ -585,6 +585,23 @@ def test_shuffled_order_contraction_audit_stays_small():
     assert result.queries_used >= bounds.contraction_adversary_lower(21, 3)
     assert replay_matches_partition(adv.ledger.entries, result.answer)
     assert SEARCH_STATS["nodes"] < 1_000_000
+
+
+@pytest.mark.parametrize("n,k", [(18, 5), (20, 5), (30, 6)])
+def test_hidden_count_answers_on_shuffled_orders_stay_small(n, k):
+    # a label-order proof of inseparability places the isolated classes
+    # first and exhausts the 5M-node budget on these orders from n = 18 on;
+    # high-degree first proves each in a few dozen nodes
+    reset_search_stats()
+    for seed in range(4):
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        adv = UnknownCountAdversary(n, k)
+        result = learn_partition_representatives(adv, n, k_known=None, order=order)
+        assert adv.declare(result.answer).forced
+        assert result.queries_used == bounds.membership_unknown_count(n, k)
+        assert replay_matches_partition(adv.ledger.entries, result.answer)
+    assert SEARCH_STATS["nodes"] < 2_000
 
 
 @st.composite

@@ -77,13 +77,13 @@ def test_traced_entry_points_are_reached(monkeypatch):
 
 def test_traced_answer_entry_point_is_reached(monkeypatch):
     # perfbench's coloring.answer.* metrics wrap `adversaries.find_k_coloring`:
-    # an answer that takes the search and a read of chi each reach it once,
-    # and an answer settled by a free color does not reach it
+    # an answer that takes the search, separable or not, and a read of chi
+    # each reach it once, and an answer settled by a free color does not
     calls = []
     original = adversaries.find_k_coloring
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(adversaries, "find_k_coloring", counting)
@@ -98,6 +98,11 @@ def test_traced_answer_entry_point_is_reached(monkeypatch):
     assert len(calls) == 1
     assert adv.chi.colors == adv.chi.colors == (1, 2, 2, 1)  # computed once, then cached
     assert len(calls) == 2
+    # the path 1-0-2-3 colors 0 and 3 alike, so the search proves them
+    # inseparable by finding no coloring, and they are contracted
+    assert adv.membership_query(0, 3) == 1
+    assert calls == [{"high_degree_first": True}, {}, {"high_degree_first": True}]
+    assert adv.cls == [0, 1, 2, 0]
 
 
 def test_traced_set_queries_pass_the_set_at_index_two(monkeypatch):

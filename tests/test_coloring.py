@@ -123,6 +123,28 @@ def test_unique_colorability_takes_masks_and_matches_partition_count():
             assert SEARCH_STATS == spent
 
 
+def test_high_degree_first_decides_like_label_order():
+    # the separability answers decide colorability in non-increasing degree
+    # order: None exactly when label order finds nothing, and otherwise a
+    # proper coloring in the caller's labels, colors in 1..k
+    rng = random.Random(29)
+    colorable = moved = 0
+    for _ in range(2000):
+        n, k = rng.randint(1, 9), rng.randint(1, 5)
+        density = rng.random()
+        g = Graph.from_edges(n, [p for p in combinations(range(n), 2) if rng.random() < density])
+        expected = find_k_coloring(g, k)
+        for given_g in (g, g.adjacency_masks()):
+            got = find_k_coloring(given_g, k, high_degree_first=True)
+            assert (got is None) == (expected is None), (g.sorted_edges(), k)
+            if got is not None:
+                assert got.palette_size == k and got.n == n and got.is_proper(g)
+        colorable += expected is not None
+        moved += got != expected
+    # the relabelled search runs and often finds a coloring other than the first
+    assert 500 < colorable < 1500 and moved > 200
+
+
 def test_unique_colorability_counts_partitions_not_labelings():
     # oracle: path 0-1-2 has exactly one proper partition among 2^3 colorings
     parts = brute_force_proper_partitions(path_graph(3), 2)
