@@ -31,15 +31,27 @@ needs (`find_k_coloring` after one coloring, `proper_partitions` after
 `limit` partitions), and the search spends no node past the last solution
 read.
 
+A search books one invocation in `SEARCH_STATS` as it starts, and all its
+nodes at once as it ends: when it is exhausted, when it overruns the node
+budget, or when it is closed. A search its caller stops reading is closed
+as its last reference goes; the entry points below hold theirs only in
+locals, so every search they run is booked before they return. A caller
+that holds a suspended search itself sees its nodes only once it closes
+it.
+
 The searches are still exponential and intended for desk-scale inputs only.
 Every search reads the module constant `DEFAULT_NODE_BUDGET` when it starts
 and aborts with BudgetExceededError once it expands more nodes than that.
+Its memory does not grow with the palette: a search never opens more than
+n colors, whatever k is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from operator import and_
 
 from .graphs import Graph
 from .partitions import Partition
@@ -48,7 +60,10 @@ DEFAULT_NODE_BUDGET = 5_000_000
 
 # Instrumentation: every backtracking search bumps these, including the
 # alpha_m minimax game's candidate enumeration (one invocation per game).
-# Polynomial-time code paths must leave them untouched (tests rely on that).
+# A search books its invocation as it starts and its nodes once, as it is
+# exhausted, closed or overruns the budget, so a suspended search's nodes
+# are not here yet. Polynomial-time code paths must leave them untouched
+# (tests rely on that).
 SEARCH_STATS = {"invocations": 0, "nodes": 0}
 
 
@@ -93,23 +108,35 @@ def _search_colorings(masks: list[int], k: int):
     solutions as color tuples, lazily: the caller stops it by reading no
     further.
 
+    The countdown `budget` counts the nodes; `node_budget - budget` is
+    booked into `SEARCH_STATS["nodes"]` once, in a `finally` that runs when
+    the search is exhausted, raises BudgetExceededError or is closed
+    (explicitly, or as its last reference goes). Until then a suspended
+    search's nodes are not in `SEARCH_STATS`.
+
     The state is flat, per vertex: `colors[v]` (0 while unplaced),
     `saved[v]`, the value of near[colors[v]] before v took that color, and
-    `used[v]`, the number of colors in use before v. Each step of the loop
-    takes v's color back and gives v its next free one, then goes down to
-    v + 1, or back up to v - 1 when v has no color left.
+    `used[v]`, the number of colors in use before v (held in the local `u`
+    while v is placed). Each step of the loop takes v's color back and
+    gives v its next free one, then goes down to v + 1, or back up to
+    v - 1 when v has no color left.
 
     `near[c]` is the bitmask of vertices adjacent to some vertex colored c,
     so v may take c iff bit v of near[c] is clear. After a color is placed,
     a later vertex set in every near[1..k] has no color left, and the
     branch is cut there. Such a subtree holds no solution, so the cut
     changes neither the solutions nor their order, only the nodes spent.
+    `near` has a slot per color the search can open, min(k, n), plus
+    near[0] = -1, so the check is one AND over the whole list; it runs only
+    once all k colors are in use, so only when k <= n.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     n = len(masks)
     colors, saved, used = [0] * n, [0] * n, [0] * n
-    near = [0] * (k + 1)
+    # at most n colors ever open; near[0] stays -1, the AND's identity
+    near = [0] * (min(k, n) + 1)
+    near[0] = -1
     SEARCH_STATS["invocations"] += 1
     if not n:
         yield ()
@@ -117,42 +144,42 @@ def _search_colorings(masks: list[int], k: int):
 
     # read as the search starts, so that a test can patch the constant
     node_budget = budget = DEFAULT_NODE_BUDGET
-    v = 0
-    while v >= 0:
-        c = colors[v]
-        if c:
-            near[c] = saved[v]
-        bit = 1 << v
-        top = used[v] + 1 if used[v] < k else k
-        c += 1
-        while c <= top and near[c] & bit:
+    try:
+        v = 0
+        while v >= 0:
+            c = colors[v]
+            if c:
+                near[c] = saved[v]
+            bit = 1 << v
+            u = used[v]
+            top = u + 1 if u < k else k
             c += 1
-        if c > top:
-            colors[v] = 0
-            v -= 1
-            continue
-        budget -= 1
-        SEARCH_STATS["nodes"] += 1
-        if budget < 0:
-            raise BudgetExceededError(
-                f"coloring search exceeded {node_budget} node expansions"
-            )
-        colors[v] = c
-        saved[v] = near[c]
-        near[c] |= masks[v]
-        now_used = c if c > used[v] else used[v]
-        # with fewer than k colors in use, near[k] is still empty
-        if now_used == k:
-            dead = -1 << (v + 1)
-            for d in range(1, k + 1):
-                dead &= near[d]
-            if dead:
+            while c <= top and near[c] & bit:
+                c += 1
+            if c > top:
+                colors[v] = 0
+                v -= 1
                 continue
-        if v + 1 == n:
-            yield tuple(colors)
-        else:
-            v += 1
-            used[v] = now_used
+            budget -= 1
+            if budget < 0:
+                raise BudgetExceededError(
+                    f"coloring search exceeded {node_budget} node expansions"
+                )
+            colors[v] = c
+            saved[v] = near[c]
+            near[c] |= masks[v]
+            if c > u:
+                u = c
+            # with fewer than k colors in use, near[k] is still empty
+            if u == k and reduce(and_, near, -1 << (v + 1)):
+                continue
+            if v + 1 == n:
+                yield tuple(colors)
+            else:
+                v += 1
+                used[v] = u
+    finally:
+        SEARCH_STATS["nodes"] += node_budget - budget
 
 
 def _by_degree(masks: list[int]) -> tuple[list[int] | None, list[int]]:

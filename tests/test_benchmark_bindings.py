@@ -8,6 +8,8 @@ stop using it.
 
 import inspect
 
+import pytest
+
 from graphquery import adversaries, bounds, coloring, duel, enumeration, graphs, instances
 from graphquery import learners, ledger, minimax, oracles, partitions, _canon
 
@@ -155,3 +157,53 @@ def test_wrapping_one_variant_leaves_the_others_alone():
     finally:
         delattr(wrapped, "membership_query")
     assert all(cls.membership_query is shared for cls in variants)
+
+
+def test_traced_calls_see_their_own_nodes(monkeypatch):
+    # perfbench's coloring.{answer,audit,ukc}.nodes metrics are deltas of
+    # SEARCH_STATS["nodes"] taken around these three names, and a search
+    # books its nodes only as it ends or is closed: each traced call must
+    # close every search it runs before it returns, so that the deltas add
+    # up to all the nodes a run spends, an over-budget run included
+    deltas = []
+    for owner, name in ((adversaries, "find_k_coloring"), (adversaries, "proper_partitions"),
+                        (enumeration, "is_uniquely_k_colorable")):
+        original = getattr(owner, name)
+
+        def traced(*args, _original=original, **kwargs):
+            nodes = coloring.SEARCH_STATS["nodes"]
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                deltas.append(coloring.SEARCH_STATS["nodes"] - nodes)
+
+        monkeypatch.setattr(owner, name, traced)
+
+    def booked(run):
+        deltas.clear()
+        nodes = coloring.SEARCH_STATS["nodes"]
+        result = run()
+        spent = coloring.SEARCH_STATS["nodes"] - nodes
+        assert deltas and sum(deltas) == spent
+        return result, spent
+
+    adv = adversaries.UnknownCountAdversary(4, 3)
+    for pair in [(2, 3), (0, 2), (0, 3), (1, 2), (1, 3)]:
+        assert adv.membership_query(*pair) == 0
+    # no coloring separates 0 from 1: a search proves it by finding none
+    answer, spent = booked(lambda: adv.membership_query(0, 1))
+    assert answer == 1 and spent > 0
+    # chi is no longer the start coloring: a search finds the first one
+    chi, spent = booked(lambda: adv.chi)
+    assert chi.colors == (1, 1, 2, 3) and spent > 0
+    verdict, spent = booked(lambda: adv.declare(partitions.Partition.from_blocks([[0, 1], [2], [3]])))
+    assert verdict.forced and spent > 0
+    _, spent = booked(lambda: enumeration.verify_unique_colorable_edge_bound(5, 3))
+    assert spent > 0
+
+    def over_budget():
+        with pytest.raises(coloring.BudgetExceededError):
+            adversaries.SeparabilityAdversary(12, 6).declare(partitions.Partition.from_labels(range(12)))
+
+    monkeypatch.setattr(coloring, "DEFAULT_NODE_BUDGET", 10)
+    assert booked(over_budget) == (None, 11)

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -287,13 +288,33 @@ def test_search_stats_count_invocations():
     (lambda: find_k_coloring(empty_graph(12), 6), 12),
     (lambda: is_uniquely_k_colorable(path_graph(4), 2), 4),
     (lambda: proper_partitions(empty_graph(5), 3, limit=4), 9),
+    # no 3-coloring: the forward check cuts K4 once its third vertex takes
+    # color 3, and the 5-wheel (C5 plus hub 5) each time the rim uses all 3
+    (lambda: find_k_coloring(complete_graph(4), 3), 3),
+    (lambda: find_k_coloring(Graph.from_edges(6, [*cycle_graph(5).edges, *((v, 5) for v in range(5))]), 3), 7),
 ])
 def test_search_node_accounting_is_pinned(search, nodes):
-    # a node is booked as a vertex takes a color, and none past the last
-    # solution read
+    # a node is counted as a vertex takes a color, and none past the last
+    # solution read; a search's nodes are all booked when it returns
     reset_search_stats()
     search()
     assert SEARCH_STATS == {"invocations": 1, "nodes": nodes}
+
+
+def test_search_memory_does_not_grow_with_the_palette():
+    # a search opens at most n colors, so a palette of 10**6 costs what a
+    # palette of n does, and changes no coloring or partition
+    g, k = path_graph(4), 10**6
+    for search in (find_k_coloring, proper_partitions, is_uniquely_k_colorable):
+        tracemalloc.start()
+        try:
+            search(g, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, search.__name__
+    assert find_k_coloring(g, k) == Coloring(find_k_coloring(g, 4).colors, k)
+    assert proper_partitions(g, k) == proper_partitions(g, 4)
 
 
 def test_search_leaves_no_cyclic_garbage():
