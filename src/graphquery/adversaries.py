@@ -33,10 +33,12 @@ ContractionAdversary is the polynomial-time alternative: instead of
 separability searches it recolors low-degree classes and contracts
 high-degree ones.
 
-A learner's final claim is audited by `declare`, and all three audits run
-through the one function `_audit`: the claim is *forced* only if it is the
-single consistent partition, and otherwise the audit hands back a
-consistent partition other than the claim as a witness.
+A learner's final claim is audited by `declare`, which all three
+adversaries inherit from their one base class: the claim is *forced* only
+if it is the single consistent partition, and otherwise the audit hands
+back a consistent partition other than the claim as a witness. A variant
+supplies only the detail string of a forced verdict and, for the hidden
+count, the certificate the claim must equal.
 """
 
 from __future__ import annotations
@@ -90,35 +92,8 @@ def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[lis
     return graph.adjacency_masks(), chi
 
 
-def _audit(adv, claimed: Partition, unique_detail: str, certificate=None) -> AuditVerdict:
-    """The one audit: a limit-2 search of `adv`'s quotient, lifted through
-    `adv.cls` (vertex v lies in class cls[v]) once some pair was contracted;
-    before that the quotient is the vertex graph itself.
-
-    Forced iff the search finds a single consistent partition and it equals
-    the claim; otherwise the witness is a consistent partition other than
-    the claim, or the single one when the claim differs from it. A
-    `certificate` that differs from the claim refutes it before the search.
-    """
-    if claimed.n != adv.n:
-        raise ValueError("claimed partition is over the wrong vertex set")
-    if certificate is not None and certificate != claimed:
-        return AuditVerdict(
-            False, certificate, "certificate components form a consistent refinement"
-        )
-    parts = proper_partitions(adv.masks, adv.k, limit=2)
-    if len(adv.masks) < adv.n:  # some classes were contracted
-        parts = [Partition.from_labels([p.block_mask(c) for c in adv.cls]) for p in parts]
-    if len(parts) == 1:
-        if claimed == parts[0]:
-            return AuditVerdict(True, None, unique_detail)
-        return AuditVerdict(False, parts[0], "claim differs from the single consistent partition")
-    witness = parts[0] if parts[0] != claimed else parts[1]
-    return AuditVerdict(False, witness, "a second consistent partition exists")
-
-
 class _QuotientAdversary:
-    """State and query path shared by the three adversaries.
+    """State, query path and audit shared by the three adversaries.
 
     The state is the quotient (`masks`, `cls`) and its working proper
     coloring `color`, with `classes[c]` the bitmask of the classes colored
@@ -136,6 +111,8 @@ class _QuotientAdversary:
     subclass this as siblings, so patching one variant's methods (as a
     tracer does) never reaches another.
     """
+
+    forced_detail: str  # each variant's detail of a forced verdict
 
     def __init__(self, n: int, k: int, masks: list[int], start: Coloring):
         self.n = n
@@ -198,6 +175,38 @@ class _QuotientAdversary:
                     answer = 1
         self.ledger.append("alpha", (x, y), answer)
         return answer
+
+    def _certificate(self) -> Partition | None:
+        """A consistent partition the claim must equal, if the variant keeps one."""
+        return None
+
+    def declare(self, claimed: Partition) -> AuditVerdict:
+        """The one audit: a limit-2 search of the quotient, lifted through
+        `cls` (vertex v lies in class cls[v]) once some pair was contracted;
+        before that the quotient is the vertex graph itself.
+
+        Forced iff the search finds a single consistent partition and it
+        equals the claim; otherwise the witness is a consistent partition
+        other than the claim, or the single one when the claim differs from
+        it. A certificate that differs from the claim refutes it before the
+        search.
+        """
+        if claimed.n != self.n:
+            raise ValueError("claimed partition is over the wrong vertex set")
+        certificate = self._certificate()
+        if certificate is not None and certificate != claimed:
+            return AuditVerdict(
+                False, certificate, "certificate components form a consistent refinement"
+            )
+        parts = proper_partitions(self.masks, self.k, limit=2)
+        if len(self.masks) < self.n:  # some classes were contracted
+            parts = [Partition.from_labels([p.block_mask(c) for c in self.cls]) for p in parts]
+        if len(parts) == 1:
+            if claimed == parts[0]:
+                return AuditVerdict(True, None, self.forced_detail)
+            return AuditVerdict(False, parts[0], "claim differs from the single consistent partition")
+        witness = parts[0] if parts[0] != claimed else parts[1]
+        return AuditVerdict(False, witness, "a second consistent partition exists")
 
 
 class _SeparabilityRule(_QuotientAdversary):
@@ -264,24 +273,19 @@ class SeparabilityAdversary(_SeparabilityRule):
     """Answers for a hidden graph known to have exactly k components, 2 <= k <= n.
 
     The coloring starts balanced unless `initial_coloring` is given; it must
-    be proper on `initial_edges`.
+    be proper on `initial_edges`. The consistent partitions are exactly the
+    proper color-class partitions of the auxiliary graph (pairs answered 1
+    are inseparable, so every such partition keeps them together), so a
+    claim is forced iff the auxiliary graph pins down a single one.
     """
 
     variant = "separability"
+    forced_detail = "auxiliary graph has a unique consistent partition"
 
     def __init__(self, n: int, k: int, initial_coloring=None, initial_edges=None):
         if not 2 <= k <= n:
             raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
         super().__init__(n, k, *_initial_state(n, k, initial_coloring, initial_edges))
-
-    def declare(self, claimed: Partition) -> AuditVerdict:
-        """Forced iff the auxiliary graph pins down a single consistent partition.
-
-        The consistent partitions are exactly the proper color-class
-        partitions of the auxiliary graph (pairs answered 1 are inseparable,
-        so every such partition keeps them together automatically).
-        """
-        return _audit(self, claimed, "auxiliary graph has a unique consistent partition")
 
 
 class UnknownCountAdversary(_SeparabilityRule):
@@ -290,10 +294,14 @@ class UnknownCountAdversary(_SeparabilityRule):
     k is a construction parameter the learner never sees, 1 <= k <= n. The
     coloring starts with every vertex colored 1, and the classes, the
     components of the pairs answered 1, are the certificate the audit
-    inspects.
+    inspects. They always fit and refine every consistent partition, so a
+    claim is forced iff it equals them and the auxiliary graph admits no
+    second proper partition: it is the only partition, of any block count,
+    that fits.
     """
 
     variant = "unknown-count"
+    forced_detail = "certificate components and auxiliary graph agree"
 
     def __init__(self, n: int, k: int):
         if not 1 <= k <= n:
@@ -301,15 +309,8 @@ class UnknownCountAdversary(_SeparabilityRule):
         # all-1 is the first coloring of the edgeless graph
         super().__init__(n, k, [0] * n, Coloring((1,) * n, k))
 
-    def declare(self, claimed: Partition) -> AuditVerdict:
-        """Forced iff the claim is the only partition (of any block count) that fits.
-
-        The certificate components always fit and refine every consistent
-        partition, so the claim must equal them; the auxiliary graph must
-        additionally admit no second proper partition.
-        """
-        return _audit(self, claimed, "certificate components and auxiliary graph agree",
-                      certificate=Partition.from_labels(self.cls))
+    def _certificate(self) -> Partition:
+        return Partition.from_labels(self.cls)
 
 
 class ContractionAdversary(_QuotientAdversary):
@@ -323,6 +324,7 @@ class ContractionAdversary(_QuotientAdversary):
     """
 
     variant = "contraction"
+    forced_detail = "contracted graph has a unique consistent partition"
 
     def __init__(self, n: int, k: int, initial_coloring=None, initial_edges=None):
         if not 2 <= k <= n:
@@ -340,6 +342,3 @@ class ContractionAdversary(_QuotientAdversary):
         """Color classes lifted through `cls` to original labels."""
         color = self.color
         return Partition.from_labels([color[c] for c in self.cls])
-
-    def declare(self, claimed: Partition) -> AuditVerdict:
-        return _audit(self, claimed, "contracted graph has a unique consistent partition")

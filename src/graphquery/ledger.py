@@ -5,17 +5,17 @@ An alpha entry holds the queried pair; an alpha_m or beta entry holds
 it to. JSONL writes every set as a sorted list of vertices and loads it
 back as a VertexSet.
 
-`to_jsonl` formats the entries the oracles record itself: an alpha entry
-whose two vertices are plain ints, and a set entry whose vertex is a plain
-int and whose set is a VertexSet, its members listed from the mask. Any
-other entry, say one with a bool vertex or a frozenset, falls back to
-`LedgerEntry.to_json`, one `json.dumps` per entry. Both write the same
-bytes for the same entry.
+`to_jsonl` is the one writer. It writes every vertex as the int
+`operator.index` gives, so a bool or numpy-int vertex writes as a JSON
+integer that `from_jsonl` loads back, and a vertex that is not an integer
+raises TypeError at write time. A set is listed from its `VertexSet.of`
+mask, so any iterable of vertices writes as its sorted members.
 """
 
 from __future__ import annotations
 
 import json
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import VertexSet
@@ -33,15 +33,6 @@ class LedgerEntry(NamedTuple):
     kind: str
     args: tuple
     answer: int
-
-    def to_json(self, index: int) -> str:
-        """The entry as `json.dumps` writes it: the writer's fallback."""
-        if self.kind == "alpha":
-            args = list(self.args)
-        else:
-            v, subset = self.args
-            args = [v, sorted(subset)]
-        return json.dumps({"kind": self.kind, "args": args, "answer": self.answer, "index": index})
 
 
 class QueryLedger:
@@ -79,24 +70,19 @@ class QueryLedger:
         """One JSON object per entry, in the JSONL format the README
         documents; public so that a run can be stored as a replayable fixture."""
         lines = []
-        for i, entry in enumerate(self._entries):
-            kind, args, answer = entry  # append lets only the ints 0 and 1 in
-            if type(args) is tuple and len(args) == 2 and type(args[0]) is int:
-                v, other = args
-                if kind == "alpha" and type(other) is int:
-                    lines.append(f'{{"kind": "alpha", "args": [{v}, {other}], '
-                                 f'"answer": {answer}, "index": {i}}}\n')
-                    continue
-                if kind != "alpha" and type(other) is VertexSet:
-                    mask, members, base = other.mask, [], 0
-                    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
-                        for j in _BYTE_MEMBERS[byte]:
-                            members.append(base + j)
-                        base += 8
-                    lines.append(f'{{"kind": "{kind}", "args": [{v}, [{", ".join(map(str, members))}]], '
-                                 f'"answer": {answer}, "index": {i}}}\n')
-                    continue
-            lines.append(entry.to_json(i) + "\n")
+        # append lets only the kinds in KINDS and the ints 0 and 1 in
+        for i, (kind, (v, other), answer) in enumerate(self._entries):
+            if kind == "alpha":
+                lines.append(f'{{"kind": "alpha", "args": [{index(v)}, {index(other)}], '
+                             f'"answer": {answer}, "index": {i}}}\n')
+                continue
+            mask, members, base = VertexSet.of(other).mask, [], 0
+            for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+                for j in _BYTE_MEMBERS[byte]:
+                    members.append(base + j)
+                base += 8
+            lines.append(f'{{"kind": "{kind}", "args": [{index(v)}, [{", ".join(map(str, members))}]], '
+                         f'"answer": {answer}, "index": {i}}}\n')
         return "".join(lines)
 
     @classmethod

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -413,17 +414,32 @@ def test_contraction_forced_run_and_audit():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, message",
     [
-        lambda: SeparabilityAdversary(6, 3, initial_coloring=(1, 2)),
-        lambda: ContractionAdversary(6, 3, initial_coloring=(1, 2)),
-        lambda: ContractionAdversary(4, 3, initial_coloring=(1, 2, 3, 4)),
-        lambda: ContractionAdversary(4, 2, initial_edges=[(0, 9)]),
+        (lambda: SeparabilityAdversary(6, 3, initial_coloring=(1, 2)),
+         "initial coloring has 2 entries for 6 vertices"),
+        (lambda: ContractionAdversary(6, 3, initial_coloring=(1, 2)),
+         "initial coloring has 2 entries for 6 vertices"),
+        (lambda: ContractionAdversary(4, 3, initial_coloring=(1, 2, 3, 4)), "color 4 outside palette 1..3"),
+        (lambda: ContractionAdversary(4, 2, initial_edges=[(0, 9)]), "edge (0, 9) invalid for n=4"),
+        (lambda: SeparabilityAdversary(4, 1), "need 2 <= k <= n, got k=1, n=4"),
+        (lambda: SeparabilityAdversary(4, 5), "need 2 <= k <= n, got k=5, n=4"),
+        (lambda: ContractionAdversary(4, 1), "need 2 <= k <= n, got k=1, n=4"),
+        (lambda: ContractionAdversary(4, 5), "need 2 <= k <= n, got k=5, n=4"),
+        (lambda: UnknownCountAdversary(4, 0), "need 1 <= k <= n, got k=0, n=4"),
+        (lambda: UnknownCountAdversary(4, 5), "need 1 <= k <= n, got k=5, n=4"),
+        (lambda: SeparabilityAdversary(4, 2, initial_coloring=(1, 1, 2, 2), initial_edges=[(0, 1)]),
+         "initial coloring is not proper on the initial edges"),
+        (lambda: ContractionAdversary(4, 2, initial_coloring=(1, 2, 2, 1), initial_edges=[(1, 2)]),
+         "initial coloring is not proper on the initial edges"),
     ],
-    ids=["short-coloring", "contraction-short-coloring", "color-outside-palette", "edge-outside-range"],
+    ids=["short-coloring", "contraction-short-coloring", "color-outside-palette", "edge-outside-range",
+         "separability-k-below-2", "separability-k-above-n", "contraction-k-below-2",
+         "contraction-k-above-n", "unknown-count-k-below-1", "unknown-count-k-above-n",
+         "improper-coloring", "contraction-improper-coloring"],
 )
-def test_initial_arguments_are_validated(make):
-    with pytest.raises(ValueError):
+def test_initial_arguments_are_validated(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
 
 

@@ -127,36 +127,43 @@ def test_traced_set_queries_pass_the_set_at_index_two(monkeypatch):
 
 
 def test_wrapping_one_variant_leaves_the_others_alone():
-    # perfbench's adversaries.*.answer_s metrics wrap each variant's inherited
-    # membership_query on that variant's class, with setattr, and restore it
-    # with delattr; all three inherit one method, so a wrapper set on one
-    # variant must count only that variant's answers
+    # perfbench's adversaries.*.answer_s, declare_s and budget_errors metrics
+    # wrap each variant's inherited membership_query and declare on that
+    # variant's class, with setattr, and restore them with delattr; all three
+    # inherit one method of each name, so a wrapper set on one variant must
+    # see only that variant's answers and audits
     variants = (adversaries.SeparabilityAdversary, adversaries.UnknownCountAdversary,
                 adversaries.ContractionAdversary)
     wrapped = adversaries.UnknownCountAdversary
-    owner = next(cls for cls in wrapped.__mro__ if "membership_query" in vars(cls))
-    shared = vars(owner)["membership_query"]
-    assert all("membership_query" not in vars(cls) and cls.membership_query is shared
-               for cls in variants)
-    calls = []
+    claim = partitions.Partition.from_blocks([[0, 1], [2, 3]])
+    pairs = [(0, 1), (2, 3), (0, 2), (1, 3)]
 
-    def traced(*args, **kwargs):
-        calls.append(args[1:])
-        return shared(*args, **kwargs)
+    def session(cls):
+        adv = cls(4, 2)
+        for pair in pairs:
+            adv.membership_query(*pair)
+        return adv.ledger.count, adv.declare(claim)
 
-    setattr(wrapped, "membership_query", traced)
-    try:
-        for cls in variants:
-            adv = cls(4, 2)
-            for pair in [(0, 1), (2, 3), (0, 2), (1, 3)]:
-                adv.membership_query(*pair)
-            assert adv.ledger.count == 4
-        assert calls == [(0, 1), (2, 3), (0, 2), (1, 3)]
-        assert all(cls.membership_query is shared for cls in variants if cls is not wrapped)
-        assert vars(owner)["membership_query"] is shared
-    finally:
-        delattr(wrapped, "membership_query")
-    assert all(cls.membership_query is shared for cls in variants)
+    unwrapped = [session(cls) for cls in variants]
+    for name, expected in (("membership_query", pairs), ("declare", [(claim,)])):
+        owner = next(cls for cls in wrapped.__mro__ if name in vars(cls))
+        shared = vars(owner)[name]
+        assert all(name not in vars(cls) and getattr(cls, name) is shared for cls in variants)
+        calls = []
+
+        def traced(adv, *args, **kwargs):
+            calls.append((type(adv), args))
+            return shared(adv, *args, **kwargs)
+
+        setattr(wrapped, name, traced)
+        try:
+            assert [session(cls) for cls in variants] == unwrapped
+            assert calls == [(wrapped, args) for args in expected]
+            assert all(getattr(cls, name) is shared for cls in variants if cls is not wrapped)
+            assert vars(owner)[name] is shared
+        finally:
+            delattr(wrapped, name)
+        assert all(getattr(cls, name) is shared for cls in variants)
 
 
 def test_traced_calls_see_their_own_nodes(monkeypatch):

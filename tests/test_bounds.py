@@ -37,3 +37,10 @@ def test_information_lower_unknown_is_log2_of_the_bell_number():
     bell = [sum(_partition_counts(n).values()) for n in range(1, 11)]
     assert bell[:6] == [1, 2, 5, 15, 52, 203]
     assert tuple(math.ceil(math.log2(b)) for b in bell) == expected
+
+
+def test_bounds_reject_an_empty_input():
+    with pytest.raises(ValueError, match="^ceil_log2 needs a positive integer$"):
+        bounds.ceil_log2(0)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        bounds.learn_components_ceiling(0, 1)

@@ -172,6 +172,37 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "duel", "--learner", "reps-known", "--n", "4")
     assert code == 1  # neither adversary nor kind
+    for argv, message in [
+        (["learn-partition", "--kind", "edgeless"], "--kind needs --n"),
+        (["learn-partition"], "provide --graph FILE or --kind KIND"),
+        (["duel", "--learner", "reps-known", "--adversary", "separability", "--k", "2"],
+         "duel needs --n"),
+        (["enumerate-ukc", "--n", "4"], "enumerate-ukc needs --n and --k"),
+        (["enumerate-ukc", "--k", "2"], "enumerate-ukc needs --n and --k"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"graphquery: error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["minimax", "--n", "4", "--k", "2"], ["formula,k,match,minimax,n,oracle", "3,2,True,3,4,alpha"]),
+    (["minimax", "--n", "4", "--oracle", "alpha_m"],
+     ["formula,k,match,minimax,n,oracle", "4,,True,4,4,alpha_m"]),
+], ids=["alpha", "alpha_m"])
+def test_single_row_csv_sorts_keys_and_leaves_none_empty(capsys, argv, lines):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and out == "".join(line + "\r\n" for line in lines)
+
+
+def test_single_row_csv_writes_nested_values_as_json_cells(capsys):
+    argv = ["enumerate-ukc", "--n", "4", "--k", "2"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert header == ["k", "ok", "rows"] and row[:2] == ["2", "True"]
+    _, payload, _ = run_cli(capsys, *argv)
+    rows = json.loads(payload)["rows"]
+    assert json.loads(row[2]) == rows and [r["n"] for r in rows] == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("argv", [

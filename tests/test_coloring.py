@@ -74,6 +74,8 @@ def test_find_coloring_output_is_proper_and_deterministic():
 def test_find_coloring_rejects_bad_inputs():
     with pytest.raises(ValueError):
         find_k_coloring(path_graph(3), 0)
+    with pytest.raises(ValueError, match="^palette must have at least one color$"):
+        Coloring((1, 1), 0)
     with pytest.raises(ValueError):
         is_k_separable(path_graph(3), 0, 1, 2)  # an edge
     with pytest.raises(ValueError):

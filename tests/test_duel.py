@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from graphquery import bounds
-from graphquery.duel import grid_duel, run_duel
+from graphquery.duel import grid_duel, run_duel, run_honest
+from graphquery.graphs import empty_graph
 
 
 def test_duel_known_count_vs_separability():
@@ -40,6 +43,19 @@ def test_duel_beta_style_recovery_is_separate():
         run_duel("reps-known", "nonesuch", 6, 3)
     with pytest.raises(ValueError):
         run_duel("reps-known", "separability", 6, 3, order="prop1")
+    with pytest.raises(ValueError, match="^unknown learner 'bogus'; choose from "):
+        run_duel("bogus", "separability", 6, 3)
+    hidden = empty_graph(4)
+    for learner, kwargs, message in [
+        ("bogus", {}, "unknown learner 'bogus'; choose from "),
+        ("reps-known", {"order": "desc"}, "order must be one of "),
+        ("reps-known", {"candidate": hidden}, "a candidate graph goes with neighborhood-verify, and only with it"),
+        ("neighborhood-verify", {}, "a candidate graph goes with neighborhood-verify, and only with it"),
+        ("neighborhood-verify", {"candidate": empty_graph(5)},
+         "candidate and hidden graphs have different vertex counts"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            run_honest(learner, hidden, "edgeless", **kwargs)
 
 
 def test_duel_report_round_trip():

@@ -78,10 +78,12 @@ def test_edge_list_comments_and_blanks():
         "3 1\n1 0\n",  # u >= v
         "3 1\n0 3\n",  # endpoint out of range
         "3 2\n0 1\n0 1\n",  # duplicate
+        "3 1\n0 1 2\n",  # three fields
     ],
 )
 def test_edge_list_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    message = {"3 1\n0 1 2\n": "^bad edge line '0 1 2'$"}.get(text)
+    with pytest.raises(ValueError, match=message):
         parse_edge_list(text)
 
 

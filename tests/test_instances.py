@@ -24,6 +24,9 @@ def test_worst_case_edge_cases():
     assert worst_case_graph(4, 4).m == 0  # all isolated
     with pytest.raises(ValueError):
         worst_case_graph(3, 4)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n=3$"):
+            random_partition_exactly(3, k, random.Random(0))
 
 
 def test_generate_instance_kinds():

@@ -50,6 +50,13 @@ def test_representatives_validates_inputs():
         learn_partition_representatives(session, 3, k_known=4)
     with pytest.raises(ValueError):
         learn_partition_representatives(session, 3, order=[0, 1])
+    for learner in (learn_partition_representatives, learn_partition_all_pairs,
+                    learn_components_multi, learn_graph_neighborhood):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            learner(session, 0)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        count_components_multi(session, -1)
+    assert session.ledger.count == 0
 
 
 def test_representatives_reports_contradictory_k():

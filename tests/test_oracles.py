@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from graphquery.learners import (
     count_components_multi,
     learn_components_multi,
     learn_graph_neighborhood,
+    learn_partition_representatives,
     verify_graph_neighborhood,
 )
 from graphquery.ledger import (
@@ -142,6 +144,66 @@ def test_ledger_jsonl_round_trip(oracle):
     assert '"kind": "alpha"' in lines[0] or '"kind":"alpha"' in lines[0].replace(" ", "")
     back = QueryLedger.from_jsonl(text)
     assert back.entries == oracle.ledger.entries
+    assert back.to_jsonl() == text
+    # blank lines, as a file edited by hand may hold, are skipped
+    assert QueryLedger.from_jsonl("\n" + text.replace("\n", "\n  \n")).entries == back.entries
+    assert replay_on_session(back.entries, HonestOracle(oracle.hidden))
+    pooled = [e for e in back if e.kind != "beta"]
+    assert len(pooled) == 2 and replay_matches_partition(pooled, oracle.hidden_partition)
+
+
+def _reps_on_adversary(cls, order=None):
+    adv = cls(12, 3)
+    known = None if cls is UnknownCountAdversary else 3
+    return adv.ledger, learn_partition_representatives(adv, 12, known, order).answer
+
+
+def _reps_on_honest_numpy_order():
+    session = HonestOracle(random_partition_graph(12, 3, seed=5))
+    learn_partition_representatives(session, 12, order=list(np.arange(12)))
+    assert all(type(e.args[1]) is np.int64 for e in session.ledger)
+    return session.ledger, session.hidden_partition
+
+
+def _honest_bool_and_numpy_vertices():
+    session = HonestOracle(random_partition_graph(6, 2, seed=1))
+    session.membership_query(True, np.int64(4))
+    session.membership_query(np.int64(0), np.int64(5))
+    session.multi_membership_query(np.int64(2), [True, np.int64(3)])
+    session.multi_membership_query(False, VertexSet.of([np.int64(5)]))
+    session.neighborhood_query(True, [np.int64(0), 2])
+    assert '"args": [1, 4]' in session.ledger.to_jsonl().splitlines()[0]
+    return session.ledger, session.hidden_partition
+
+
+def _adversary_bool_and_numpy_vertices():
+    adv = SeparabilityAdversary(6, 2)
+    for pair in [(True, np.int64(3)), (np.int64(4), False), (False, 2)]:
+        adv.membership_query(*pair)
+    return adv.ledger, adv.chi_partition()
+
+
+@pytest.mark.parametrize("session", [
+    lambda: _reps_on_adversary(SeparabilityAdversary),
+    lambda: _reps_on_adversary(UnknownCountAdversary),
+    lambda: _reps_on_adversary(ContractionAdversary),
+    lambda: _reps_on_adversary(UnknownCountAdversary, list(np.arange(12))),
+    _reps_on_honest_numpy_order,
+    _honest_bool_and_numpy_vertices,
+    _adversary_bool_and_numpy_vertices,
+], ids=["separability", "unknown-count", "contraction", "unknown-count-numpy-order",
+        "honest-numpy-order", "honest-bool-and-numpy-vertices", "adversary-bool-and-numpy-vertices"])
+def test_every_session_ledger_round_trips(session):
+    # from_jsonl reads back what to_jsonl writes, byte for byte, whatever
+    # int type the vertices had, and the reloaded entries replay on the
+    # partition the session answered for
+    ledger, partition = session()
+    text = ledger.to_jsonl()
+    assert "true" not in text and "false" not in text
+    back = QueryLedger.from_jsonl(text)
+    assert back.to_jsonl() == text and back.entries == ledger.entries
+    assert all(type(e.args[0]) is int for e in back)
+    assert replay_matches_partition([e for e in back if e.kind != "beta"], partition)
 
 
 def test_ledger_rejects_bad_entries():
@@ -190,25 +252,32 @@ def test_ledger_rejects_bad_entries():
 
 
 def test_jsonl_writer_writes_what_json_dumps_writes():
-    # the entries an oracle records take the writer's own formatting; a
-    # bool vertex or a frozenset takes the json.dumps fallback
-    ledger = QueryLedger()
-    for kind, args, answer in [
-        ("alpha", (3, 1), 0),
-        ("alpha", (True, 2), 1),
-        ("alpha_m", (2, VertexSet.of([0, 5, 130])), 1),
-        ("beta", (0, VertexSet()), 0),
-        ("beta", (4, VertexSet.of([1, 3])), 1),
-        ("beta", (0, frozenset({1, 7, 2})), 0),
-        ("alpha_m", (False, VertexSet.of([1])), 0),
+    # one writer for every entry: a frozenset writes as its sorted members,
+    # and a bool vertex as the JSON integer from_jsonl loads, not true/false
+    ledger, written = QueryLedger(), []
+    for kind, args, answer, json_args in [
+        ("alpha", (3, 1), 0, None),
+        ("alpha", (True, 2), 1, [1, 2]),
+        ("alpha_m", (2, VertexSet.of([0, 5, 130])), 1, None),
+        ("beta", (0, VertexSet()), 0, None),
+        ("beta", (4, VertexSet.of([1, 3])), 1, None),
+        ("beta", (0, frozenset({1, 7, 2})), 0, None),
+        ("alpha_m", (False, VertexSet.of([1])), 0, [0, [1]]),
     ]:
-        ledger.append(kind, args, answer)
+        e = ledger.append(kind, args, answer)
+        written.append(json_args or (list(e.args) if e.kind == "alpha" else [e.args[0], sorted(e.args[1])]))
     expected = "".join(
-        json.dumps({"kind": e.kind,
-                    "args": list(e.args) if e.kind == "alpha" else [e.args[0], sorted(e.args[1])],
-                    "answer": e.answer, "index": i}) + "\n"
-        for i, e in enumerate(ledger))
+        json.dumps({"kind": e.kind, "args": args, "answer": e.answer, "index": i}) + "\n"
+        for i, (e, args) in enumerate(zip(ledger, written)))
     assert ledger.to_jsonl() == expected
+    assert QueryLedger.from_jsonl(expected).to_jsonl() == expected
+    # a vertex that is not an integer raises here, not in from_jsonl
+    for kind, args in [("alpha", (1.0, 2)), ("alpha", (0, "3")), ("alpha_m", (2.5, VertexSet.of([0]))),
+                       ("beta", (0, frozenset({1.0})))]:
+        ledger = QueryLedger()
+        ledger.append(kind, args, 0)
+        with pytest.raises(TypeError):
+            ledger.to_jsonl()
 
 
 def test_every_query_appends_one_ledger_entry(monkeypatch, figure_partition_graph):
@@ -251,6 +320,10 @@ def test_replay_against_partition(oracle):
     assert replay_matches_partition(oracle.ledger.entries, truth)
     wrong = Partition.from_blocks([[0, 4], [1, 2], [3, 5]])
     assert not replay_matches_partition(oracle.ledger.entries, wrong)
+    # the alpha entries agree with this one, and only the set entry does not
+    alpha_only = Partition.from_blocks([[0, 1, 5], [2, 3, 4]])
+    assert replay_matches_partition(oracle.ledger.entries[:2], alpha_only)
+    assert not replay_matches_partition(oracle.ledger.entries, alpha_only)
 
 
 def test_replay_on_fresh_session(oracle, figure_partition_graph):
@@ -280,6 +353,8 @@ def test_declare_checks_ground_truth(oracle):
     assert oracle.declare(truth).forced
     verdict = oracle.declare(Partition.from_labels(range(6)))
     assert not verdict.forced and verdict.witness == truth
+    with pytest.raises(ValueError, match="^claimed partition is over the wrong vertex set$"):
+        oracle.declare(Partition.from_labels(range(5)))
 
 
 def test_pooled_and_neighborhood_answers_match_brute_force():
