@@ -33,18 +33,19 @@ ContractionAdversary is the polynomial-time alternative: instead of
 separability searches it recolors low-degree classes and contracts
 high-degree ones.
 
-A learner's final claim is audited by `declare`, which all three
-adversaries inherit from their one base class: the claim is *forced* only
-if it is the single consistent partition, and otherwise the audit hands
-back a consistent partition other than the claim as a witness. A variant
-supplies only the detail string of a forced verdict and, for the hidden
-count, the certificate the claim must equal.
+The one base class builds and checks every start state, and holds the one
+audit, `declare`: a claim is *forced* only if it is the single consistent
+partition, and otherwise the audit hands back a consistent partition other
+than the claim as a witness. A variant declares its id, k range, forced
+bound and forced-verdict detail as class constants; the hidden-count
+variant adds the certificate the claim must equal.
 """
 
 from __future__ import annotations
 
 from operator import and_
 
+from . import bounds
 from .coloring import Coloring, find_k_coloring, proper_partitions
 from .graphs import Graph, contract
 from .ledger import QueryLedger
@@ -76,22 +77,6 @@ def _is_proper(masks: list[int], colors, classes: list[int]) -> bool:
     return not any(map(and_, masks, map(classes.__getitem__, colors)))
 
 
-def _initial_state(n: int, k: int, initial_coloring, initial_edges) -> tuple[list[int], Coloring]:
-    """Neighbour bitmasks of the validated starting edges, and a proper
-    coloring of them; the coloring defaults to balanced."""
-    graph = Graph.from_edges(n, initial_edges or ())
-    # built from a list, not a generator: CPython resizes a tuple it builds
-    # from a generator, and its per-length tuple free lists then keep one
-    # more block each time, so many adversaries in one process grow its memory
-    colors = tuple(initial_coloring) if initial_coloring else tuple([v % k + 1 for v in range(n)])
-    if len(colors) != n:
-        raise ValueError(f"initial coloring has {len(colors)} entries for {n} vertices")
-    chi = Coloring(colors, k)
-    if not chi.is_proper(graph):
-        raise ValueError("initial coloring is not proper on the initial edges")
-    return graph.adjacency_masks(), chi
-
-
 class _QuotientAdversary:
     """State, query path and audit shared by the three adversaries.
 
@@ -109,19 +94,37 @@ class _QuotientAdversary:
     its own color class, so a clash anywhere fails, not only one at a moved
     class. A repeat counts in the ledger like any other query. The variants
     subclass this as siblings, so patching one variant's methods (as a
-    tracer does) never reaches another.
+    tracer does) never reaches another. The start state is the given edges,
+    none by default, and a proper coloring of them, balanced by default.
     """
 
-    forced_detail: str  # each variant's detail of a forced verdict
+    variant: str  # the adversary id that duels and reports use
+    forced_detail: str  # the detail of a forced verdict
+    lower_bound: staticmethod  # the `bounds` function (n, k) -> queries it forces
+    min_k = 2  # the least component count it accepts
 
-    def __init__(self, n: int, k: int, masks: list[int], start: Coloring):
+    def __init__(self, n: int, k: int, initial_coloring=None, initial_edges=None):
+        if not self.min_k <= k <= n:
+            raise ValueError(f"need {self.min_k} <= k <= n, got k={k}, n={n}")
+        masks = Graph.from_edges(n, initial_edges).adjacency_masks() if initial_edges else [0] * n
+        # built from a list, not a generator: CPython resizes a tuple it builds
+        # from a generator, and its per-length tuple free lists then keep one
+        # more block each time, so many adversaries in one process grow its memory
+        colors = tuple(initial_coloring) if initial_coloring else tuple([v % k + 1 for v in range(n)])
+        if len(colors) != n:
+            raise ValueError(f"initial coloring has {len(colors)} entries for {n} vertices")
+        start = Coloring(colors, k)
+        classes = _class_masks(colors, k)
+        if not _is_proper(masks, colors, classes):
+            raise ValueError("initial coloring is not proper on the initial edges")
         self.n = n
         self.k = k
         self.masks = masks
-        self.color = list(start.colors)
-        self.classes = _class_masks(self.color, k)
+        self.color = list(colors)
+        self.classes = classes
         self.cls = list(range(n))
         self.ledger = QueryLedger()
+        self._chi = start  # `_SeparabilityRule`'s chi cache starts here
 
     def _recolor(self, i: int) -> bool:
         """Move class i to the least color that none of its neighbours holds, if any."""
@@ -232,10 +235,6 @@ class _SeparabilityRule(_QuotientAdversary):
     working coloring and the nodes spent.
     """
 
-    def __init__(self, n: int, k: int, masks: list[int], start: Coloring):
-        super().__init__(n, k, masks, start)
-        self._chi = start
-
     @property
     def chi(self) -> Coloring:
         cls, cached = self.cls, self._chi.colors
@@ -281,11 +280,7 @@ class SeparabilityAdversary(_SeparabilityRule):
 
     variant = "separability"
     forced_detail = "auxiliary graph has a unique consistent partition"
-
-    def __init__(self, n: int, k: int, initial_coloring=None, initial_edges=None):
-        if not 2 <= k <= n:
-            raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-        super().__init__(n, k, *_initial_state(n, k, initial_coloring, initial_edges))
+    lower_bound = staticmethod(bounds.membership_known_count)
 
 
 class UnknownCountAdversary(_SeparabilityRule):
@@ -302,12 +297,12 @@ class UnknownCountAdversary(_SeparabilityRule):
 
     variant = "unknown-count"
     forced_detail = "certificate components and auxiliary graph agree"
+    lower_bound = staticmethod(bounds.membership_unknown_count)
+    min_k = 1
 
     def __init__(self, n: int, k: int):
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         # all-1 is the first coloring of the edgeless graph
-        super().__init__(n, k, [0] * n, Coloring((1,) * n, k))
+        super().__init__(n, k, (1,) * n)
 
     def _certificate(self) -> Partition:
         return Partition.from_labels(self.cls)
@@ -325,11 +320,7 @@ class ContractionAdversary(_QuotientAdversary):
 
     variant = "contraction"
     forced_detail = "contracted graph has a unique consistent partition"
-
-    def __init__(self, n: int, k: int, initial_coloring=None, initial_edges=None):
-        if not 2 <= k <= n:
-            raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-        super().__init__(n, k, *_initial_state(n, k, initial_coloring, initial_edges))
+    lower_bound = staticmethod(bounds.contraction_adversary_lower)
 
     def _separates(self, x: int, y: int) -> bool:
         # the new edge counts in both degrees, so small means below k here;

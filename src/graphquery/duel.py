@@ -29,11 +29,10 @@ LEARNER_IDS = ("reps-known", "reps-unknown", "all-pairs")
 HONEST_LEARNER_IDS = LEARNER_IDS + ("pooled-components", "pooled-count",
                                     "neighborhood-learn", "neighborhood-verify")
 ORDERS = ("asc", "prop1")
-# adversary id -> (session class, the lower bound it forces on any learner)
+# adversary id -> session class; each class carries its k range and the
+# lower bound it forces on any learner
 _ADVERSARIES = {
-    "separability": (SeparabilityAdversary, bounds.membership_known_count),
-    "unknown-count": (UnknownCountAdversary, bounds.membership_unknown_count),
-    "contraction": (ContractionAdversary, bounds.contraction_adversary_lower),
+    cls.variant: cls for cls in (SeparabilityAdversary, UnknownCountAdversary, ContractionAdversary)
 }
 ADVERSARY_IDS = tuple(_ADVERSARIES)
 # partition learner id -> its worst-case queries on an honest n-vertex, k-component graph
@@ -142,8 +141,6 @@ def run_honest(
         ) if n > 1 else 0
         expected = hidden
     else:
-        if candidate.n != n:
-            raise ValueError("candidate and hidden graphs have different vertex counts")
         result = verify_graph_neighborhood(session, candidate)
         scanned = sum(1 for v in range(n) if candidate.degree(v) < n - 1)
         bound = bounds.verify_accept_queries(candidate.m, scanned)
@@ -191,11 +188,11 @@ def run_duel(
                         if value != default)
     if ignored:
         raise ValueError(f"adversary {opponent!r} builds no hidden graph, so it ignores {ignored}")
-    make, bound_fn = _ADVERSARIES[opponent]
-    session = make(n, k)
+    cls = _ADVERSARIES[opponent]
+    session = cls(n, k)
     result = _run_learner(learner, session, n, k, None)
     verdict = session.declare(result.answer)
-    bound = bound_fn(n, k)
+    bound = cls.lower_bound(n, k)
     return DuelReport(
         learner, n, k, None, None, result.queries_used, bound,
         bool(verdict) and result.queries_used >= bound,
@@ -227,7 +224,7 @@ def grid_duel(
         cells = [(n, None) for n in range(2, n_max + 1)]
         span = f"n = 2..{n_max}"
     else:
-        k_lo = 1 if opponent == "unknown-count" else 2
+        k_lo = _ADVERSARIES[opponent].min_k if opponent in _ADVERSARIES else 2
         cells = [(n, k) for n in range(2, n_max + 1)
                  for k in range(k_lo, (n if k_max is None else min(n, k_max)) + 1)]
         span = f"n = 2..{n_max}, k = {k_lo}..{'n' if k_max is None else k_max}"

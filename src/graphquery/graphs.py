@@ -88,7 +88,12 @@ class VertexSet(Set):
         return bits(self.mask)
 
     def __contains__(self, v) -> bool:
-        return isinstance(v, int) and v >= 0 and bool(self.mask >> v & 1)
+        """Membership of any integer, numpy ints included; False for the rest."""
+        try:
+            v = index(v)
+        except TypeError:
+            return False
+        return v >= 0 and bool(self.mask >> v & 1)
 
     __hash__ = Set._hash
 
@@ -129,7 +134,7 @@ class Graph:
         for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return tuple(masks)  # from a list, see adversaries._initial_state
+        return tuple(masks)  # from a list, see adversaries._QuotientAdversary.__init__
 
     def adjacency_masks(self) -> list[int]:
         """Per-vertex neighbor bitmasks (bit v set iff v adjacent), in a new list."""

@@ -53,22 +53,15 @@ def random_partition_exactly(n: int, k: int, rng: random.Random) -> Partition:
     assert table[n][0] == stirling_partition_count(n, k)
     blocks: list[list[int]] = []
     for v in range(n):
-        remaining = n - v - 1
-        weighted: list[tuple[int, int]] = []
-        if len(blocks) < k:
-            weighted.append((-1, table[remaining][len(blocks) + 1]))
-        join = table[remaining][len(blocks)]
-        weighted.extend((i, join) for i in range(len(blocks)))
-        total = sum(w for _, w in weighted)
-        draw = rng.randrange(total)
-        for pick, w in weighted:
-            if draw < w:
-                break
-            draw -= w
-        if pick == -1:
+        # a new block weighs `new`, joining each existing block weighs `join`
+        completions = table[n - v - 1]
+        new = completions[len(blocks) + 1] if len(blocks) < k else 0
+        join = completions[len(blocks)]
+        draw = rng.randrange(new + join * len(blocks))
+        if draw < new:
             blocks.append([v])
         else:
-            blocks[pick].append(v)
+            blocks[(draw - new) // join].append(v)
     return Partition.from_blocks(blocks)
 
 

@@ -264,6 +264,8 @@ def verify_graph_neighborhood(session, candidate: Graph) -> LearnResult:
     acceptance costs exactly m plus the number of unskipped vertices.
     """
     n = candidate.n
+    if n != session.n:
+        raise ValueError("candidate and hidden graphs have different vertex counts")
     start = session.ledger.count
     for u, v in candidate.sorted_edges():
         if session.neighborhood_query(u, VertexSet(1 << v)) != 1:

@@ -1,6 +1,9 @@
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -441,6 +444,34 @@ def test_contraction_forced_run_and_audit():
 def test_initial_arguments_are_validated(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+def test_start_state_checks_survive_optimisation():
+    # the constructor table again, in a `python -O` child: the start-state
+    # checks are if/raise, so stripping asserts does not strip them
+    code = (
+        "import test_adversaries as t\n"
+        "if __debug__: raise SystemExit('asserts are on')\n"
+        "cases = t.test_initial_arguments_are_validated.pytestmark[0].args[1]\n"
+        "for make, message in cases:\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError as e:\n"
+        "        if str(e) != message: raise SystemExit(f'{e} != {message}')\n"
+        "    else:\n"
+        "        raise SystemExit(f'no error: {message}')\n"
+        "print(len(cases))\n"
+    )
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(adversaries.__file__)), tests])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, cwd=tests)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "12\n", "")
+
+
+def test_hidden_count_takes_no_start_state():
+    with pytest.raises(TypeError):
+        UnknownCountAdversary(4, 2, initial_coloring=(1, 1, 2, 2))
 
 
 ADVERSARY_CLASSES = {

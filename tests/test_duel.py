@@ -1,9 +1,12 @@
+import argparse
 import re
 
 import pytest
 
 from graphquery import bounds
-from graphquery.duel import grid_duel, run_duel, run_honest
+from graphquery.adversaries import ContractionAdversary, SeparabilityAdversary, UnknownCountAdversary
+from graphquery.cli import build_parser
+from graphquery.duel import ADVERSARY_IDS, LEARNER_IDS, grid_duel, run_duel, run_honest
 from graphquery.graphs import empty_graph
 
 
@@ -92,3 +95,21 @@ def test_grid_duel_over_a_kind_without_k_runs_one_cell_per_n(kind):
     assert summary["all_satisfied"]
     with pytest.raises(ValueError, match="k_max"):
         grid_duel("reps-unknown", kind, 6, 3)
+
+
+ADVERSARY_CLASSES = (SeparabilityAdversary, UnknownCountAdversary, ContractionAdversary)
+
+
+def test_adversary_ids_are_the_classes_variants():
+    assert ADVERSARY_IDS == tuple(cls.variant for cls in ADVERSARY_CLASSES)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flag = next(a for a in sub.choices["duel"]._actions if "--adversary" in a.option_strings)
+    assert tuple(flag.choices) == ADVERSARY_IDS
+
+
+@pytest.mark.parametrize("learner", LEARNER_IDS)
+@pytest.mark.parametrize("cls", ADVERSARY_CLASSES, ids=lambda cls: cls.variant)
+def test_a_duel_reads_its_k_range_and_bound_from_the_adversary_class(cls, learner):
+    reports, _ = grid_duel(learner, cls.variant, 6)
+    assert [(r.n, r.k) for r in reports] == [(n, k) for n in range(2, 7) for k in range(cls.min_k, n + 1)]
+    assert all(r.bound == cls.lower_bound(r.n, r.k) for r in reports)

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -105,6 +106,8 @@ def test_vertex_set_agrees_with_frozenset(members):
     assert VertexSet.of(vs) is vs and VertexSet(vs.mask) == vs
     for probe in [*sorted(members)[:3], 0, 7, 200, 201, 10**30, -1, -7, "1", None, 1.5, (1,)]:
         assert (probe in vs) == (probe in members)
+    for probe in [*sorted(members)[:3], 0, 7, 200, 201, -1]:
+        assert (np.int64(probe) in vs) == (np.int64(probe) in members) == (probe in members)
 
 
 def test_vertex_set_rejects_negatives_and_keeps_set_operators():

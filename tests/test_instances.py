@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -102,3 +103,17 @@ def test_random_partition_at_large_n():
 def test_random_partition_seeded_value_is_frozen():
     p = random_partition_exactly(10, 3, random.Random(5))
     assert p.blocks == ((0, 8, 9), (1, 2, 4, 6), (3, 5, 7))
+
+
+def test_random_partition_draws_are_pinned():
+    # SHA-256 over every output for n <= 12, every k and seeds 0-4, each
+    # followed by the generator's next 32 bits, so the number of draws is
+    # pinned as well as the blocks
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            for seed in range(5):
+                rng = random.Random(seed)
+                blocks = random_partition_exactly(n, k, rng).blocks
+                digest.update(f"{n},{k},{seed}:{blocks}|{rng.getrandbits(32)}\n".encode())
+    assert digest.hexdigest() == "26bc7edd2b2d04be923fc25dda157911ecbac075f0fcae38d2e51f4e08bed517"

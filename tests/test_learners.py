@@ -440,6 +440,16 @@ def test_verify_rejects_extra_edge_in_phase_one():
     assert res.queries_used <= candidate.m
 
 
+@pytest.mark.parametrize("candidate_n", [3, 5])
+def test_verify_refuses_a_candidate_over_another_vertex_set(candidate_n):
+    # a candidate with fewer or more vertices than the hidden graph is not
+    # checked at all, so no query is spent on it
+    session = HonestOracle(Graph.from_edges(4, [(0, 3)]))
+    with pytest.raises(ValueError, match="^candidate and hidden graphs have different vertex counts$"):
+        verify_graph_neighborhood(session, Graph.from_edges(candidate_n, []))
+    assert session.ledger.count == 0
+
+
 def test_verify_rejects_missing_edge_in_phase_two():
     # candidate edges all real, but the hidden graph has one more
     hidden = Graph.from_edges(4, [(0, 1), (2, 3)])

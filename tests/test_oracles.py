@@ -11,6 +11,7 @@ from graphquery.graphs import Graph, VertexSet, connected_components, empty_grap
 from graphquery.instances import random_edge_graph, random_partition_exactly, random_partition_graph
 from graphquery.learners import (
     count_components_multi,
+    find_neighbors,
     learn_components_multi,
     learn_graph_neighborhood,
     learn_partition_representatives,
@@ -96,6 +97,19 @@ def test_multi_membership_examples(oracle):
 def test_multi_membership_rejects_self_in_set(oracle):
     with pytest.raises(ValueError):
         oracle.multi_membership_query(2, {1, 2})
+
+
+@pytest.mark.parametrize("vertex", [1, np.int64(1), np.int32(1)], ids=["int", "int64", "int32"])
+@pytest.mark.parametrize("subset", [[1], {1, 2}, VertexSet.of([1])], ids=["list", "set", "vertex-set"])
+def test_a_query_vertex_inside_its_set_is_refused_whatever_its_int_type(vertex, subset):
+    # a numpy-int query vertex belongs to its set exactly as the int does
+    session = HonestOracle(Graph.from_edges(4, [(0, 3)]))
+    for query in (session.multi_membership_query, session.neighborhood_query):
+        with pytest.raises(ValueError, match="^query vertex 1 must not belong to the set$"):
+            query(vertex, subset)
+    with pytest.raises(ValueError, match="^the probed set must not contain the vertex itself$"):
+        find_neighbors(session, vertex, subset)
+    assert session.ledger.count == 0
 
 
 def test_neighborhood_examples():
