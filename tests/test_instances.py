@@ -6,6 +6,7 @@ import pytest
 
 from graphquery.graphs import connected_components
 from graphquery.instances import (
+    KINDS,
     generate_instance,
     random_partition_exactly,
     worst_case_graph,
@@ -117,3 +118,21 @@ def test_random_partition_draws_are_pinned():
                 blocks = random_partition_exactly(n, k, rng).blocks
                 digest.update(f"{n},{k},{seed}:{blocks}|{rng.getrandbits(32)}\n".encode())
     assert digest.hexdigest() == "26bc7edd2b2d04be923fc25dda157911ecbac075f0fcae38d2e51f4e08bed517"
+
+
+def test_generate_instance_outputs_are_pinned():
+    # SHA-256 over the sorted edges, or the error message, of every kind at
+    # every n <= 12, k in {None, 1..n}, m in {None, 0, n // 2} and seed in
+    # {None, 0..4}: the checks and the builder each kind reaches are pinned
+    digest = hashlib.sha256()
+    for kind in KINDS:
+        for n in range(13):
+            for k in (None, *range(1, n + 1)):
+                for m in (None, 0, n // 2):
+                    for seed in (None, *range(5)):
+                        try:
+                            out = generate_instance(kind, n, k=k, m=m, seed=seed).sorted_edges()
+                        except ValueError as exc:
+                            out = f"ValueError: {exc}"
+                        digest.update(f"{kind},{n},{k},{m},{seed}:{out}\n".encode())
+    assert digest.hexdigest() == "0550873983d045c21b7119f335fb6476f5048906b0d66406b8db6655c3de84e9"

@@ -1,5 +1,6 @@
 import json
 import re
+from math import comb, factorial
 from itertools import product
 
 import pytest
@@ -101,6 +102,14 @@ def test_stirling_recurrence():
                 k * stirling_partition_count(n - 1, k)
                 + stirling_partition_count(n - 1, k - 1)
             )
+
+
+def test_stirling_matches_the_explicit_sum():
+    # k! S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n, with 0^0 = 1
+    for n in range(31):
+        for k in range(n + 3):
+            alternating = sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
+            assert factorial(k) * stirling_partition_count(n, k) == alternating, (n, k)
 
 
 def test_stirling_rejects_negative():
