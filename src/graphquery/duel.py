@@ -216,9 +216,9 @@ def grid_duel(
     Cells run one after another: a duel is pure Python that holds the GIL,
     so threads would not run cells in parallel.
     """
-    if opponent == "random-graph":
-        raise ValueError("the duel grid cannot sweep random-graph: its cells have no edge count m")
-    if opponent in INSTANCE_KINDS and "k" not in KIND_SETTINGS[opponent]:
+    if opponent in INSTANCE_KINDS and "m" in KIND_SETTINGS[opponent][1]:
+        raise ValueError(f"the duel grid cannot sweep {opponent}: its cells have no edge count m")
+    if opponent in INSTANCE_KINDS and "k" not in KIND_SETTINGS[opponent][1]:
         if k_max is not None:
             raise ValueError(f"the duel grid over {opponent} has no k to sweep, so it takes no k_max")
         cells = [(n, None) for n in range(2, n_max + 1)]

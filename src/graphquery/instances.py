@@ -1,22 +1,15 @@
-"""Seeded instance generators for experiments and tests."""
+"""Seeded instance generators for experiments and tests.
+
+Each kind is one row of `KIND_SETTINGS`: its builder and the settings the
+builder takes after n. S(n, k) and its table live in `partitions`.
+"""
 
 from __future__ import annotations
 
 import random
 
 from .graphs import Graph, clique_union_graph, complete_graph, empty_graph
-from .partitions import Partition, stirling_partition_count
-
-# kind -> the settings it reads; generate_instance needs each of them and
-# rejects any other, which it would otherwise ignore
-KIND_SETTINGS = {
-    "worst-case-prop1": ("k",),
-    "random-partition": ("k", "seed"),
-    "random-graph": ("m", "seed"),
-    "edgeless": (),
-    "clique": (),
-}
-KINDS = tuple(KIND_SETTINGS)
+from .partitions import Partition, _completions
 
 
 def worst_case_graph(n: int, k: int) -> Graph:
@@ -31,16 +24,6 @@ def worst_case_graph(n: int, k: int) -> Graph:
     return clique_union_graph([clique], n)
 
 
-def _completions(n: int, k: int) -> list[list[int]]:
-    """table[r][o]: ways to place r labeled elements onto o existing blocks
-    so that exactly k blocks exist at the end, for r <= n and o <= k."""
-    table = [[int(o == k) for o in range(k + 1)]]
-    for _ in range(n):
-        prev = table[-1]
-        table.append([o * prev[o] + (prev[o + 1] if o < k else 0) for o in range(k + 1)])
-    return table
-
-
 def random_partition_exactly(n: int, k: int, rng: random.Random) -> Partition:
     """Uniform random partition of {0..n-1} into exactly k blocks.
 
@@ -50,7 +33,6 @@ def random_partition_exactly(n: int, k: int, rng: random.Random) -> Partition:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     table = _completions(n, k)
-    assert table[n][0] == stirling_partition_count(n, k)
     blocks: list[list[int]] = []
     for v in range(n):
         # a new block weighs `new`, joining each existing block weighs `join`
@@ -82,26 +64,31 @@ def random_edge_graph(n: int, m: int, seed: int) -> Graph:
     return Graph(n, frozenset(rng.sample(pairs, m)))
 
 
+# kind -> (builder, its parameters after n): generate_instance needs each
+# of these settings and rejects any other, which it would otherwise ignore
+KIND_SETTINGS = {
+    "worst-case-prop1": (worst_case_graph, ("k",)),
+    "random-partition": (random_partition_graph, ("k", "seed")),
+    "random-graph": (random_edge_graph, ("m", "seed")),
+    "edgeless": (empty_graph, ()),
+    "clique": (complete_graph, ()),
+}
+KINDS = tuple(KIND_SETTINGS)
+
+
 def generate_instance(kind: str, n: int, k: int | None = None, m: int | None = None,
                       seed: int | None = None) -> Graph:
     """Build a hidden graph of the given kind; seeds make output deterministic."""
     if kind not in KINDS:
         raise ValueError(f"unknown instance kind {kind!r}; choose from {KINDS}")
     given = {"k": k, "m": m, "seed": seed}
-    ignored = [name for name, value in given.items() if value is not None and name not in KIND_SETTINGS[kind]]
+    build, settings = KIND_SETTINGS[kind]
+    ignored = [name for name, value in given.items() if value is not None and name not in settings]
     if ignored:
         raise ValueError(f"{kind} takes no {', '.join(ignored)}")
-    if any(given[name] is None for name in KIND_SETTINGS[kind]):
-        raise ValueError(f"{kind} needs {' and '.join(KIND_SETTINGS[kind])}")
-    if kind == "worst-case-prop1":
-        return worst_case_graph(n, k)
-    if kind == "random-partition":
-        return random_partition_graph(n, k, seed)
-    if kind == "random-graph":
-        return random_edge_graph(n, m, seed)
-    if kind == "edgeless":
-        return empty_graph(n)
-    return complete_graph(n)
+    if any(given[name] is None for name in settings):
+        raise ValueError(f"{kind} needs {' and '.join(settings)}")
+    return build(n, **{name: given[name] for name in settings})
 
 
 def worst_case_order(partition: Partition) -> list[int]:

@@ -74,6 +74,12 @@ def _as_order(n: int, order: Sequence[int] | None) -> list[int]:
     return order
 
 
+def _check_session_size(session, n: int) -> None:
+    """Raise ValueError, before any query, unless the session has n vertices."""
+    if n != session.n:
+        raise ValueError(f"n={n} but the session has {session.n} vertices")
+
+
 def learn_partition_representatives(session, n, k_known=None, order=None) -> LearnResult:
     """Classify each vertex against the first vertex of every block found so far.
 
@@ -88,6 +94,7 @@ def learn_partition_representatives(session, n, k_known=None, order=None) -> Lea
         raise ValueError("n must be positive")
     if k_known is not None and not 1 <= k_known <= n:
         raise ValueError(f"k_known must lie in 1..{n}")
+    _check_session_size(session, n)
     order = _as_order(n, order)
     start = session.ledger.count
     blocks: list[list[int]] = []
@@ -117,6 +124,7 @@ def learn_partition_all_pairs(session, n) -> LearnResult:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    _check_session_size(session, n)
     start = session.ledger.count
     cls = [1 << v for v in range(n)]
     for u in range(n):
@@ -141,6 +149,7 @@ def count_components_multi(session, n) -> LearnResult:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return LearnResult(0, 0)
+    _check_session_size(session, n)
     start = session.ledger.count
     alive = (1 << n) - 1
     for v in range(n):
@@ -159,6 +168,7 @@ def learn_components_multi(session, n) -> LearnResult:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    _check_session_size(session, n)
     start = session.ledger.count
     classes = [1]  # one vertex bitmask per class, in discovery order
     for v in range(1, n):
@@ -197,9 +207,10 @@ def find_neighbors(session, v, subset: Iterable[int]) -> LearnResult:
     exactly 2 queries (1 if the set is a singleton). Halves answering 0 are
     discarded wholesale; halves answering 1 are split further, down to
     singletons. The returned trace keeps one node per probed set plus a
-    deduced root, and is empty when no neighbor was found.
+    deduced root, and is empty when no neighbor was found. The set is
+    checked against the session's vertices before any query.
     """
-    s = VertexSet.of(subset)
+    s = VertexSet.within(subset, session.n)
     if not s:
         raise ValueError("the probed set must be nonempty")
     if v in s:
@@ -237,6 +248,7 @@ def learn_graph_neighborhood(session, n) -> LearnResult:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    _check_session_size(session, n)
     start = session.ledger.count
     neighbor_sets: dict[int, frozenset[int]] = {}
     everyone = (1 << n) - 1

@@ -18,13 +18,11 @@ import json
 from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
+from ._canon import _MEMBERS
 from .graphs import VertexSet
 from .partitions import Partition
 
 KINDS = ("alpha", "alpha_m", "beta")
-# the set bits of each byte value: the writer lists a mask's members a byte
-# at a time, with small-int arithmetic only
-_BYTE_MEMBERS = tuple(tuple(j for j in range(8) if byte >> j & 1) for byte in range(256))
 
 
 class LedgerEntry(NamedTuple):
@@ -76,9 +74,10 @@ class QueryLedger:
                 lines.append(f'{{"kind": "alpha", "args": [{index(v)}, {index(other)}], '
                              f'"answer": {answer}, "index": {i}}}\n')
                 continue
+            # a byte at a time: _MEMBERS[byte] is its set bits (_canon.MAX_N >= 8)
             mask, members, base = VertexSet.of(other).mask, [], 0
             for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
-                for j in _BYTE_MEMBERS[byte]:
+                for j in _MEMBERS[byte]:
                     members.append(base + j)
                 base += 8
             lines.append(f'{{"kind": "{kind}", "args": [{index(v)}, [{", ".join(map(str, members))}]], '

@@ -307,10 +307,14 @@ def _new_game(n: int, k: int | None, oracle_kind: str) -> tuple[_Game, object, i
 
 
 def information_bound_check(n: int, k: int | None) -> tuple[int, int]:
-    """(ceil(log2 #candidate partitions), exact pooled-query minimax).
+    """(ceil(log2 #partitions into exactly k blocks), exact pooled-query minimax).
 
-    The candidates are the partitions into exactly k blocks, or into any
-    number of blocks when k is None. The first number can never exceed the
+    The count is S(n, k), or the Bell number B(n) when k is None. The game
+    ranges over a larger universe, every partition into at most k blocks
+    (see the module docstring), so the first number is a weaker floor than
+    the game's own ceil(log2 #candidates). At (5, 3) the bound is
+    ceil(log2 25) = 5, the game's universe holds 1 + 15 + 25 = 41
+    partitions, and the value is 6. The first number can never exceed the
     second; a violation would falsify the solver and raises immediately.
     The game is solved first, so a bad n or k fails with its message.
     """

@@ -5,6 +5,9 @@ Partitions are enumerated by the colouring search: on the edgeless graph,
 at most k blocks once, as its restricted growth string plus 1, in
 lexicographic order; `coloring.proper_partitions([0] * n, k)` returns them
 as `Partition`s.
+
+S(n, k) lives in one table, `_completions`: `stirling_partition_count`
+reads it, and the uniform sampler in `instances` draws from it.
 """
 
 from __future__ import annotations
@@ -120,6 +123,16 @@ class Partition:
         return json.dumps([list(b) for b in self.blocks])
 
 
+def _completions(n: int, k: int) -> list[list[int]]:
+    """table[r][o]: ways to place r labeled elements onto o existing blocks
+    so that exactly k blocks exist at the end, for r <= n and o <= k."""
+    table = [[int(o == k) for o in range(k + 1)]]
+    for _ in range(n):
+        prev = table[-1]
+        table.append([o * prev[o] + (prev[o + 1] if o < k else 0) for o in range(k + 1)])
+    return table
+
+
 def stirling_partition_count(n: int, k: int) -> int:
     """Number of partitions of an n-set into exactly k nonempty blocks.
 
@@ -127,17 +140,6 @@ def stirling_partition_count(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    if k > n:
+    if k > n:  # the table would give 0 too, after building k + 1 columns
         return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    # row DP on S(i, j) = j*S(i-1, j) + S(i-1, j-1)
-    row = [1] + [0] * k
-    for i in range(1, n + 1):
-        new = [0] * (k + 1)
-        for j in range(1, min(i, k) + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
-    return row[k]
+    return _completions(n, k)[n][0]

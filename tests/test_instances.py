@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 from collections import Counter
 
@@ -6,6 +7,7 @@ import pytest
 
 from graphquery.graphs import connected_components
 from graphquery.instances import (
+    KIND_SETTINGS,
     KINDS,
     generate_instance,
     random_partition_exactly,
@@ -60,6 +62,14 @@ def test_generate_instance_kinds():
 def test_generate_instance_rejects_settings_it_would_ignore(kind, settings, ignored):
     with pytest.raises(ValueError, match=f"{kind} takes no {ignored}$"):
         generate_instance(kind, 5, **settings)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_kind_reads_its_builders_settings(kind):
+    # generate_instance passes exactly the row's settings to the builder, so
+    # a row must name the builder's parameters after n, in order
+    build, settings = KIND_SETTINGS[kind]
+    assert tuple(inspect.signature(build).parameters)[1:] == settings
 
 
 def test_generators_are_deterministic():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -389,6 +390,20 @@ def test_find_neighbors_random_large_sets(size, data):
     check_trace_invariants(res.trace, len(hits))
 
 
+def test_find_neighbors_checks_its_set_before_any_query():
+    # a stray huge label is rejected from the list, never built into a mask
+    session = HonestOracle(Graph.from_edges(4, [(0, 1)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^vertex {2**24} out of range for n=4$"):
+            find_neighbors(session, 0, [1, 2, 2**24])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert session.ledger.count == 0
+    assert peak < 64 * 1024
+
+
 def test_learn_graph_edgeless():
     res = learn_graph_neighborhood(HonestOracle(empty_graph(5)), 5)
     assert res.answer == empty_graph(5)
@@ -412,6 +427,8 @@ def test_learn_graph_random_seeded():
 
 def test_learn_graph_flags_asymmetric_oracle():
     class LyingSession:
+        n = 3
+
         def __init__(self):
             self.ledger = HonestOracle(empty_graph(3)).ledger
 
@@ -483,3 +500,29 @@ def test_queries_used_equals_ledger_delta():
     first = learn_partition_representatives(session, 12)
     second = count_components_multi(session, 12)
     assert session.ledger.count == first.queries_used + second.queries_used
+
+
+# ---------------------------------------------------------------- session size
+
+_SIZED_LEARNERS = [
+    learn_partition_representatives,
+    learn_partition_all_pairs,
+    count_components_multi,
+    learn_components_multi,
+    learn_graph_neighborhood,
+]
+
+
+@pytest.mark.parametrize("learner", _SIZED_LEARNERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("make_session", [
+    lambda: HonestOracle(Graph.from_edges(8, [(0, 1), (5, 6), (6, 7)])),
+    lambda: SeparabilityAdversary(8, 3),
+], ids=["honest", "separability"])
+@pytest.mark.parametrize("n", [7, 9])
+def test_learners_reject_an_n_the_session_does_not_have(learner, make_session, n):
+    # a smaller n used to learn a wrong answer on the first n vertices, a
+    # larger one to fail only after some queries
+    session = make_session()
+    with pytest.raises(ValueError, match=f"^n={n} but the session has 8 vertices$"):
+        learner(session, n)
+    assert session.ledger.count == 0

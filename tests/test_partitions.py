@@ -1,7 +1,7 @@
 import json
 import re
-from math import comb, factorial
 from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, strategies as st
