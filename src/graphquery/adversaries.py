@@ -50,17 +50,7 @@ from .coloring import Coloring, find_k_coloring, proper_partitions
 from .graphs import Graph, contract
 from .ledger import QueryLedger
 from .oracles import AuditVerdict
-from .partitions import Partition, check_vertex
-
-
-def _reject_pair(x: int, y: int, n: int) -> None:
-    """The one place a bad membership query raises. The query method tests
-    `0 <= x < n > y >= 0 and x != y` inline and calls this only when that
-    fails."""
-    if not (0 <= x < n and 0 <= y < n):
-        check_vertex(x, n)
-        check_vertex(y, n)
-    raise ValueError("membership query needs two distinct vertices")
+from .partitions import Partition, check_pair
 
 
 def _class_masks(colors, k: int) -> list[int]:
@@ -154,7 +144,7 @@ class _QuotientAdversary:
     def membership_query(self, x: int, y: int) -> int:
         n = self.n
         if not (0 <= x < n > y >= 0 and x != y):
-            _reject_pair(x, y, n)
+            check_pair(x, y, n)
         a, b = self.cls[x], self.cls[y]
         if a == b:
             answer = 1

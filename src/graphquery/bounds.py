@@ -6,6 +6,8 @@ the CLI, so reports and assertions cannot drift apart.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .partitions import stirling_partition_count
 
 
@@ -76,7 +78,17 @@ def information_lower(n: int, k: int) -> int:
     return ceil_log2(count)
 
 
+def _bell(n: int) -> int:
+    """The Bell number B(n), 0 for n < 0, in one pass of the Bell triangle:
+    row i starts with B(i), and each row is the running sums of the last,
+    begun at its last entry."""
+    row = [int(n >= 0)]
+    for _ in range(n):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[0]
+
+
 def information_lower_unknown(n: int) -> int:
     """ceil(log2) of the Bell number B(n): the partitions of an n-set with
     any number of blocks."""
-    return ceil_log2(sum(stirling_partition_count(n, k) for k in range(n + 1)))
+    return ceil_log2(_bell(n))

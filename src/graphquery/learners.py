@@ -2,10 +2,11 @@
 
 Every learner takes a session object (an honest oracle or an adversary),
 issues queries through it, and reports the ledger delta as `queries_used`.
-Learners keep no state of their own, so one session may host several runs
-sequentially; concurrent learners need separate sessions. The set queries
-receive their sets as `graphs.VertexSet` bitmasks, built with big-int
-operations.
+The five learners that take n share one contract, checked by `_start`
+before any query: n >= 1 and n equals the session's n. Learners keep no
+state of their own, so one session may host several runs sequentially;
+concurrent learners need separate sessions. The set queries receive their
+sets as `graphs.VertexSet` bitmasks, built with big-int operations.
 """
 
 from __future__ import annotations
@@ -74,10 +75,14 @@ def _as_order(n: int, order: Sequence[int] | None) -> list[int]:
     return order
 
 
-def _check_session_size(session, n: int) -> None:
-    """Raise ValueError, before any query, unless the session has n vertices."""
+def _start(session, n: int) -> int:
+    """The one learner prologue: before any query, ValueError unless n >= 1 and
+    the session has n vertices; returns the count `queries_used` starts at."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if n != session.n:
         raise ValueError(f"n={n} but the session has {session.n} vertices")
+    return session.ledger.count
 
 
 def learn_partition_representatives(session, n, k_known=None, order=None) -> LearnResult:
@@ -90,13 +95,10 @@ def learn_partition_representatives(session, n, k_known=None, order=None) -> Lea
     are open, the last block is never queried: k-1 zeros already pin the
     vertex to it, and no further block is ever hypothesized.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if k_known is not None and not 1 <= k_known <= n:
+    if k_known is not None and n >= 1 and not 1 <= k_known <= n:  # `_start` reports n < 1
         raise ValueError(f"k_known must lie in 1..{n}")
-    _check_session_size(session, n)
+    start = _start(session, n)
     order = _as_order(n, order)
-    start = session.ledger.count
     blocks: list[list[int]] = []
     for v in order:
         full = len(blocks) == k_known
@@ -122,10 +124,7 @@ def learn_partition_all_pairs(session, n) -> LearnResult:
     cls[v] is the bitmask of v's known class. A 1-answer merges two classes;
     a pair inside one class is skipped (its answer is forced), all else asked.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_session_size(session, n)
-    start = session.ledger.count
+    start = _start(session, n)
     cls = [1 << v for v in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
@@ -145,12 +144,7 @@ def count_components_multi(session, n) -> LearnResult:
     set; a vertex sharing a component with another survivor is deleted.
     Exactly n queries, the last survivor of each component remains.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return LearnResult(0, 0)
-    _check_session_size(session, n)
-    start = session.ledger.count
+    start = _start(session, n)
     alive = (1 << n) - 1
     for v in range(n):
         alive ^= 1 << v
@@ -166,10 +160,7 @@ def learn_components_multi(session, n) -> LearnResult:
     on 1 its class is located by halving the class list, querying only the
     first half of each split (a 0 implies the second half for free).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_session_size(session, n)
-    start = session.ledger.count
+    start = _start(session, n)
     classes = [1]  # one vertex bitmask per class, in discovery order
     for v in range(1, n):
         # every earlier vertex already sits in a class
@@ -246,10 +237,7 @@ def learn_graph_neighborhood(session, n) -> LearnResult:
     Discovered adjacency must be symmetric; a mismatch means the oracle's
     answers are not consistent with any one graph.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_session_size(session, n)
-    start = session.ledger.count
+    start = _start(session, n)
     neighbor_sets: dict[int, frozenset[int]] = {}
     everyone = (1 << n) - 1
     for v in range(n):

@@ -3,8 +3,8 @@
 The set queries take any iterable of vertices. Each set is normalised and
 checked once, by `graphs.VertexSet.within`, to the bitmask the ledger
 stores, so an answer is one AND of that mask with the query vertex's
-component (alpha_m) or neighbourhood (beta) mask. Every vertex is checked
-by `partitions.check_vertex` before anything is ledgered.
+component (alpha_m) or neighbourhood (beta) mask. Vertices are checked by
+`partitions.check_vertex` and pairs by `check_pair` before any ledgering.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .graphs import Graph, VertexSet, connected_components
 from .ledger import QueryLedger
-from .partitions import Partition, check_vertex
+from .partitions import Partition, check_pair, check_vertex
 
 
 @dataclass(frozen=True)
@@ -44,36 +44,36 @@ class HonestOracle:
         self.hidden = hidden
         self.n = hidden.n
         self.hidden_partition = connected_components(hidden)
+        self._block_masks = self.hidden_partition._block_masks
         self._nbr_masks = hidden.adjacency_masks()
         self.ledger = QueryLedger()
 
     def membership_query(self, u: int, v: int) -> int:
         """1 iff u and v lie in the same component of the hidden graph."""
-        answer = int(self.hidden_partition.same_block(u, v))  # checks u and v
-        if u == v:
-            raise ValueError("membership query needs two distinct vertices")
+        if not (0 <= u < self.n > v >= 0 and u != v):
+            check_pair(u, v, self.n)
+        masks = self._block_masks
+        answer = int(masks[u] == masks[v])
         self.ledger.append("alpha", (u, v), answer)
         return answer
 
     def multi_membership_query(self, u: int, subset: Iterable[int]) -> int:
         """1 iff u shares a component with some member of the set; empty set gives 0."""
-        block = self.hidden_partition.block_mask(u)  # checks u
-        s = VertexSet.within(subset, self.n)
-        if u in s:
-            raise ValueError(f"query vertex {u} must not belong to the set")
-        answer = int(bool(s.mask & block))
-        self.ledger.append("alpha_m", (u, s), answer)
-        return answer
+        return self._set_query("alpha_m", u, subset, self._block_masks)
 
     def neighborhood_query(self, v: int, subset: Iterable[int]) -> int:
         """1 iff v has an edge into the set; empty set gives 0."""
+        return self._set_query("beta", v, subset, self._nbr_masks)
+
+    def _set_query(self, kind: str, v: int, subset: Iterable[int], masks: list[int]) -> int:
+        """The one set-query body: 1 iff the set meets masks[v], v's mask for that kind."""
         if not 0 <= v < self.n:
             check_vertex(v, self.n)
         s = VertexSet.within(subset, self.n)
         if v in s:
             raise ValueError(f"query vertex {v} must not belong to the set")
-        answer = int(bool(s.mask & self._nbr_masks[v]))
-        self.ledger.append("beta", (v, s), answer)
+        answer = int(bool(s.mask & masks[v]))
+        self.ledger.append(kind, (v, s), answer)
         return answer
 
     def declare(self, claimed: Partition) -> AuditVerdict:

@@ -25,6 +25,15 @@ def check_vertex(v: int, n: int) -> None:
         raise ValueError(f"vertex {v} out of range for n={n}")
 
 
+def check_pair(u: int, v: int, n: int) -> None:
+    """The one membership-pair check. A session's query tests `0 <= u < n >
+    v >= 0 and u != v` inline and calls this only when that test fails."""
+    check_vertex(u, n)
+    check_vertex(v, n)
+    if u == v:
+        raise ValueError("membership query needs two distinct vertices")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Partition of {0..n-1} into disjoint nonempty blocks.

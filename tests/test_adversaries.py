@@ -24,6 +24,7 @@ from graphquery.coloring import (
 from graphquery.graphs import Graph, connected_components, mask_edges
 from graphquery.ledger import replay_matches_partition
 from graphquery.learners import learn_partition_all_pairs, learn_partition_representatives
+from graphquery.oracles import HonestOracle
 from graphquery.partitions import Partition
 from graphquery import adversaries, bounds
 
@@ -105,19 +106,24 @@ def test_separability_rejects_self_query():
         adv.membership_query(2, 2)
 
 
-def _adversary_state(adv) -> tuple:
-    return adv.ledger.count, list(adv.masks), list(adv.color), list(adv.classes), list(adv.cls)
+def _session_state(session) -> tuple:
+    # the honest oracle's only mutable state is its ledger
+    quotient = () if isinstance(session, HonestOracle) else (
+        session.masks, session.color, session.classes, session.cls)
+    return session.ledger.count, *map(list, quotient)
 
 
 @pytest.mark.parametrize("make", [lambda: SeparabilityAdversary(5, 3),
                                   lambda: UnknownCountAdversary(5, 3),
-                                  lambda: ContractionAdversary(5, 3)],
-                         ids=["separability", "unknown-count", "contraction"])
+                                  lambda: ContractionAdversary(5, 3),
+                                  lambda: HonestOracle(Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]))],
+                         ids=["separability", "unknown-count", "contraction", "honest"])
 def test_rejected_queries_leave_no_trace(make):
+    # all four sessions accept and refuse the same pairs, with one message each
     adv = make()
     for pair in [(0, 1), (1, 2), (0, 2), (3, 4), (0, 3)]:
         adv.membership_query(*pair)
-    state = _adversary_state(adv)
+    state = _session_state(adv)
     for (x, y), message in [((-1, 2), "vertex -1 out of range for n=5"),
                             ((2, -1), "vertex -1 out of range for n=5"),
                             ((5, 2), "vertex 5 out of range for n=5"),
@@ -125,7 +131,7 @@ def test_rejected_queries_leave_no_trace(make):
                             ((3, 3), "membership query needs two distinct vertices")]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             adv.membership_query(x, y)
-        assert _adversary_state(adv) == state
+        assert _session_state(adv) == state
 
 
 def test_separability_walkthrough_saturation_forces():

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from graphquery import bounds
+from graphquery.partitions import stirling_partition_count
 
 
 def _partition_counts(n: int) -> Counter:
@@ -37,6 +38,17 @@ def test_information_lower_unknown_is_log2_of_the_bell_number():
     bell = [sum(_partition_counts(n).values()) for n in range(1, 11)]
     assert bell[:6] == [1, 2, 5, 15, 52, 203]
     assert tuple(math.ceil(math.log2(b)) for b in bell) == expected
+
+
+def test_bell_triangle_matches_the_stirling_sum():
+    assert [bounds._bell(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+    for n in range(61):
+        bell = sum(stirling_partition_count(n, k) for k in range(n + 1))
+        assert bounds._bell(n) == bell
+        assert bounds.information_lower_unknown(n) == bounds.ceil_log2(bell)
+    # a negative n has no partitions, and ceil_log2 refuses the 0
+    with pytest.raises(ValueError, match="^ceil_log2 needs a positive integer$"):
+        bounds.information_lower_unknown(-1)
 
 
 def test_bounds_reject_an_empty_input():

@@ -51,12 +51,10 @@ def test_representatives_validates_inputs():
         learn_partition_representatives(session, 3, k_known=4)
     with pytest.raises(ValueError):
         learn_partition_representatives(session, 3, order=[0, 1])
-    for learner in (learn_partition_representatives, learn_partition_all_pairs,
-                    learn_components_multi, learn_graph_neighborhood):
-        with pytest.raises(ValueError, match="^n must be positive$"):
-            learner(session, 0)
-    with pytest.raises(ValueError, match="^n must be nonnegative$"):
-        count_components_multi(session, -1)
+    for learner in _SIZED_LEARNERS:
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^n must be positive$"):
+                learner(session, n)
     assert session.ledger.count == 0
 
 
@@ -163,8 +161,8 @@ def test_count_components_examples():
     assert (res.answer, res.queries_used) == (3, 3)
     res = count_components_multi(HonestOracle(path_graph(4)), 4)
     assert (res.answer, res.queries_used) == (1, 4)
-    assert count_components_multi(None, 0).answer == 0
-    assert count_components_multi(None, 0).queries_used == 0
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        count_components_multi(None, 0)  # checked before the session is read
 
 
 @settings(max_examples=80, deadline=None)
@@ -518,11 +516,13 @@ _SIZED_LEARNERS = [
     lambda: HonestOracle(Graph.from_edges(8, [(0, 1), (5, 6), (6, 7)])),
     lambda: SeparabilityAdversary(8, 3),
 ], ids=["honest", "separability"])
-@pytest.mark.parametrize("n", [7, 9])
+@pytest.mark.parametrize("n", [0, 7, 9])
 def test_learners_reject_an_n_the_session_does_not_have(learner, make_session, n):
     # a smaller n used to learn a wrong answer on the first n vertices, a
-    # larger one to fail only after some queries
+    # larger one to fail only after some queries, and n = 0 to count no
+    # components without reading the session
     session = make_session()
-    with pytest.raises(ValueError, match=f"^n={n} but the session has 8 vertices$"):
+    message = "n must be positive" if n == 0 else f"n={n} but the session has 8 vertices"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         learner(session, n)
     assert session.ledger.count == 0
