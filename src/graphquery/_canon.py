@@ -150,14 +150,16 @@ def _best(nbrs, cells: list[int], size: int, bound: int) -> int:
 
 
 def canonical_codes(adj: np.ndarray) -> np.ndarray:
-    """Canonical codes for a batch of symmetric 0/1 adjacency matrices, shape (B, n, n)."""
+    """Canonical codes for a batch of symmetric 0/1 adjacency matrices, shape
+    (B, n, n), of bool or any integer dtype."""
     if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
         raise ValueError("expected a (batch, n, n) adjacency array")
     n = adj.shape[1]
     _check_size(n)
     if adj.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    # one neighbour bitmask per vertex: bit j of masks[b, v] is adj[b, v, j]
-    masks = np.asarray(adj, dtype=np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    # one neighbour bitmask per vertex: bit j of masks[b, v] is adj[b, v, j];
+    # n <= 8 bits pack into one byte per row
+    masks = np.packbits(adj, axis=2, bitorder="little").reshape(adj.shape[0], n)
     everyone = (1 << n) - 1
     return np.array([_best(nbrs, [everyone], n, -1) for nbrs in masks.tolist()], dtype=np.int64)

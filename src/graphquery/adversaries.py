@@ -50,7 +50,7 @@ from .coloring import Coloring, find_k_coloring, proper_partitions
 from .graphs import Graph, contract
 from .ledger import QueryLedger
 from .oracles import AuditVerdict
-from .partitions import Partition, check_pair
+from .partitions import Partition, check_claim, check_pair
 
 
 def _class_masks(colors, k: int) -> list[int]:
@@ -184,8 +184,7 @@ class _QuotientAdversary:
         it. A certificate that differs from the claim refutes it before the
         search.
         """
-        if claimed.n != self.n:
-            raise ValueError("claimed partition is over the wrong vertex set")
+        check_claim(claimed, self.n)
         certificate = self._certificate()
         if certificate is not None and certificate != claimed:
             return AuditVerdict(

@@ -23,6 +23,19 @@ fixes the new vertex and keeps every vertex invariant, so the augmentation
 test passes on the orbit's chosen subset whenever it passes anywhere on
 the orbit, and every class is still reached.
 
+`verify_unique_colorable_edge_bound` screens each class on n >= k
+vertices by its minimum degree, read off the level's representative, and
+skips the decode and the uniqueness check of a class with a vertex of
+degree below k - 1: such a class is never uniquely k-colourable. A unique
+partition into at most k independent sets uses exactly k of them when
+n >= k, or some set of two or more vertices could be split. A vertex v
+of degree below k - 1 then finds, among the k - 1 sets other than its
+own, one that holds none of its neighbours, and moving v there gives a
+second partition. So the screen moves no row, tight example or
+counterexample; it is the easy half of the fact that uniquely
+k-colourable graphs are (k-1)-connected (Harary, Hedetniemi & Robinson,
+J. Combin. Theory 1969). At (7, 3) it drops 662 of the 1,252 classes.
+
 The uniqueness check of `verify_unique_colorable_edge_bound` runs on each
 class relabelled v -> n-1-v. Canonical order puts a minimum-degree vertex
 first, and the colouring search places vertices in label order, so the
@@ -38,7 +51,7 @@ from functools import cache
 
 import numpy as np
 
-from ._canon import canonical_codes
+from ._canon import _MEMBERS, canonical_codes
 from .coloring import is_uniquely_k_colorable
 from .graphs import Graph, mask_edges, twin_classes
 from . import bounds
@@ -110,7 +123,8 @@ def _augmenting_subsets(parent: tuple[int, ...]) -> list[int]:
     by_degree = [0] * (top + 2)
     for v, d in enumerate(degrees):
         by_degree[d] |= 1 << v
-    sums = [sum([d for u, d in enumerate(degrees) if nbrs >> u & 1]) for nbrs in parent]
+    members = _MEMBERS
+    sums = [sum([degrees[u] for u in members[nbrs]]) for nbrs in parent]
     kept = []
     for mask in _twin_orbit_subsets(parent):
         w = mask.bit_count()
@@ -118,11 +132,8 @@ def _augmenting_subsets(parent: tuple[int, ...]) -> list[int]:
             continue
         if w <= top + 1:
             rivals = by_degree[w] & ~mask | by_degree[w - 1] & mask
-            own = 0
-            for v, d in enumerate(degrees):
-                if mask >> v & 1:
-                    own += d
-            # plain loops: this test runs on most candidates of a level
+            own = sum([degrees[v] for v in members[mask]])
+            # a plain loop: this test runs on most candidates of a level
             while rivals:
                 low = rivals & -rivals
                 v = low.bit_length() - 1
@@ -136,8 +147,9 @@ def _augmenting_subsets(parent: tuple[int, ...]) -> list[int]:
 
 
 def _levels(n_max: int):
-    """Yield (n, codes) for n = 1..n_max: the sorted canonical codes of every
-    isomorphism class on exactly n vertices.
+    """Yield (n, codes, reps) for n = 1..n_max: the sorted canonical codes of
+    every isomorphism class on exactly n vertices, and one representative of
+    each class, in the same order.
 
     Built level by level. A child of a representative on i vertices attaches
     one new vertex to a neighbour subset. Only one subset per twin orbit is
@@ -150,20 +162,25 @@ def _levels(n_max: int):
     bitmasks.
     """
     level = [(0,)]
-    yield 1, [0]
+    yield 1, [0], level
+    members = _MEMBERS
     for size in range(2, n_max + 1):
-        new = size - 1
+        bit = 1 << size - 1
         children = []
         for parent in level:
             # child `mask`: the new vertex is adjacent to the set bits
-            children += [
-                tuple([nbrs | (mask >> v & 1) << new for v, nbrs in enumerate(parent)]) + (mask,)
-                for mask in _augmenting_subsets(parent)
-            ]
+            for mask in _augmenting_subsets(parent):
+                child = list(parent)
+                for v in members[mask]:
+                    child[v] |= bit
+                child.append(mask)
+                children.append(tuple(child))
         # (B, size, size) 0/1 matrices for the batch kernel, which the
-        # benchmark times; without it each child would go to code() directly
-        bits = np.arange(size, dtype=np.int64)
-        batch = (np.array(children, dtype=np.int64)[:, :, None] >> bits & 1).astype(np.uint8)
+        # benchmark times, unpacked from one byte per neighbour mask (at
+        # n = 7, 1,436 children for 1,044 classes); without the kernel each
+        # child would go to code() directly
+        rows = np.array(children, dtype=np.uint8)[:, :, None]
+        batch = np.unpackbits(rows, axis=2, count=size, bitorder="little")
         codes = canonical_codes(batch)
         keep: dict[int, int] = {}
         for idx, code in enumerate(codes.tolist()):
@@ -171,7 +188,7 @@ def _levels(n_max: int):
                 keep[code] = idx
         items = sorted(keep.items())
         level = [children[idx] for _, idx in items]
-        yield size, [code for code, _ in items]
+        yield size, [code for code, _ in items], level
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
@@ -179,7 +196,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
     class, in canonical-code order."""
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
-    for _, codes in _levels(n):
+    for _, codes, _ in _levels(n):
         pass
     return [Graph(n, frozenset(mask_edges(_code_masks(code, n)))) for code in codes]
 
@@ -234,13 +251,17 @@ def verify_unique_colorable_edge_bound(n_max: int, k: int) -> EdgeBoundReport:
     if not 1 <= k <= EDGE_BOUND_MAX_K:
         raise ValueError(f"need 1 <= k <= {EDGE_BOUND_MAX_K}")
     rows = []
-    for n, codes in _levels(n_max):
+    for n, codes, reps in _levels(n_max):
         bound = bounds.membership_known_count(n, k)
         unique_count = 0
         min_edges = None
         tight = []
         bad = []
-        for code in codes:
+        # a vertex of lower degree can change colour; see the module docstring
+        floor = k - 1 if n >= k else 0
+        for code, rep in zip(codes, reps):
+            if min(map(int.bit_count, rep)) < floor:
+                continue
             # high-degree vertices first; see the module docstring
             if not is_uniquely_k_colorable(_code_masks(code, n, reverse=True), k):
                 continue

@@ -190,6 +190,20 @@ def _halves(s: VertexSet) -> tuple[VertexSet, VertexSet]:
     return VertexSet(s.mask ^ high), VertexSet(high)
 
 
+def _probe(session, v, sub: VertexSet, blue: list[int]) -> TraceNode:
+    """Query one set of `find_neighbors` and recurse into the halves of a
+    blue one, appending each neighbour found to `blue`. A module function,
+    not a closure: a closure that calls itself is a reference cycle that
+    only the cyclic collector frees."""
+    if session.neighborhood_query(v, sub) == 0:
+        return TraceNode(sub, 0, True)
+    if len(sub) == 1:
+        blue.append(sub.mask.bit_length() - 1)
+        return TraceNode(sub, 1, True)
+    low, high = _halves(sub)
+    return TraceNode(sub, 1, True, (_probe(session, v, low, blue), _probe(session, v, high, blue)))
+
+
 def find_neighbors(session, v, subset: Iterable[int]) -> LearnResult:
     """Find N(v) within a set by recursive halving.
 
@@ -208,20 +222,13 @@ def find_neighbors(session, v, subset: Iterable[int]) -> LearnResult:
         raise ValueError("the probed set must not contain the vertex itself")
     start = session.ledger.count
     blue: list[int] = []
-
-    def probe(sub: VertexSet) -> TraceNode:
-        if session.neighborhood_query(v, sub) == 0:
-            return TraceNode(sub, 0, True)
-        if len(sub) == 1:
-            blue.append(sub.mask.bit_length() - 1)
-            return TraceNode(sub, 1, True)
-        return TraceNode(sub, 1, True, tuple(map(probe, _halves(sub))))
-
     if len(s) == 1:
-        node = probe(s)
+        node = _probe(session, v, s, blue)
         root = node if node.is_blue else None
     else:
-        lnode, rnode = map(probe, _halves(s))
+        low, high = _halves(s)
+        lnode = _probe(session, v, low, blue)
+        rnode = _probe(session, v, high, blue)
         if lnode.is_blue or rnode.is_blue:
             root = TraceNode(s, 1, False, (lnode, rnode))
         else:

@@ -4,7 +4,8 @@ The set queries take any iterable of vertices. Each set is normalised and
 checked once, by `graphs.VertexSet.within`, to the bitmask the ledger
 stores, so an answer is one AND of that mask with the query vertex's
 component (alpha_m) or neighbourhood (beta) mask. Vertices are checked by
-`partitions.check_vertex` and pairs by `check_pair` before any ledgering.
+`partitions.check_vertex` and pairs by `check_pair` before any ledgering,
+and a declared partition's size by `check_claim`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable
 
 from .graphs import Graph, VertexSet, connected_components
 from .ledger import QueryLedger
-from .partitions import Partition, check_pair, check_vertex
+from .partitions import Partition, check_claim, check_pair, check_vertex
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ class HonestOracle:
 
     def declare(self, claimed: Partition) -> AuditVerdict:
         """Check a final claim against the ground truth."""
-        if claimed.n != self.n:
-            raise ValueError("claimed partition is over the wrong vertex set")
+        check_claim(claimed, self.n)
         if claimed == self.hidden_partition:
             return AuditVerdict(True, None, "claim matches the hidden components")
         return AuditVerdict(False, self.hidden_partition, "claim differs from the hidden components")

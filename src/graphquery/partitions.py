@@ -34,6 +34,13 @@ def check_pair(u: int, v: int, n: int) -> None:
         raise ValueError("membership query needs two distinct vertices")
 
 
+def check_claim(claimed: Partition, n: int) -> None:
+    """The one claim-size check of every session's `declare`: the claimed
+    partition must be over the session's n vertices."""
+    if claimed.n != n:
+        raise ValueError("claimed partition is over the wrong vertex set")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Partition of {0..n-1} into disjoint nonempty blocks.

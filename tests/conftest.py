@@ -8,10 +8,12 @@ from typing import Iterable, Iterator, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from graphquery import enumeration
+from graphquery import bounds, enumeration
 from graphquery._canon import code
-from graphquery.coloring import SEARCH_STATS, Coloring, find_k_coloring, proper_partitions
-from graphquery.graphs import Graph, normalize_edge
+from graphquery.coloring import (
+    SEARCH_STATS, Coloring, find_k_coloring, is_uniquely_k_colorable, proper_partitions,
+)
+from graphquery.graphs import Graph, mask_edges, normalize_edge
 from graphquery.ledger import LedgerEntry
 from graphquery.partitions import Partition
 
@@ -144,6 +146,25 @@ def max_degree_levels(n_max: int) -> Iterator[tuple[int, list[tuple[int, ...]], 
         codes = sorted(first)
         level = [first[c] for c in codes]
         yield size, candidates, codes
+
+
+def unscreened_edge_bound(n_max: int, k: int) -> enumeration.EdgeBoundReport:
+    """`verify_unique_colorable_edge_bound(n_max, k)` without its degree
+    screen: every class, decoded in canonical labels, goes to the uniqueness
+    search, kept as a reference for the screen."""
+    rows = []
+    for n, codes, _ in enumeration._levels(n_max):
+        bound = bounds.membership_known_count(n, k)
+        unique = [c for c in codes if is_uniquely_k_colorable(enumeration._code_masks(c, n), k)]
+        edges = [tuple(mask_edges(enumeration._code_masks(c, n))) for c in unique]
+        sizes = [c.bit_count() for c in unique]
+        tight = tuple(e for e, m in zip(edges, sizes) if m == bound)
+        rows.append(enumeration.EdgeBoundRow(
+            n, len(codes), len(unique), bound, min(sizes, default=None),
+            tight[:enumeration.MAX_TIGHT_EXAMPLES],
+            tuple(e for e, m in zip(edges, sizes) if m < bound),
+        ))
+    return enumeration.EdgeBoundReport(k, tuple(rows))
 
 
 def brute_force_proper_partitions(g: Graph, k: int) -> set[Partition]:

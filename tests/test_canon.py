@@ -43,6 +43,20 @@ def test_codes_match_the_reference_on_seeded_random_graphs(n):
         assert code(nbrs) == reference_code(nbrs), nbrs
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batch_codes_take_bool_uint8_and_int64_matrices(n):
+    # the batch reads each row back as a bitmask, whatever 0/1 dtype it holds
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.integers(0, 2, size=(50, n, n), dtype=np.uint8), 1)
+    adj = upper | upper.transpose(0, 2, 1)
+    expected = [code((g.astype(np.int64) @ (1 << np.arange(n))).tolist()) for g in adj]
+    for dtype in (bool, np.uint8, np.int64):
+        codes = canonical_codes(adj.astype(dtype))
+        assert codes.dtype == np.int64 and codes.tolist() == expected, dtype
+        empty = canonical_codes(np.zeros((0, n, n), dtype=dtype))
+        assert empty.dtype == np.int64 and empty.shape == (0,), dtype
+
+
 def test_both_entry_points_reject_nine_vertices():
     with pytest.raises(ValueError, match=r"^canonical search supports n <= 8$"):
         code([0] * 9)

@@ -15,6 +15,7 @@ from graphquery import bounds
 
 from conftest import (
     cycle_graph, labelled_graphs, max_degree_levels, reset_search_stats, twin_swap_orbits,
+    unscreened_edge_bound,
 )
 
 
@@ -139,7 +140,7 @@ LEVEL_DIGESTS = (
 def test_enumeration_order_is_frozen():
     digests = tuple(
         hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()[:16]
-        for _, codes in enumeration._levels(7)
+        for _, codes, _ in enumeration._levels(7)
     )
     assert digests == LEVEL_DIGESTS
 
@@ -163,13 +164,50 @@ def test_edge_lists_are_pinned():
 def test_unique_coloring_search_nodes_are_pinned():
     reset_search_stats()
     verify_unique_colorable_edge_bound(7, 3)
-    assert SEARCH_STATS == {"invocations": 1252, "nodes": 8825}
+    # the degree screen leaves 590 of the 1,252 classes to search
+    assert SEARCH_STATS == {"invocations": 590, "nodes": 4210}
+
+
+def test_degree_screen_drops_only_classes_that_are_not_uniquely_colorable(monkeypatch):
+    # the screen reads each level's representatives, which must be the
+    # classes of its codes in the same order; every class on at most 7
+    # vertices that it keeps from the search has no proper k-colouring, or
+    # more than one
+    levels = list(enumeration._levels(7))
+    for n, codes, reps in levels:
+        assert [code(rep) for rep in reps] == codes, n
+    searched = []
+    original = enumeration.is_uniquely_k_colorable
+
+    def recording(masks, k):
+        searched.append((len(masks), code(masks)))
+        return original(masks, k)
+
+    monkeypatch.setattr(enumeration, "is_uniquely_k_colorable", recording)
+    dropped = {}
+    for k in range(2, 8):
+        searched.clear()
+        verify_unique_colorable_edge_bound(7, k)
+        kept = set(searched)
+        for n, codes, _ in levels:
+            for c in codes:
+                if (n, c) not in kept:
+                    assert not original(enumeration._code_masks(c, n), k), (n, c, k)
+                    dropped[k] = dropped.get(k, 0) + 1
+    assert dropped[3] == 662
+
+
+def test_degree_screen_matches_the_unscreened_reference():
+    for k in range(1, 8):
+        rows = unscreened_edge_bound(7, k).rows
+        for n in range(1, 8):
+            assert verify_unique_colorable_edge_bound(n, k) == enumeration.EdgeBoundReport(k, rows[:n]), (n, k)
 
 
 def test_levels_match_brute_force_codes():
     # the augmentation filter must still reach every class: each level's codes
     # are exactly the codes of all labelled graphs on that many vertices
-    levels = dict(enumeration._levels(6))
+    levels = {n: codes for n, codes, _ in enumeration._levels(6)}
     for n in range(1, 7):
         pairs = list(combinations(range(n), 2))
         codes = {
@@ -182,7 +220,7 @@ def test_levels_match_brute_force_codes():
 
 def test_levels_match_the_max_degree_rule():
     # the finer rule codes fewer candidates and reaches the same classes
-    levels = dict(enumeration._levels(7))
+    levels = {n: codes for n, codes, _ in enumeration._levels(7)}
     for n, _, codes in max_degree_levels(7):
         assert levels[n] == codes, n
 
@@ -214,7 +252,7 @@ def test_relabelling_never_changes_a_uniqueness_verdict():
     # and seeded random labels must agree on every class up to 6 vertices
     rng = random.Random(6)
     verdicts = set()
-    for n, codes in enumeration._levels(6):
+    for n, codes, _ in enumeration._levels(6):
         for c in codes:
             masks = enumeration._code_masks(c, n)
             flipped = enumeration._code_masks(c, n, reverse=True)

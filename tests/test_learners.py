@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -347,6 +348,20 @@ def test_find_neighbors_single_hit_in_eight():
         res = find_neighbors(star_session(9, [hit]), 0, range(1, 9))
         assert res.answer == frozenset({hit})
         assert res.queries_used == 6 <= bounds.find_neighbors_ceiling(1, 8)
+
+
+def test_neighbor_search_leaves_no_cyclic_garbage():
+    # a finished neighbour search is freed by reference counting alone, so
+    # the many searches of a long run do not pile up for the cyclic collector
+    session = star_session(9, [2, 3, 7])
+    gc.collect()
+    gc.disable()
+    try:
+        for subset in (range(1, 9), [5], [3], range(4, 7)):
+            find_neighbors(session, 0, subset)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_find_neighbors_singleton_set():

@@ -367,8 +367,12 @@ def test_declare_checks_ground_truth(oracle):
     assert oracle.declare(truth).forced
     verdict = oracle.declare(Partition.from_labels(range(6)))
     assert not verdict.forced and verdict.witness == truth
-    with pytest.raises(ValueError, match="^claimed partition is over the wrong vertex set$"):
-        oracle.declare(Partition.from_labels(range(5)))
+    # one claim-size check, with one message, for the oracle and every adversary
+    for session in (oracle, SeparabilityAdversary(6, 3), UnknownCountAdversary(6, 3),
+                    ContractionAdversary(6, 3)):
+        for size in (5, 7):
+            with pytest.raises(ValueError, match="^claimed partition is over the wrong vertex set$"):
+                session.declare(Partition.from_labels(range(size)))
 
 
 def test_pooled_and_neighborhood_answers_match_brute_force():
