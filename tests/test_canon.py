@@ -1,9 +1,10 @@
-"""The canonical-code kernel against the plain partition search, its size
-guard, and the rule that it keeps no state between calls."""
+"""The canonical-code kernel against the plain partition search, its tail
+table against brute force, its input guards, and the rule that it keeps no
+state between calls."""
 
 import random
 import types
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from graphquery import _canon
 from graphquery._canon import canonical_codes, code
 from graphquery.graphs import Graph
 
-from conftest import max_degree_levels, reference_code
+from conftest import _reference_best, max_degree_levels, reference_code
 
 
 def test_codes_match_the_reference_on_every_labelled_graph_up_to_six_vertices():
@@ -79,10 +80,13 @@ def test_the_kernel_keeps_no_state_between_calls():
     state = _module_state()
     assert not [name for name, value in state.items() if isinstance(value, (dict, list, set, bytearray))]
     tables = {name: value for name, value in state.items() if isinstance(value, tuple)}
-    assert set(tables) == {"_POPCOUNT", "_ONES", "_MEMBERS"}
-    for table in tables.values():
-        assert len(table) == 1 << _canon.MAX_N
-        assert all(isinstance(entry, (int, tuple)) for entry in table)
+    assert set(tables) == {"_POPCOUNT", "_ONES", "_MEMBERS", "_TAILS"}
+    for name in ("_POPCOUNT", "_ONES", "_MEMBERS"):
+        assert len(tables[name]) == 1 << _canon.MAX_N
+        assert all(isinstance(entry, (int, tuple)) for entry in tables[name])
+    # a key's top bit sits at s(s + 1) / 2 for s open vertices
+    assert len(_canon._TAILS) == 1 << _canon.TAIL_N * (_canon.TAIL_N + 1) // 2 + 1 == 2048
+    assert all(type(entry) is int for entry in _canon._TAILS)
     for function in vars(_canon).values():
         if isinstance(function, types.FunctionType) and function.__module__ == _canon.__name__:
             assert function.__defaults__ is None and not vars(function), function.__name__
@@ -90,3 +94,61 @@ def test_the_kernel_keeps_no_state_between_calls():
     code([0b110, 0b101, 0b011, 0])
     canonical_codes(np.zeros((2, 5, 5), dtype=np.uint8))
     assert {name: id(value) for name, value in _module_state().items()} == snapshot
+
+
+def _compositions(size):
+    """Every tuple of positive cell sizes that sums to size."""
+    if size == 0:
+        return [()]
+    return [(first, *rest) for first in range(1, size + 1) for rest in _compositions(size - first)]
+
+
+def test_the_tail_table_is_the_least_code_over_cell_respecting_orders():
+    reached = set()
+    for size in range(_canon.TAIL_N + 1):
+        pairs = list(combinations(range(size), 2))
+        for sizes in _compositions(size):
+            cell_of = [c for c, width in enumerate(sizes) for _ in range(width)]
+            orders = [p for p in permutations(range(size)) if [cell_of[v] for v in p] == cell_of]
+            key = 1
+            for width in sizes:
+                key = key << width | 1
+            for bits in range(1 << len(pairs)):
+                adjacent = {pair for i, pair in enumerate(pairs) if bits >> len(pairs) - 1 - i & 1}
+                least = min(int("".join("1" if tuple(sorted((p[i], p[j]))) in adjacent else "0"
+                                        for i, j in pairs) or "0", 2) for p in orders)
+                index = key << len(pairs) | bits
+                assert _canon._TAILS[index] == least, (sizes, bits)
+                reached.add(index)
+    # 1 + 1 + 2 * 2 + 4 * 8 + 8 * 64 keys; no other entry is read
+    assert len(reached) == 550
+    assert not [i for i, entry in enumerate(_canon._TAILS) if entry and i not in reached]
+
+
+def test_ordered_cells_match_the_reference_on_every_labelled_graph_up_to_five_vertices():
+    # an ordered partition as the initial state: the least code over the
+    # orders that list its cells in order, which the tail table reads
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        partitions = []
+        for cells in range(1, 4):
+            for label in product(range(cells), repeat=n):
+                if len(set(label)) == cells:
+                    partitions.append(tuple(sum(1 << v for v in range(n) if label[v] == c)
+                                            for c in range(cells)))
+        for mask in range(1 << len(pairs)):
+            nbrs = Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)).adjacency_masks()
+            for cells in partitions:
+                assert _canon._best(nbrs, list(cells), n, -1) == _reference_best(nbrs, cells, n), (nbrs, cells)
+
+
+@pytest.mark.parametrize("bad", [
+    [[0, 1, 0], [0, 0, 1], [0, 0, 0]],  # not symmetric
+    [[1, 1], [1, 0]],  # a self-loop
+    [[0, 2], [2, 0]],  # not 0/1
+    [[0, -1], [-1, 0]],
+])
+def test_batch_codes_reject_what_is_not_a_simple_graph(bad):
+    good = np.zeros((1, len(bad), len(bad)), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"^expected symmetric 0/1 adjacency matrices with a zero diagonal$"):
+        canonical_codes(np.concatenate([good, np.array([bad])]))

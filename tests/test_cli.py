@@ -362,3 +362,15 @@ def test_readme_flag_table_matches_parser():
         for name, p in sub.choices.items()
     }
     assert table == declared
+
+
+def test_console_script_entry_runs_enumerate_ukc(monkeypatch, capsys):
+    # the wrapper `pip install` writes for [project.scripts] imports the
+    # named function and calls it with no arguments, so it reads sys.argv
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^(\S+) = "([\w.]+):(\w+)"$', scripts, re.M) == [("graphquery", "graphquery.cli", "main")]
+    monkeypatch.setattr("sys.argv", ["graphquery", "enumerate-ukc", "--n", "6", "--k", "3"])
+    assert main() == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and [row["n"] for row in report["rows"]] == [1, 2, 3, 4, 5, 6]

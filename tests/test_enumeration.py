@@ -298,6 +298,11 @@ def test_edge_bound_row_at_eight_vertices(monkeypatch):
     assert (row.n, row.graphs_total, row.unique_count) == (8, 12346, 856)
     assert row.min_edges == row.bound == 13
     assert report.ok
+    # the report as sorted JSON, tight examples included: its codes come
+    # from the kernel, which the counts alone do not pin
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0dda7b400c0fd3c057f0d9d332dd806f69cdb6fdc2ff8f0ac164e6d693103bf8")
 
 
 def test_edge_bound_rows_at_eight_vertices_for_more_colors():
