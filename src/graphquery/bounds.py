@@ -63,10 +63,14 @@ def verify_accept_queries(m: int, n_scanned: int) -> int:
 
 
 def minimax_known_formula(n: int, k: int) -> int:
+    """An alias of `membership_known_count`. The package no longer calls it;
+    ROADMAP item 1 deletes it once perfbench reads that formula."""
     return membership_known_count(n, k)
 
 
 def minimax_unknown_formula(n: int) -> int:
+    """C(n, 2), that is `membership_known_count(n, n)`. The package no longer
+    calls it; ROADMAP item 1 deletes it once perfbench reads that formula."""
     return n * (n - 1) // 2
 
 

@@ -37,15 +37,16 @@ _FLAGS = {
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+def _add_flags(p: argparse.ArgumentParser, *names: str, required: tuple[str, ...] = ()) -> None:
     """Declare only the flags a subcommand reads, so any other is a usage error."""
     for name in names:
-        p.add_argument(f"--{name}", **_FLAGS[name])
+        p.add_argument(f"--{name}", required=name in required, **_FLAGS[name])
 
 
 def _add_instance_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", default=None, help="edge-list file with the hidden graph")
-    p.add_argument("--kind", choices=INSTANCE_KINDS, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", default=None, help="edge-list file with the hidden graph")
+    source.add_argument("--kind", choices=INSTANCE_KINDS, default=None)
     _add_flags(p, "n", "k", "m", "seed")
 
 
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a hidden-graph instance")
     p.add_argument("--kind", choices=INSTANCE_KINDS, required=True)
-    _add_flags(p, "n", "k", "m", "seed", "out")
+    _add_flags(p, "n", "k", "m", "seed", "out", required=("n",))
 
     p = sub.add_parser("learn-partition", help="learn the component partition")
     _add_instance_source(p)
@@ -79,33 +80,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("duel", help="run a learner against an adversary or honest instance")
     p.add_argument("--learner", choices=LEARNER_IDS, required=True)
-    p.add_argument("--adversary", choices=ADVERSARY_IDS, default=None)
-    p.add_argument("--kind", choices=INSTANCE_KINDS, default=None)
+    opponent = p.add_mutually_exclusive_group(required=True)
+    opponent.add_argument("--adversary", choices=ADVERSARY_IDS, default=None)
+    opponent.add_argument("--kind", choices=INSTANCE_KINDS, default=None)
     p.add_argument("--grid", action="store_true", help="sweep all (n', k') up to --n/--k")
-    _add_flags(p, "n", "k", "m", "seed", "format", "out", "order")
+    _add_flags(p, "n", "k", "m", "seed", "format", "out", "order", required=("n",))
 
     p = sub.add_parser("minimax", help="exact optimal worst-case query count")
     p.add_argument("--oracle", choices=("alpha", "alpha_m"), default="alpha")
-    _add_flags(p, "n", "k", "format", "out")
+    _add_flags(p, "n", "k", "format", "out", required=("n",))
 
     p = sub.add_parser("enumerate-ukc", help="check the unique-coloring edge bound exhaustively")
-    _add_flags(p, "n", "k", "format", "out")
+    _add_flags(p, "n", "k", "format", "out", required=("n", "k"))
 
     return parser
 
 
 def _load_instance(args) -> Graph:
-    if args.graph:
-        given = [f"--{name}" for name in ("kind", "n", "k", "m", "seed")
-                 if getattr(args, name) is not None]
+    if args.graph is not None:
+        given = [f"--{name}" for name in ("n", "k", "m", "seed") if getattr(args, name) is not None]
         if given:
             raise ValueError(f"--graph FILE is the hidden graph, so it takes no {', '.join(given)}")
         return read_graph(args.graph)
-    if args.kind:
-        if args.n is None:
-            raise ValueError("--kind needs --n")
-        return generate_instance(args.kind, args.n, k=args.k, m=args.m, seed=args.seed)
-    raise ValueError("provide --graph FILE or --kind KIND")
+    if args.n is None:
+        raise ValueError("--kind needs --n")
+    return generate_instance(args.kind, args.n, k=args.k, m=args.m, seed=args.seed)
 
 
 def _write(text: str, args) -> None:
@@ -136,8 +135,6 @@ def _emit(payload: dict, args, ok: bool, reports: list | None = None) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.n is None:
-        raise ValueError("gen needs --n")
     graph = generate_instance(args.kind, args.n, k=args.k, m=args.m, seed=args.seed)
     _write(format_edge_list(graph), args)
     return 0
@@ -161,10 +158,6 @@ def _cmd_learn_partition(args) -> int:
 
 def _cmd_duel(args) -> int:
     opponent = args.adversary or args.kind
-    if opponent is None:
-        raise ValueError("provide --adversary or --kind")
-    if args.n is None:
-        raise ValueError("duel needs --n")
     if not args.grid:
         report = run_duel(args.learner, opponent, args.n, args.k,
                           m=args.m, seed=args.seed, order=args.order)
@@ -180,12 +173,10 @@ def _cmd_duel(args) -> int:
 
 
 def _cmd_minimax(args) -> int:
-    if args.n is None:
-        raise ValueError("minimax needs --n")
     if args.oracle == "alpha":
         value = minimax_query_complexity(args.n, args.k, args.oracle)
-        formula = (bounds.minimax_known_formula(args.n, args.k) if args.k is not None
-                   else bounds.minimax_unknown_formula(args.n))
+        # with k unknown the alpha game is the game of k = n
+        formula = bounds.membership_known_count(args.n, args.n if args.k is None else args.k)
         match = value == formula
     else:
         formula, value = information_bound_check(args.n, args.k)
@@ -202,8 +193,6 @@ def _cmd_minimax(args) -> int:
 
 
 def _cmd_enumerate_ukc(args) -> int:
-    if args.n is None or args.k is None:
-        raise ValueError("enumerate-ukc needs --n and --k")
     report = verify_unique_colorable_edge_bound(args.n, args.k)
     return _emit(report.to_dict(), args, report.ok)
 

@@ -626,6 +626,37 @@ def test_shuffled_adversary_transcripts_are_pinned(variant):
     assert digest.hexdigest() == PINNED_SHUFFLED_DIGESTS[variant]
 
 
+# variant -> SHA-256 over each raw stream's JSONL ledger, chi partition and
+# verdict on chi, at n = 40, k = 7: the stream is a prefix, of a length drawn
+# from the same rng, of a random.Random(s) shuffle of all 780 pairs, s = 0..3
+PINNED_RAW_STREAM_DIGESTS = {
+    "separability": "26b2fb0a5b458f9423f2f4f164f612505136ee32eeaa68a726989ea0da5dfbc0",
+    "unknown-count": "61635730f953d132fc627dfb25322a47683460c4902d962ffcd8e910a5f37c7c",
+    "contraction": "ecbddea19e2d9684ee89506b36c6a93cc1b73d684b198aff66d5b113b10356fe",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_RAW_STREAM_DIGESTS))
+def test_raw_query_stream_transcripts_are_pinned(variant):
+    # streams no learner would ask: a change to how the adversaries search
+    # may move node counts, but not an answer, chi or a verdict
+    digest = hashlib.sha256()
+    for seed in range(4):
+        pairs = list(combinations(range(40), 2))
+        rng = random.Random(seed)
+        rng.shuffle(pairs)
+        stop = rng.randrange(len(pairs) // 4, len(pairs))
+        adv = ADVERSARY_CLASSES[variant](40, 7)
+        for x, y in pairs[:stop]:
+            adv.membership_query(x, y)
+        chi = adv.chi_partition()
+        verdict = adv.declare(chi)
+        witness = verdict.witness and verdict.witness.to_json()
+        digest.update(adv.ledger.to_jsonl().encode())
+        digest.update(f"{chi.to_json()}|{verdict.forced}|{verdict.detail}|{witness}\n".encode())
+    assert digest.hexdigest() == PINNED_RAW_STREAM_DIGESTS[variant]
+
+
 def test_shuffled_order_contraction_audit_stays_small():
     # the failure frontier of plain backtracking: this audit used to exhaust
     # the default 5M-node budget, and forward checking ends it in ~262k nodes

@@ -142,6 +142,12 @@ def test_ordered_cells_match_the_reference_on_every_labelled_graph_up_to_five_ve
                 assert _canon._best(nbrs, list(cells), n, -1) == _reference_best(nbrs, cells, n), (nbrs, cells)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4), (3,)])
+def test_batch_codes_reject_what_is_not_a_batch_of_square_matrices(shape):
+    with pytest.raises(ValueError, match=r"^expected a \(batch, n, n\) adjacency array$"):
+        canonical_codes(np.zeros(shape, dtype=np.int64))
+
+
 @pytest.mark.parametrize("bad", [
     [[0, 1, 0], [0, 0, 1], [0, 0, 0]],  # not symmetric
     [[1, 1], [1, 0]],  # a self-loop

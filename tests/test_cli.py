@@ -17,7 +17,10 @@ from graphquery.learners import LearnResult
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -173,15 +176,35 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "duel", "--learner", "reps-known", "--n", "4")
     assert code == 1  # neither adversary nor kind
     for argv, message in [
-        (["learn-partition", "--kind", "edgeless"], "--kind needs --n"),
-        (["learn-partition"], "provide --graph FILE or --kind KIND"),
+        (["learn-partition", "--kind", "edgeless"], "graphquery: error: --kind needs --n"),
+        (["learn-partition"], "graphquery learn-partition: error: "
+         "one of the arguments --graph --kind is required"),
         (["duel", "--learner", "reps-known", "--adversary", "separability", "--k", "2"],
-         "duel needs --n"),
-        (["enumerate-ukc", "--n", "4"], "enumerate-ukc needs --n and --k"),
-        (["enumerate-ukc", "--k", "2"], "enumerate-ukc needs --n and --k"),
+         "graphquery duel: error: the following arguments are required: --n"),
+        (["enumerate-ukc", "--n", "4"],
+         "graphquery enumerate-ukc: error: the following arguments are required: --k"),
+        (["enumerate-ukc", "--k", "2"],
+         "graphquery enumerate-ukc: error: the following arguments are required: --n"),
     ]:
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (1, "", f"graphquery: error: {message}\n"), argv
+        # argparse prints the usage line first
+        assert (code, out, err.splitlines()[-1]) == (1, "", message), argv
+
+
+def test_duel_takes_an_adversary_or_a_kind_not_both(capsys):
+    code, out, err = run_cli(capsys, "duel", "--learner", "reps-known", "--adversary",
+                             "separability", "--kind", "clique", "--n", "5", "--k", "2")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == ("graphquery duel: error: "
+                                    "argument --kind: not allowed with argument --adversary")
+
+
+def test_duel_help_shows_what_is_required(capsys):
+    code, out, _ = run_cli(capsys, "duel", "--help")
+    usage = " ".join(out.split("\n\n")[0].split())
+    assert code == 0
+    assert "(--adversary {" in usage and " | --kind {" in usage
+    assert " --n N " in usage and "[--n N]" not in usage
 
 
 @pytest.mark.parametrize("argv, lines", [
@@ -279,14 +302,17 @@ def test_instance_settings_a_kind_ignores_are_usage_errors(capsys, argv, message
     assert message in err
 
 
-@pytest.mark.parametrize("flag, value", [("--k", "2"), ("--m", "3"), ("--seed", "5"),
-                                         ("--kind", "clique"), ("--n", "9")])
-def test_graph_file_takes_no_generator_settings(capsys, tmp_path, flag, value):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k", "2", "takes no --k"), ("--m", "3", "takes no --m"), ("--seed", "5", "takes no --seed"),
+    ("--kind", "clique", "argument --kind: not allowed with argument --graph"),
+    ("--n", "9", "takes no --n"),
+], ids=["--k-2", "--m-3", "--seed-5", "--kind-clique", "--n-9"])
+def test_graph_file_takes_no_generator_settings(capsys, tmp_path, flag, value, message):
     graph = tmp_path / "g.txt"
     graph.write_text("4 1\n0 1\n")
     code, out, err = run_cli(capsys, "learn-partition", "--graph", str(graph), flag, value)
     assert code == 1 and out == ""
-    assert f"takes no {flag}" in err
+    assert message in err
 
 
 def test_duel_grid_over_a_kind_without_k_runs_one_cell_per_n(capsys):

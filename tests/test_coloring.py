@@ -303,6 +303,18 @@ def test_search_node_accounting_is_pinned(search, nodes):
     assert SEARCH_STATS == {"invocations": 1, "nodes": nodes}
 
 
+@pytest.mark.parametrize("search, result", [
+    (lambda: find_k_coloring([], 3), Coloring((), 3)),
+    (lambda: proper_partitions([], 2), [Partition(())]),
+    (lambda: is_uniquely_k_colorable([], 1), True),
+], ids=["find", "partitions", "unique"])
+def test_a_graph_on_no_vertices_is_one_search_of_no_nodes(search, result):
+    # the empty coloring is the one solution, found before any vertex is placed
+    reset_search_stats()
+    assert search() == result
+    assert SEARCH_STATS == {"invocations": 1, "nodes": 0}
+
+
 def test_search_memory_does_not_grow_with_the_palette():
     # a search opens at most n colors, so a palette of 10**6 costs what a
     # palette of n does, and changes no coloring or partition
